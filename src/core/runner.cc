@@ -1,5 +1,7 @@
 #include "core/runner.h"
 
+#include "exec/executor.h"
+#include "mvcc/apply.h"
 #include "obs/trace.h"
 
 namespace objrep {
@@ -21,7 +23,8 @@ Status RunWorkload(Strategy* strategy, ComplexDatabase* db,
       TraceSpan span("retrieve", "query");
       span.SetArg("num_top", q.num_top);
       RetrieveResult result;
-      OBJREP_RETURN_NOT_OK(strategy->ExecuteRetrieve(q, &result));
+      OBJREP_RETURN_NOT_OK(
+          exec::ExecuteRetrieve(strategy, db, /*locks=*/nullptr, q, &result));
       uint64_t io = (db->disk->counters() - before).total();
       span.SetArg("io", io);
       out->retrieve_io += io;
@@ -32,37 +35,30 @@ Status RunWorkload(Strategy* strategy, ComplexDatabase* db,
     } else {
       TraceSpan span("update", "query");
       span.SetArg("targets", q.update_targets.size());
-      // With a WAL attached the update query is one transaction: all its
-      // in-place writes (plus cache invalidations and deferred frees)
-      // commit together or not at all (DESIGN.md §10). Without one this
-      // is the seed's unprotected path.
-      if (db->pool->wal() != nullptr) {
-        OBJREP_RETURN_NOT_OK(db->pool->BeginTxn());
-        Status s = strategy->ExecuteUpdate(q);
-        if (s.ok()) {
-          s = db->pool->CommitTxn();
-        } else {
-          db->pool->AbortTxn();
-        }
-        OBJREP_RETURN_NOT_OK(s);
-      } else {
-        OBJREP_RETURN_NOT_OK(strategy->ExecuteUpdate(q));
-      }
+      OBJREP_RETURN_NOT_OK(
+          exec::ExecuteUpdate(strategy, db, /*locks=*/nullptr, q));
       out->update_io += (db->disk->counters() - before).total();
       ++out->num_updates;
     }
     ++out->num_queries;
   }
 
-  // Deferred dirty pages (updates, cache inserts, temps) are part of the
-  // sequence's I/O bill: flush and charge them.
+  OBJREP_RETURN_NOT_OK(FinishRun(db, run_start, tags_start, out));
+  out->total_io = out->retrieve_io + out->update_io + out->flush_io;
+  return Status::OK();
+}
+
+Status FinishRun(ComplexDatabase* db, const IoCounters& run_start,
+                 const IoTagBreakdown& tags_start, RunResult* out) {
   IoCounters before_flush = db->disk->counters();
   {
     TraceSpan span("flush", "query");
+    // Quiescent point: fold the committed MVCC versions onto base pages,
+    // so the flush below and any later plain read see every update.
+    if (db->mvcc != nullptr) OBJREP_RETURN_NOT_OK(mvcc::FoldMvcc(db));
     OBJREP_RETURN_NOT_OK(db->pool->FlushAll());
   }
   out->flush_io = (db->disk->counters() - before_flush).total();
-  out->total_io = out->retrieve_io + out->update_io + out->flush_io;
   out->io = db->disk->counters() - run_start;
   out->io_by_tag = db->disk->breakdown() - tags_start;
   if (db->cache != nullptr) out->cache_stats = db->cache->stats();

@@ -1,6 +1,11 @@
 // Experiment runner: executes a query sequence under one strategy and
 // reports average I/O — the paper's performance yardstick ("run a sequence
 // of queries on the database and note the average I/O traffic", §4 [3]).
+//
+// Each query runs through the one execution path (exec/executor.h) with no
+// table locks, so a WAL-backed update is one transaction and an MVCC
+// database commits through its version store. The concurrent runner and
+// the served path execute queries through the same calls.
 #ifndef OBJREP_CORE_RUNNER_H_
 #define OBJREP_CORE_RUNNER_H_
 
@@ -23,7 +28,7 @@ struct RunResult {
   uint64_t total_io = 0;     ///< includes the end-of-run flush
   uint64_t retrieve_io = 0;
   uint64_t update_io = 0;
-  uint64_t flush_io = 0;
+  uint64_t flush_io = 0;     ///< end-of-run MVCC fold + flush
 
   /// Raw counter delta over the whole run (queries + flush). io.total()
   /// == total_io; the seq/rand split feeds the driver's seq% column.
@@ -70,10 +75,18 @@ struct RunResult {
 };
 
 /// Runs `queries` under `strategy` against the strategy's database.
-/// Resets the database cache statistics at the start; flushes dirty pages
-/// at the end (charged to total_io) so deferred writes are not lost.
+/// Resets the database cache statistics at the start; ends with FinishRun,
+/// whose I/O is charged to total_io.
 Status RunWorkload(Strategy* strategy, ComplexDatabase* db,
                    const std::vector<Query>& queries, RunResult* out);
+
+/// Closes a run's measurement window, opened at (run_start, tags_start),
+/// at a quiescent point: folds committed MVCC versions onto base pages and
+/// flushes deferred dirty pages (updates, cache inserts, temps), which are
+/// part of the run's I/O bill. Fills flush_io, io, io_by_tag and
+/// cache_stats; the caller sums total_io.
+Status FinishRun(ComplexDatabase* db, const IoCounters& run_start,
+                 const IoTagBreakdown& tags_start, RunResult* out);
 
 }  // namespace objrep
 

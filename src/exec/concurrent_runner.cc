@@ -5,13 +5,11 @@
 #include <cmath>
 #include <memory>
 
+#include "exec/executor.h"
 #include "exec/lock_manager.h"
-#include "exec/query_locks.h"
-#include "exec/thread_pool.h"
-#include "mvcc/apply.h"
-#include "mvcc/engine.h"
 #include "obs/trace.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace objrep {
 
@@ -40,42 +38,21 @@ struct WorkerResult {
   std::vector<double> retrieve_latencies_us;
 };
 
-Status ExecuteOne(Strategy* strategy, ComplexDatabase* db, const Query& q,
-                  WorkerResult* wr) {
+Status ExecuteOne(Strategy* strategy, ComplexDatabase* db,
+                  LockManager* locks, const Query& q, WorkerResult* wr) {
   if (q.kind == Query::Kind::kRetrieve) {
     TraceSpan span("retrieve", "query");
     span.SetArg("num_top", q.num_top);
     RetrieveResult result;
-    if (db->mvcc != nullptr) {
-      OBJREP_RETURN_NOT_OK(mvcc::SnapshotRetrieve(strategy, db, q, &result));
-    } else {
-      OBJREP_RETURN_NOT_OK(strategy->ExecuteRetrieve(q, &result));
-    }
+    OBJREP_RETURN_NOT_OK(
+        exec::ExecuteRetrieve(strategy, db, locks, q, &result));
     wr->result_count += result.values.size();
     for (int32_t v : result.values) wr->result_sum += v;
     ++wr->num_retrieves;
   } else {
     TraceSpan span("update", "query");
     span.SetArg("targets", q.update_targets.size());
-    // One WAL transaction per update query; the worker already holds X
-    // table locks, so wal_mu_ ranks below them (DESIGN.md §10 latch
-    // order) and cannot deadlock against another worker's query.
-    if (db->mvcc != nullptr) {
-      // MVCC commit: version install + logical WAL record; base pages
-      // stay frozen until the post-run fold.
-      OBJREP_RETURN_NOT_OK(mvcc::MvccUpdate(db, q));
-    } else if (db->pool->wal() != nullptr) {
-      OBJREP_RETURN_NOT_OK(db->pool->BeginTxn());
-      Status s = strategy->ExecuteUpdate(q);
-      if (s.ok()) {
-        s = db->pool->CommitTxn();
-      } else {
-        db->pool->AbortTxn();
-      }
-      OBJREP_RETURN_NOT_OK(s);
-    } else {
-      OBJREP_RETURN_NOT_OK(strategy->ExecuteUpdate(q));
-    }
+    OBJREP_RETURN_NOT_OK(exec::ExecuteUpdate(strategy, db, locks, q));
     ++wr->num_updates;
   }
   ++wr->num_queries;
@@ -106,15 +83,7 @@ void RunWorker(Strategy* strategy, ComplexDatabase* db, LockManager* locks,
       q = slice[next++];
     }
     Clock::time_point t0 = Clock::now();
-    if (db->mvcc != nullptr) {
-      // Snapshot isolation replaces table locking entirely: retrieves
-      // read the frozen base + version overlay, updates conflict only on
-      // overlapping targets inside the version store.
-      wr->status = ExecuteOne(strategy, db, *q, wr);
-    } else {
-      ScopedLockSet held(locks, LockRequestsFor(*db, *q));
-      wr->status = ExecuteOne(strategy, db, *q, wr);
-    }
+    wr->status = ExecuteOne(strategy, db, locks, *q, wr);
     if (!wr->status.ok()) return;
     double us = std::chrono::duration<double, std::micro>(Clock::now() - t0)
                     .count();
@@ -188,8 +157,6 @@ Status RunConcurrentWorkload(StrategyKind kind,
   out->wall_seconds =
       std::chrono::duration<double>(Clock::now() - wall0).count();
 
-  uint64_t run_io = (db->disk->counters() - io_start).total();
-
   RunResult& r = out->combined;
   std::vector<double> all_lat, ret_lat;
   for (WorkerResult& wr : results) {
@@ -205,24 +172,11 @@ Status RunConcurrentWorkload(StrategyKind kind,
                    wr.retrieve_latencies_us.end());
   }
 
-  // Quiescent point: every worker has joined, so fold the committed
-  // versions onto base pages. After this a plain scan (and the flush
-  // below) observes every committed update. Skipped on worker error —
-  // the aggregation loop above already returned, and after a crash the
-  // pool needs recovery before it can run the fold's transaction.
-  if (db->mvcc != nullptr) {
-    OBJREP_RETURN_NOT_OK(mvcc::FoldMvcc(db));
-  }
-
-  // Deferred dirty pages are part of the run's I/O bill, as in the
-  // sequential runner.
-  IoCounters before_flush = db->disk->counters();
-  OBJREP_RETURN_NOT_OK(db->pool->FlushAll());
-  r.flush_io = (db->disk->counters() - before_flush).total();
-  r.total_io = run_io + r.flush_io;
-  r.io = db->disk->counters() - io_start;
-  r.io_by_tag = db->disk->breakdown() - tags_start;
-  if (db->cache != nullptr) r.cache_stats = db->cache->stats();
+  // Every worker has joined: the quiescent point FinishRun needs. Skipped
+  // on worker error (the loop above already returned) — after a crash the
+  // pool needs recovery before it can run the MVCC fold's transaction.
+  OBJREP_RETURN_NOT_OK(FinishRun(db, io_start, tags_start, &r));
+  r.total_io = r.io.total();
 
   out->queries_per_sec =
       out->wall_seconds > 0

@@ -73,11 +73,10 @@ struct ConcurrentRunResult {
 };
 
 /// Runs `queries` under `kind` with `options.num_threads` worker sessions
-/// sharing `db`. Each worker gets its own Strategy instance; queries take
-/// table-level locks (retrieve: S on every child relation it may read,
-/// plus ClusterRel; update: X on the target relations, plus ClusterRel).
-/// Flushes dirty pages at the end, charged to combined.total_io, exactly
-/// like the sequential RunWorkload.
+/// sharing `db`. Each worker gets its own Strategy instance and executes
+/// through exec/executor.h under one shared LockManager (table-level 2PL;
+/// snapshot isolation instead when `db` has MVCC). Ends with FinishRun,
+/// charged to combined.total_io, exactly like the sequential RunWorkload.
 Status RunConcurrentWorkload(StrategyKind kind,
                              const StrategyOptions& strategy_options,
                              ComplexDatabase* db,

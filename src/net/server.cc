@@ -93,8 +93,6 @@ struct ObjServer::Impl {
     std::string frame;  // encoded response frame
   };
 
-  ComplexDatabase* db;  // null when fronting a sharded engine
-  shard::ShardedEngine* engine;  // null for the single-db backend
   ServerConfig config;
   ObjService service;
   std::atomic<uint32_t> max_inflight;
@@ -130,19 +128,13 @@ struct ObjServer::Impl {
       pings{0};
   std::atomic<int64_t> inflight_total{0};
 
-  Impl(ComplexDatabase* database, ServerConfig cfg)
-      : db(database),
-        engine(nullptr),
-        config(std::move(cfg)),
-        service(database, cfg.default_strategy, cfg.strategy_options),
-        max_inflight(cfg.max_inflight == 0 ? 1 : cfg.max_inflight) {}
-
-  Impl(shard::ShardedEngine* eng, ServerConfig cfg)
-      : db(nullptr),
-        engine(eng),
-        config(std::move(cfg)),
-        service(eng, cfg.default_strategy, cfg.strategy_options),
-        max_inflight(cfg.max_inflight == 0 ? 1 : cfg.max_inflight) {}
+  /// `backend` is a ComplexDatabase (served as a 1-shard engine) or a
+  /// shard::ShardedEngine; ObjService owns the difference.
+  template <typename Backend>
+  Impl(Backend* backend, ServerConfig cfg)
+      : config(std::move(cfg)),
+        service(backend, config.default_strategy, config.strategy_options),
+        max_inflight(config.max_inflight == 0 ? 1 : config.max_inflight) {}
 
   // --- Event-loop helpers (loop thread only, unless noted). ---
 
@@ -248,60 +240,55 @@ struct ObjServer::Impl {
     // The "db" section is the client's schema bootstrap: a load generator
     // needs |ParentRel| and the child relation ids to form valid
     // RETRIEVE ranges and UPDATE OIDs without sharing the server's config.
-    // The sharded backend reports the logical (global) shape — clients
-    // address the whole store; the router is the server's business.
-    const DatabaseSpec& spec = db != nullptr ? db->spec : engine->spec();
-    const ComplexDatabase* catalog_db =
-        db != nullptr ? db : engine->db()->shards[0].get();
+    // It reports the logical (global) shape — clients address the whole
+    // store; the router is the server's business.
+    shard::ShardedEngine& engine = *service.engine();
+    const DatabaseSpec& spec = engine.spec();
+    const ComplexDatabase& catalog = *engine.shard(0);
     os << "{\"db\":{"
        << "\"num_parents\":" << spec.num_parents
        << ",\"children_per_rel\":"
        << spec.num_children_total() / spec.num_child_rels
        << ",\"child_rels\":[";
-    for (size_t r = 0; r < catalog_db->child_rels.size(); ++r) {
+    for (size_t r = 0; r < catalog.child_rels.size(); ++r) {
       if (r > 0) os << ",";
-      os << catalog_db->child_rels[r]->rel_id();
+      os << catalog.child_rels[r]->rel_id();
     }
     os << "]}";
-    if (engine != nullptr) {
-      // Each shard's slice of the heat ranking: the global top parents
-      // routed back to their owning shard, so a reclusterer (or operator)
-      // can see which shards carry the skew.
-      std::vector<HeatMap::ParentHeat> hot =
-          HeatMap::Global().TopParents(64);
-      os << ",\"shards\":[";
-      for (uint32_t k = 0; k < engine->num_shards(); ++k) {
-        const ComplexDatabase& sdb = *engine->db()->shards[k];
-        IoCounters io = sdb.disk->counters();
-        if (k > 0) os << ",";
-        os << "{\"parents\":" << engine->db()->local_parents[k].size()
-           << ",\"pages\":" << sdb.TotalPages()
-           << ",\"disk_reads\":" << io.reads
-           << ",\"disk_writes\":" << io.writes;
-        if (sdb.cache != nullptr) {
-          CacheManager::CacheStats cs = sdb.cache->stats();
-          os << ",\"cache_hits\":" << cs.hits
-             << ",\"cache_invalidated_units\":" << cs.invalidated_units;
-        }
-        os << ",\"hot_parents\":[";
-        size_t listed = 0;
-        for (const HeatMap::ParentHeat& p : hot) {
-          if (engine->db()->router.ShardOfParent(
-                  static_cast<uint32_t>(p.parent)) != k) {
-            continue;
-          }
-          if (listed++ > 0) os << ",";
-          char buf[64];
-          std::snprintf(buf, sizeof(buf),
-                        "{\"parent\":%llu,\"heat\":%.3f}",
-                        static_cast<unsigned long long>(p.parent), p.heat);
-          os << buf;
-          if (listed >= 8) break;
-        }
-        os << "]}";
+    // Each shard's slice of the heat ranking: the global top parents
+    // routed back to their owning shard, so a reclusterer (or operator)
+    // can see which shards carry the skew.
+    std::vector<HeatMap::ParentHeat> hot = HeatMap::Global().TopParents(64);
+    os << ",\"shards\":[";
+    for (uint32_t k = 0; k < engine.num_shards(); ++k) {
+      const ComplexDatabase& sdb = *engine.shard(k);
+      IoCounters io = sdb.disk->counters();
+      if (k > 0) os << ",";
+      os << "{\"parents\":" << engine.num_local_parents(k)
+         << ",\"pages\":" << sdb.TotalPages()
+         << ",\"disk_reads\":" << io.reads
+         << ",\"disk_writes\":" << io.writes;
+      if (sdb.cache != nullptr) {
+        CacheManager::CacheStats cs = sdb.cache->stats();
+        os << ",\"cache_hits\":" << cs.hits
+           << ",\"cache_invalidated_units\":" << cs.invalidated_units;
       }
-      os << "]";
+      os << ",\"hot_parents\":[";
+      size_t listed = 0;
+      for (const HeatMap::ParentHeat& p : hot) {
+        if (engine.ShardOfParent(static_cast<uint32_t>(p.parent)) != k) {
+          continue;
+        }
+        if (listed++ > 0) os << ",";
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "{\"parent\":%llu,\"heat\":%.3f}",
+                      static_cast<unsigned long long>(p.parent), p.heat);
+        os << buf;
+        if (listed >= 8) break;
+      }
+      os << "]}";
     }
+    os << "]";
     os << ",\"server\":{"
        << "\"accepted\":" << accepted.load(std::memory_order_relaxed)
        << ",\"closed\":" << closed_count.load(std::memory_order_relaxed)

@@ -6,7 +6,9 @@
 // engine's idiom; responses come back through a completion queue and are
 // flushed from per-connection write buffers. PING and STATS are answered
 // directly on the loop — liveness and introspection must keep working
-// while the pool is saturated.
+// while the pool is saturated. Workers execute through ObjService, whose
+// only backend is a ShardedEngine (a single database is a 1-shard engine),
+// so STATS always reports one entry per shard.
 //
 // Admission control (overload degrades, never collapses):
 //   * a global in-flight budget (`max_inflight`): requests beyond it get
@@ -70,11 +72,12 @@ struct ServerConfig {
 
 class ObjServer {
  public:
+  /// Serves `db` as a 1-shard engine that borrows it (see ObjService).
   /// `db` must outlive the server.
   ObjServer(ComplexDatabase* db, ServerConfig config);
 
-  /// Sharded backend: the server fronts an N-shard scatter-gather engine;
-  /// STATS gains a per-shard section. `engine` must outlive the server.
+  /// Serves an N-shard scatter-gather engine. `engine` must outlive the
+  /// server.
   ObjServer(shard::ShardedEngine* engine, ServerConfig config);
   ~ObjServer();  ///< Stop()s if still running.
 

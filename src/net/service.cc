@@ -3,13 +3,10 @@
 #include <string>
 #include <utility>
 
-#include "exec/query_locks.h"
-#include "mvcc/engine.h"
 #include "obs/heat_map.h"
 #include "obs/io_context.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
-#include "storage/buffer_pool.h"
 
 namespace objrep {
 namespace net {
@@ -30,43 +27,13 @@ Response ErrorResponse(const Request& req, RespStatus status,
 
 ObjService::ObjService(ComplexDatabase* db, StrategyKind default_strategy,
                        StrategyOptions options)
-    : db_(db),
-      engine_(nullptr),
-      default_strategy_(default_strategy),
-      options_(options) {}
+    : owned_engine_(std::make_unique<shard::ShardedEngine>(db, options)),
+      engine_(owned_engine_.get()),
+      default_strategy_(default_strategy) {}
 
 ObjService::ObjService(shard::ShardedEngine* engine,
-                       StrategyKind default_strategy, StrategyOptions options)
-    : db_(nullptr),
-      engine_(engine),
-      default_strategy_(default_strategy),
-      options_(options) {}
-
-ObjService::SessionLease::~SessionLease() {
-  if (service == nullptr || strategy == nullptr) return;
-  std::lock_guard<std::mutex> l(service->sessions_mu_);
-  service->idle_[kind].push_back(std::move(strategy));
-}
-
-Status ObjService::Checkout(StrategyKind kind, SessionLease* lease) {
-  lease->kind = kind;
-  {
-    std::lock_guard<std::mutex> l(sessions_mu_);
-    auto it = idle_.find(kind);
-    if (it != idle_.end() && !it->second.empty()) {
-      lease->strategy = std::move(it->second.back());
-      it->second.pop_back();
-      lease->service = this;
-      return Status::OK();
-    }
-  }
-  // Built outside the pool mutex: MakeStrategy may read the database
-  // (shape probes), and holding sessions_mu_ across that would serialize
-  // unrelated checkouts.
-  OBJREP_RETURN_NOT_OK(MakeStrategy(kind, db_, options_, &lease->strategy));
-  lease->service = this;
-  return Status::OK();
-}
+                       StrategyKind default_strategy, StrategyOptions)
+    : engine_(engine), default_strategy_(default_strategy) {}
 
 Response ObjService::Execute(const Request& req) {
   if (req.verb != Verb::kRetrieve && req.verb != Verb::kUpdate) {
@@ -79,18 +46,6 @@ Response ObjService::Execute(const Request& req) {
       !s.ok()) {
     return ErrorResponse(req, RespStatus::kBadRequest, s.ToString());
   }
-  SessionLease lease;
-  if (db_ != nullptr) {
-    // The sharded engine pools its own sessions; only the single-db
-    // backend checks one out here.
-    if (Status s = Checkout(kind, &lease); !s.ok()) {
-      // The database lacks a structure this strategy needs (no Cache, no
-      // ClusterRel): a client error, not a server fault.
-      return ErrorResponse(req, RespStatus::kBadRequest,
-                           "strategy unavailable: " + s.ToString());
-    }
-  }
-
   Response resp;
   resp.verb = req.verb;
   resp.id = req.id;
@@ -119,9 +74,8 @@ Response ObjService::Execute(const Request& req) {
     misses_before = st.cache_misses;
   }
 
-  Status s = req.verb == Verb::kRetrieve
-                 ? DoRetrieve(req, kind, lease.strategy.get(), &resp)
-                 : DoUpdate(req, kind, lease.strategy.get(), &resp);
+  Status s = req.verb == Verb::kRetrieve ? DoRetrieve(req, kind, &resp)
+                                         : DoUpdate(req, kind, &resp);
 
   if (collect) {
     collector.profile.total_us = Trace::NowMicros() - start_us;
@@ -146,12 +100,13 @@ Response ObjService::Execute(const Request& req) {
 }
 
 Status ObjService::DoRetrieve(const Request& req, StrategyKind kind,
-                              Strategy* session, Response* resp) {
+                              Response* resp) {
+  const DatabaseSpec& spec = engine_->spec();
   if (req.num_top == 0) {
     return Status::InvalidArgument("retrieve: num_top must be positive");
   }
-  if (req.lo_parent >= spec().num_parents ||
-      req.num_top > spec().num_parents - req.lo_parent) {
+  if (req.lo_parent >= spec.num_parents ||
+      req.num_top > spec.num_parents - req.lo_parent) {
     return Status::InvalidArgument(
         "retrieve: parent range exceeds |ParentRel|");
   }
@@ -167,24 +122,9 @@ Status ObjService::DoRetrieve(const Request& req, StrategyKind kind,
   TraceSpan span("retrieve", "query");
   span.SetArg("num_top", q.num_top);
   RetrieveResult result;
-  if (engine_ != nullptr) {
-    // Per-shard locks are taken inside the engine, one sub-query at a
-    // time — the whole point of sharding the lock manager. The engine
-    // also reports per-shard timing/IO slices into any installed
-    // profile collector.
-    OBJREP_RETURN_NOT_OK(engine_->ExecuteRetrieve(kind, q, &result));
-  } else if (db_->mvcc != nullptr) {
-    // Snapshot read — no table S lock; the wire protocol is unchanged,
-    // MVCC is purely a server-side execution mode.
-    OBJREP_RETURN_NOT_OK(mvcc::SnapshotRetrieve(session, db_, q, &result));
-  } else {
-    const uint64_t lock_t0 = Trace::NowMicros();
-    ScopedLockSet held(&locks_, LockRequestsFor(*db_, q));
-    if (ProfileCollector* c = ProfileCollector::Current()) {
-      c->AddLockWait(Trace::NowMicros() - lock_t0);
-    }
-    OBJREP_RETURN_NOT_OK(session->ExecuteRetrieve(q, &result));
-  }
+  // The engine takes locks or a snapshot per shard sub-query and reports
+  // per-shard timing, I/O and lock waits into any installed profile.
+  OBJREP_RETURN_NOT_OK(engine_->ExecuteRetrieve(kind, q, &result));
 
   // Traffic heat: the parent range this request walked, and the child
   // relations its subobjects came from (one relaxed add per relation).
@@ -206,18 +146,18 @@ Status ObjService::DoRetrieve(const Request& req, StrategyKind kind,
 }
 
 Status ObjService::DoUpdate(const Request& req, StrategyKind kind,
-                            Strategy* session, Response* resp) {
+                            Response* resp) {
   if (req.update_targets.empty()) {
     return Status::InvalidArgument("update: empty OID list");
   }
+  const DatabaseSpec& spec = engine_->spec();
   const uint32_t children_per_rel =
-      spec().num_children_total() / spec().num_child_rels;
+      spec.num_children_total() / spec.num_child_rels;
   // Relation ids are identical on every shard (same registration order),
-  // so shard 0's catalog answers for the whole sharded store.
-  const ComplexDatabase* catalog_db =
-      db_ != nullptr ? db_ : engine_->db()->shards[0].get();
+  // so shard 0's catalog answers for the whole store.
+  const ComplexDatabase* catalog = engine_->shard(0);
   for (const Oid& oid : req.update_targets) {
-    if (catalog_db->ChildRelById(oid.rel) == nullptr) {
+    if (catalog->ChildRelById(oid.rel) == nullptr) {
       return Status::InvalidArgument("update: OID names no child relation");
     }
     if (oid.key >= children_per_rel) {
@@ -235,44 +175,9 @@ Status ObjService::DoUpdate(const Request& req, StrategyKind kind,
   if (heat.enabled()) {
     for (const Oid& oid : req.update_targets) heat.TouchRel(oid.rel);
   }
-  if (engine_ != nullptr) {
-    // The engine fans out to every holder shard, each under its own X
-    // locks and WAL transaction.
-    OBJREP_RETURN_NOT_OK(engine_->ExecuteUpdate(kind, q));
-    resp->updated = static_cast<uint32_t>(q.update_targets.size());
-    return Status::OK();
-  }
-  if (db_->mvcc != nullptr) {
-    // Version-store commit: no table X lock, conflicts only on
-    // overlapping targets (first-committer-wins, retried internally).
-    const uint64_t commit_t0 = Trace::NowMicros();
-    OBJREP_RETURN_NOT_OK(mvcc::MvccUpdate(db_, q));
-    if (ProfileCollector* c = ProfileCollector::Current()) {
-      c->AddCommitWait(Trace::NowMicros() - commit_t0);
-    }
-    resp->updated = static_cast<uint32_t>(q.update_targets.size());
-    return Status::OK();
-  }
-  const uint64_t lock_t0 = Trace::NowMicros();
-  ScopedLockSet held(&locks_, LockRequestsFor(*db_, q));
-  if (ProfileCollector* c = ProfileCollector::Current()) {
-    c->AddLockWait(Trace::NowMicros() - lock_t0);
-  }
-  // One WAL transaction per update, the ConcurrentRunner's idiom: the X
-  // table locks are already held, so wal_mu_ ranks below them (DESIGN.md
-  // §10 latch order).
-  if (db_->pool->wal() != nullptr) {
-    OBJREP_RETURN_NOT_OK(db_->pool->BeginTxn());
-    Status s = session->ExecuteUpdate(q);
-    if (s.ok()) {
-      s = db_->pool->CommitTxn();
-    } else {
-      db_->pool->AbortTxn();
-    }
-    OBJREP_RETURN_NOT_OK(s);
-  } else {
-    OBJREP_RETURN_NOT_OK(session->ExecuteUpdate(q));
-  }
+  // The engine fans out to every holder shard, each under its own X locks
+  // and WAL transaction, or its own version store.
+  OBJREP_RETURN_NOT_OK(engine_->ExecuteUpdate(kind, q));
   resp->updated = static_cast<uint32_t>(q.update_targets.size());
   return Status::OK();
 }

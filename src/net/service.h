@@ -1,28 +1,21 @@
 // Request execution behind the wire boundary (DESIGN.md §13).
 //
-// ObjService owns everything a request needs besides the socket: the
-// shared ComplexDatabase, the table-level LockManager (same 2PL
-// discipline as the in-process ConcurrentRunner), and a pool of reusable
-// strategy *sessions*. A session is one Strategy instance; strategies are
-// stateful (DFSCACHE holds I-locks, ADAPTIVE carries calibration state),
-// so sessions are checked out for exactly one request and returned —
-// never shared between concurrent requests. Pooling instead of
-// per-request construction matters for ADAPTIVE: its calibrator keeps
-// learning across the requests it serves, the same way a ConcurrentRunner
-// worker's session learns across its slice.
+// ObjService turns a decoded RETRIEVE or UPDATE into a Query, validates it
+// against the logical schema, and executes it on a ShardedEngine — the
+// only backend. A single database is served as a 1-shard engine that
+// borrows it, so locks, WAL transactions, MVCC and pooled strategy
+// sessions all live in the engine and the executor beneath it, shared
+// with every other front end. Pooled sessions matter for ADAPTIVE: its
+// calibrator keeps learning across the requests it serves.
 //
 // Execute() is thread-safe and is called from the server's worker pool;
 // it is also usable without any server at all (tests drive it directly).
 #ifndef OBJREP_NET_SERVICE_H_
 #define OBJREP_NET_SERVICE_H_
 
-#include <map>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "core/strategy.h"
-#include "exec/lock_manager.h"
 #include "net/protocol.h"
 #include "objstore/database.h"
 #include "shard/engine.h"
@@ -32,16 +25,14 @@ namespace net {
 
 class ObjService {
  public:
-  /// `db` must outlive the service. `default_strategy` serves requests
-  /// whose strategy byte is kDefaultStrategyByte.
+  /// Serves `db` through a 1-shard engine that borrows it. `db` must
+  /// outlive the service. `default_strategy` serves requests whose
+  /// strategy byte is kDefaultStrategyByte.
   ObjService(ComplexDatabase* db, StrategyKind default_strategy,
              StrategyOptions options);
 
-  /// Sharded backend: requests execute through the scatter-gather engine
-  /// instead of a single database. The engine owns per-shard locks, WAL
-  /// transactions, and strategy sessions, so this service keeps no lock
-  /// manager or session pool of its own. `engine` must outlive the
-  /// service.
+  /// Serves an N-shard engine; the engine's own options apply, so
+  /// `options` is unused. `engine` must outlive the service.
   ObjService(shard::ShardedEngine* engine, StrategyKind default_strategy,
              StrategyOptions options);
 
@@ -55,33 +46,15 @@ class ObjService {
   Response Execute(const Request& req);
 
   StrategyKind default_strategy() const { return default_strategy_; }
+  shard::ShardedEngine* engine() const { return engine_; }
 
  private:
-  /// A pooled session, returned to the free list on destruction.
-  struct SessionLease {
-    ObjService* service = nullptr;
-    StrategyKind kind{};
-    std::unique_ptr<Strategy> strategy;
-    ~SessionLease();
-  };
+  Status DoRetrieve(const Request& req, StrategyKind kind, Response* resp);
+  Status DoUpdate(const Request& req, StrategyKind kind, Response* resp);
 
-  Status Checkout(StrategyKind kind, SessionLease* lease);
-  Status DoRetrieve(const Request& req, StrategyKind kind, Strategy* session,
-                    Response* resp);
-  Status DoUpdate(const Request& req, StrategyKind kind, Strategy* session,
-                  Response* resp);
-  const DatabaseSpec& spec() const {
-    return db_ != nullptr ? db_->spec : engine_->spec();
-  }
-
-  ComplexDatabase* const db_;  // null when fronting a sharded engine
-  shard::ShardedEngine* const engine_;  // null for the single-db backend
+  std::unique_ptr<shard::ShardedEngine> owned_engine_;  // 1-shard only
+  shard::ShardedEngine* const engine_;
   const StrategyKind default_strategy_;
-  const StrategyOptions options_;
-  LockManager locks_;
-
-  std::mutex sessions_mu_;
-  std::map<StrategyKind, std::vector<std::unique_ptr<Strategy>>> idle_;
 };
 
 }  // namespace net

@@ -4,9 +4,8 @@
 #include <string>
 #include <utility>
 
-#include "exec/query_locks.h"
+#include "exec/executor.h"
 #include "mvcc/apply.h"
-#include "mvcc/engine.h"
 #include "obs/io_context.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -15,9 +14,31 @@
 namespace objrep {
 namespace shard {
 
+namespace {
+
+std::vector<ComplexDatabase*> ShardsOf(ShardedDatabase* db) {
+  std::vector<ComplexDatabase*> shards;
+  for (const auto& shard : db->shards) shards.push_back(shard.get());
+  return shards;
+}
+
+}  // namespace
+
 ShardedEngine::ShardedEngine(ShardedDatabase* db, StrategyOptions options)
-    : db_(db), options_(options) {
-  const uint32_t n = db_->num_shards();
+    : ShardedEngine(db->spec, ShardsOf(db), db, options) {}
+
+ShardedEngine::ShardedEngine(ComplexDatabase* db, StrategyOptions options)
+    : ShardedEngine(db->spec, {db}, nullptr, options) {}
+
+ShardedEngine::ShardedEngine(const DatabaseSpec& spec,
+                             std::vector<ComplexDatabase*> shards,
+                             const ShardedDatabase* sharded,
+                             StrategyOptions options)
+    : spec_(spec),
+      shards_(std::move(shards)),
+      sharded_(sharded),
+      options_(options) {
+  const uint32_t n = num_shards();
   locks_.reserve(n);
   retrieve_subqueries_.reserve(n);
   update_subqueries_.reserve(n);
@@ -29,6 +50,15 @@ ShardedEngine::ShardedEngine(ShardedDatabase* db, StrategyOptions options)
         reg.GetCounter(prefix + "retrieve_subqueries"));
     update_subqueries_.push_back(reg.GetCounter(prefix + "update_subqueries"));
   }
+}
+
+uint32_t ShardedEngine::ShardOfParent(uint32_t parent_key) const {
+  return sharded_ == nullptr ? 0 : sharded_->router.ShardOfParent(parent_key);
+}
+
+size_t ShardedEngine::num_local_parents(uint32_t k) const {
+  return sharded_ == nullptr ? spec_.num_parents
+                             : sharded_->local_parents[k].size();
 }
 
 ShardedEngine::Lease::~Lease() {
@@ -51,10 +81,10 @@ Status ShardedEngine::Checkout(StrategyKind kind, Lease* out) {
     // Built outside the mutex: MakeStrategy may allocate per-strategy
     // state (temp budgets, adaptive stats) and must not serialize peers.
     session = std::make_unique<Session>();
-    session->per_shard.resize(db_->num_shards());
-    for (uint32_t k = 0; k < db_->num_shards(); ++k) {
-      OBJREP_RETURN_NOT_OK(MakeStrategy(kind, db_->shards[k].get(), options_,
-                                        &session->per_shard[k]));
+    session->per_shard.resize(num_shards());
+    for (uint32_t k = 0; k < num_shards(); ++k) {
+      OBJREP_RETURN_NOT_OK(
+          MakeStrategy(kind, shards_[k], options_, &session->per_shard[k]));
     }
   }
   *out = Lease(this, kind, std::move(session));
@@ -97,7 +127,6 @@ bool ShardedEngine::IsSortedMerge(StrategyKind kind) {
 
 Status ShardedEngine::RunShardRetrieve(Session* session, uint32_t k,
                                        const Query& q, RetrieveResult* out) {
-  ComplexDatabase* sdb = db_->shards[k].get();
   retrieve_subqueries_[k]->Add(1);
   // Sub-queries run sequentially on the calling thread, so the
   // thread-local per-tag I/O delta across this bracket is exactly this
@@ -112,15 +141,8 @@ Status ShardedEngine::RunShardRetrieve(Session* session, uint32_t k,
   }
   TraceSpan span("shard_retrieve", "shard");
   span.SetArg("shard", k);
-  if (sdb->mvcc != nullptr) {
-    // Snapshot per shard sub-query: the shard's base pages are frozen
-    // while MVCC is active, so no lock manager interaction is needed.
-    OBJREP_RETURN_NOT_OK(
-        mvcc::SnapshotRetrieve(session->per_shard[k].get(), sdb, q, out));
-  } else {
-    ScopedLockSet locks(locks_[k].get(), LockRequestsFor(*sdb, q));
-    OBJREP_RETURN_NOT_OK(session->per_shard[k]->ExecuteRetrieve(q, out));
-  }
+  OBJREP_RETURN_NOT_OK(exec::ExecuteRetrieve(
+      session->per_shard[k].get(), shards_[k], locks_[k].get(), q, out));
   if (collector != nullptr) {
     collector->AddShard(k, Trace::NowMicros() - t0,
                         CurrentThreadIoTags() - io_before);
@@ -136,10 +158,10 @@ Status ShardedEngine::RetrievePointwise(Session* session, const Query& q,
   const uint64_t end = static_cast<uint64_t>(q.lo_parent) + q.num_top;
   uint64_t p = q.lo_parent;
   while (p < end) {
-    const uint32_t k = db_->router.ShardOfParent(static_cast<uint32_t>(p));
+    const uint32_t k = ShardOfParent(static_cast<uint32_t>(p));
     uint64_t run_end = p + 1;
     while (run_end < end &&
-           db_->router.ShardOfParent(static_cast<uint32_t>(run_end)) == k) {
+           ShardOfParent(static_cast<uint32_t>(run_end)) == k) {
       ++run_end;
     }
     Query sub = q;
@@ -158,7 +180,7 @@ Status ShardedEngine::RetrievePointwise(Session* session, const Query& q,
 
 Status ShardedEngine::RetrieveMerge(Session* session, const Query& q,
                                     bool dedup, RetrieveResult* out) {
-  const uint32_t n = db_->num_shards();
+  const uint32_t n = num_shards();
   std::vector<RetrieveResult> parts(n);
   for (uint32_t k = 0; k < n; ++k) {
     OBJREP_RETURN_NOT_OK(RunShardRetrieve(session, k, q, &parts[k]));
@@ -196,7 +218,7 @@ Status ShardedEngine::RetrieveMerge(Session* session, const Query& q,
 
 Status ShardedEngine::RetrieveConcat(Session* session, const Query& q,
                                      RetrieveResult* out) {
-  for (uint32_t k = 0; k < db_->num_shards(); ++k) {
+  for (uint32_t k = 0; k < num_shards(); ++k) {
     RetrieveResult part;
     OBJREP_RETURN_NOT_OK(RunShardRetrieve(session, k, q, &part));
     out->values.insert(out->values.end(), part.values.begin(),
@@ -224,75 +246,57 @@ Status ShardedEngine::ExecuteRetrieve(StrategyKind kind, const Query& q,
 Status ShardedEngine::ExecuteUpdate(StrategyKind kind, const Query& q) {
   Lease lease;
   OBJREP_RETURN_NOT_OK(Checkout(kind, &lease));
-  const uint32_t n = db_->num_shards();
+  const uint32_t n = num_shards();
   std::vector<std::vector<Oid>> targets_of(n);
-  for (const Oid& oid : q.update_targets) {
-    const std::vector<uint32_t>& holders =
-        db_->router.HoldersOf(oid.Packed());
-    if (holders.empty()) {
-      return Status::InvalidArgument("update target unknown to shard router");
-    }
-    for (uint32_t k : holders) {
-      targets_of[k].push_back(oid);
+  if (sharded_ == nullptr) {
+    targets_of[0] = q.update_targets;  // the one shard holds every child
+  } else {
+    for (const Oid& oid : q.update_targets) {
+      const std::vector<uint32_t>& holders =
+          sharded_->router.HoldersOf(oid.Packed());
+      if (holders.empty()) {
+        return Status::InvalidArgument(
+            "update target unknown to shard router");
+      }
+      for (uint32_t k : holders) {
+        targets_of[k].push_back(oid);
+      }
     }
   }
-  if (db_->shards[0]->mvcc != nullptr) {
-    // Hold the stripes of every target across the whole fan-out, acquired
-    // in ascending stripe index so concurrent updates cannot deadlock.
-    // This serializes conflicting updates engine-wide, which makes every
-    // holder shard install their versions in the same relative order —
-    // the replica-convergence guarantee FCW alone cannot give across
-    // independent per-shard clocks.
-    std::vector<size_t> stripes;
-    stripes.reserve(q.update_targets.size());
+  // MVCC with replicas: hold the stripes of every target across the whole
+  // fan-out, acquired in ascending stripe index so concurrent updates
+  // cannot deadlock. This serializes conflicting updates engine-wide,
+  // which makes every holder shard install their versions in the same
+  // relative order — the replica-convergence guarantee FCW alone cannot
+  // give across independent per-shard clocks. One shard has no replicas.
+  std::vector<std::unique_lock<std::mutex>> stripes;
+  if (n > 1 && shards_[0]->mvcc != nullptr) {
+    std::vector<size_t> ids;
+    ids.reserve(q.update_targets.size());
     for (const Oid& oid : q.update_targets) {
-      stripes.push_back(oid.Packed() % oid_stripes_.size());
+      ids.push_back(oid.Packed() % oid_stripes_.size());
     }
-    std::sort(stripes.begin(), stripes.end());
-    stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
-    std::vector<std::unique_lock<std::mutex>> held;
-    held.reserve(stripes.size());
-    for (size_t s : stripes) {
-      held.emplace_back(oid_stripes_[s]);
-    }
-    for (uint32_t k = 0; k < n; ++k) {
-      if (targets_of[k].empty()) continue;
-      Query sub = q;
-      sub.update_targets = std::move(targets_of[k]);
-      update_subqueries_[k]->Add(1);
-      OBJREP_RETURN_NOT_OK(mvcc::MvccUpdate(db_->shards[k].get(), sub));
-    }
-    return Status::OK();
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    stripes.reserve(ids.size());
+    for (size_t id : ids) stripes.emplace_back(oid_stripes_[id]);
   }
   for (uint32_t k = 0; k < n; ++k) {
     if (targets_of[k].empty()) continue;
     Query sub = q;
     sub.update_targets = std::move(targets_of[k]);
-    ComplexDatabase* sdb = db_->shards[k].get();
-    ScopedLockSet locks(locks_[k].get(), LockRequestsFor(*sdb, sub));
     update_subqueries_[k]->Add(1);
-    const bool txn = sdb->pool->wal() != nullptr;
-    if (txn) {
-      OBJREP_RETURN_NOT_OK(sdb->pool->BeginTxn());
-    }
-    Status st = lease.session()->per_shard[k]->ExecuteUpdate(sub);
-    if (txn) {
-      if (st.ok()) {
-        st = sdb->pool->CommitTxn();
-      } else {
-        sdb->pool->AbortTxn();
-      }
-    }
-    OBJREP_RETURN_NOT_OK(st);
+    OBJREP_RETURN_NOT_OK(exec::ExecuteUpdate(
+        lease.session()->per_shard[k].get(), shards_[k], locks_[k].get(),
+        sub));
   }
   return Status::OK();
 }
 
 Status ShardedEngine::FoldAll() {
-  for (uint32_t k = 0; k < db_->num_shards(); ++k) {
-    ComplexDatabase* sdb = db_->shards[k].get();
-    if (sdb->mvcc != nullptr) {
-      OBJREP_RETURN_NOT_OK(mvcc::FoldMvcc(sdb));
+  for (ComplexDatabase* shard : shards_) {
+    if (shard->mvcc != nullptr) {
+      OBJREP_RETURN_NOT_OK(mvcc::FoldMvcc(shard));
     }
   }
   return Status::OK();

@@ -17,6 +17,14 @@
 //     output order is cache-state-dependent even on one engine, so only
 //     the result multiset is defined.
 //
+// Every sub-query runs through the one execution path (exec/executor.h)
+// on its shard, which picks 2PL, WAL transaction or MVCC snapshot from the
+// shard itself.
+//
+// A single ComplexDatabase is served as a 1-shard engine that borrows it:
+// no copy and no holder table, since every parent and child lives on
+// shard 0. This is how the network service executes on one database.
+//
 // Each shard has its own LockManager (the scale-out lever: an update
 // X-locks only its holder shards, not the whole store), its own adaptive
 // planner state (per-session, per-shard AdaptiveStrategy instances with
@@ -35,10 +43,10 @@
 // version store and clock. Retrieves take a snapshot per shard sub-query
 // and skip the shard lock manager entirely — a cross-shard retrieve is
 // per-shard consistent, not globally consistent, matching the crash scope
-// above (per-shard transactions, no 2PC). Updates hold striped per-OID
-// mutexes across the whole holder fan-out so two conflicting updates
-// commit in the same relative order on every replica shard; within a
-// shard first-committer-wins still applies.
+// above (per-shard transactions, no 2PC). With more than one shard,
+// updates hold striped per-OID mutexes across the whole holder fan-out so
+// two conflicting updates commit in the same relative order on every
+// replica shard; within a shard first-committer-wins still applies.
 #ifndef OBJREP_SHARD_ENGINE_H_
 #define OBJREP_SHARD_ENGINE_H_
 
@@ -50,6 +58,7 @@
 
 #include "core/strategy.h"
 #include "exec/lock_manager.h"
+#include "objstore/database.h"
 #include "objstore/workload.h"
 #include "shard/sharded_db.h"
 
@@ -62,8 +71,11 @@ namespace shard {
 class ShardedEngine {
  public:
   /// `db` must outlive the engine. Strategy sessions are created lazily
-  /// per kind and pooled, like ObjService's session leases.
+  /// per kind and pooled.
   ShardedEngine(ShardedDatabase* db, StrategyOptions options);
+
+  /// The 1-shard engine: borrows `db`, which must outlive the engine.
+  ShardedEngine(ComplexDatabase* db, StrategyOptions options);
 
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
@@ -75,18 +87,24 @@ class ShardedEngine {
 
   /// Fans the update out to every holder shard of each target, each under
   /// its shard's X locks and WAL transaction (2PL mode) or through the
-  /// shard's version store under engine-level per-OID stripes (MVCC mode).
+  /// shard's version store (MVCC mode, under engine-level per-OID stripes
+  /// when there is more than one shard).
   Status ExecuteUpdate(StrategyKind kind, const Query& q);
 
   /// MVCC quiescent-point fold on every shard (no-op without MVCC).
   /// Callers must ensure no retrieve/update is in flight.
   Status FoldAll();
 
-  ShardedDatabase* db() { return db_; }
-  const DatabaseSpec& spec() const { return db_->spec; }
+  const DatabaseSpec& spec() const { return spec_; }
   const StrategyOptions& options() const { return options_; }
-  uint32_t num_shards() const { return db_->num_shards(); }
+  uint32_t num_shards() const {
+    return static_cast<uint32_t>(shards_.size());
+  }
+  ComplexDatabase* shard(uint32_t k) { return shards_[k]; }
   LockManager* lock_manager(uint32_t k) { return locks_[k].get(); }
+  /// Owning shard of a parent key, and the number of parents on shard k.
+  uint32_t ShardOfParent(uint32_t parent_key) const;
+  size_t num_local_parents(uint32_t k) const;
 
  private:
   /// One checked-out execution context: a strategy instance per shard.
@@ -111,13 +129,17 @@ class ShardedEngine {
     std::unique_ptr<Session> session_;
   };
 
+  ShardedEngine(const DatabaseSpec& spec,
+                std::vector<ComplexDatabase*> shards,
+                const ShardedDatabase* sharded, StrategyOptions options);
+
   Status Checkout(StrategyKind kind, Lease* out);
   void Return(StrategyKind kind, std::unique_ptr<Session> session);
 
   bool IsPointwise(StrategyKind kind, const Query& q) const;
   static bool IsSortedMerge(StrategyKind kind);
 
-  /// Runs the sub-query on shard `k` under its lock set.
+  /// Runs the sub-query on shard `k` through the executor.
   Status RunShardRetrieve(Session* session, uint32_t k, const Query& q,
                           RetrieveResult* out);
 
@@ -128,7 +150,10 @@ class ShardedEngine {
   Status RetrieveConcat(Session* session, const Query& q,
                         RetrieveResult* out);
 
-  ShardedDatabase* db_;
+  const DatabaseSpec& spec_;
+  std::vector<ComplexDatabase*> shards_;
+  /// The carved store's routing; null for a borrowed single database.
+  const ShardedDatabase* sharded_;
   StrategyOptions options_;
   std::vector<std::unique_ptr<LockManager>> locks_;  // one per shard
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "core/runner.h"
 #include "core/strategy.h"
 #include "exec/concurrent_runner.h"
+#include "mvcc/version_store.h"
 #include "objstore/database.h"
 #include "objstore/workload.h"
 #include "storage/disk_manager.h"
@@ -220,6 +222,62 @@ TEST(IoAttributionTest, MvccRunSumsExactlyAndBillsCommitAndFoldTags) {
   // Durability still bills the WAL tag: the fold's transaction commits
   // its page writes through the log.
   EXPECT_GT(r.io_by_tag.writes_for(IoTag::kWal), 0u);
+}
+
+TEST(IoAttributionTest, SequentialMvccRunCommitsThroughVersionsAndFolds) {
+  // The sequential runner takes the same MVCC path as the concurrent one:
+  // every update commits through the version store, base pages stay
+  // frozen until the quiescent-point fold at the end of the run
+  // (kMvccFold), and the breakdown stays an exact partition. The commit
+  // itself is in memory, so kMvccCommit bills nothing here; what shows
+  // that no update wrote base pages in place is an empty kUpdate.
+  DatabaseSpec spec = FullSpec();
+  spec.enable_mvcc = true;
+  std::unique_ptr<ComplexDatabase> db;
+  ASSERT_TRUE(BuildDatabase(spec, &db).ok());
+  WorkloadSpec wl = MixedWorkload();
+  wl.pr_update = 0.5;
+  wl.num_queries = 24;
+  std::vector<Query> queries;
+  ASSERT_TRUE(GenerateWorkload(wl, *db, &queries).ok());
+  std::unique_ptr<Strategy> strategy;
+  ASSERT_TRUE(MakeStrategy(StrategyKind::kDfs, db.get(), {}, &strategy).ok());
+  RunResult r;
+  ASSERT_TRUE(RunWorkload(strategy.get(), db.get(), queries, &r).ok());
+  ASSERT_GT(r.num_updates, 0u);
+
+  EXPECT_EQ(db->mvcc->stats().commits, r.num_updates);
+  EXPECT_EQ(r.io_by_tag.total_for(IoTag::kUpdate), 0u);
+  EXPECT_GT(r.io_by_tag.total_for(IoTag::kMvccFold), 0u);
+  EXPECT_EQ(r.io_by_tag.total_reads(), r.io.reads);
+  EXPECT_EQ(r.io_by_tag.total_writes(), r.io.writes);
+  EXPECT_EQ(r.io.total(), r.total_io);
+  EXPECT_EQ(db->mvcc->live_versions(), 0u);
+
+  // After the fold, a plain (non-snapshot) scan of the base pages shows
+  // the last value written to every updated subobject it reaches.
+  std::map<uint64_t, int32_t> last_write;
+  for (const Query& q : queries) {
+    if (q.kind != Query::Kind::kUpdate) continue;
+    for (const Oid& oid : q.update_targets) {
+      last_write[oid.Packed()] = q.new_ret1;
+    }
+  }
+  Query scan;
+  scan.kind = Query::Kind::kRetrieve;
+  scan.lo_parent = 0;
+  scan.num_top = spec.num_parents;
+  scan.attr_index = 0;
+  RetrieveResult base;
+  ASSERT_TRUE(strategy->ExecuteRetrieve(scan, &base).ok());
+  size_t checked = 0;
+  for (size_t i = 0; i < base.oids.size(); ++i) {
+    auto it = last_write.find(base.oids[i].Packed());
+    if (it == last_write.end()) continue;
+    EXPECT_EQ(base.values[i], it->second);
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(SeqReadClassificationTest, InterleavedSequentialScannersStaySequential) {

@@ -2,16 +2,21 @@
 // RETRIEVE against a 4-shard MVCC engine returns a RetrieveProfile whose
 // per-shard per-tag I/O sums *exactly* to the engines' flat counters —
 // the same exactness invariant io_attribution_test pins for flat runs,
-// here proven across the service boundary. Also: the PROFILE flag over a
-// real socket, trace-id stamping, unknown-flag rejection, and the
-// slow-query ring surfacing through STATS.
+// here proven across the service boundary. Also: a sharded 2PL
+// sub-query's lock wait in the profile, the PROFILE flag over a real
+// socket, trace-id stamping, unknown-flag rejection, and the slow-query
+// ring surfacing through STATS.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "exec/lock_manager.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -138,6 +143,47 @@ TEST(NetProfileTest, ShardedMvccProfileSumsExactlyToEngineCounters) {
   EXPECT_EQ(IntAfter(p, "trace_id"), 0x1234) << p;
   EXPECT_EQ(IntAfter(p, "rows"),
             static_cast<int64_t>(resp.values.size())) << p;
+}
+
+TEST(NetProfileTest, ShardedProfileReportsLockWait) {
+  // A 2-shard 2PL engine: every sub-query takes its table locks through
+  // the executor, which bills the wait into the installed profile.
+  DatabaseSpec spec = ShardedMvccSpec();
+  spec.enable_mvcc = false;
+  std::unique_ptr<shard::ShardedDatabase> sdb;
+  ASSERT_TRUE(shard::BuildShardedDatabase(spec, 2, &sdb).ok());
+  shard::ShardedEngine engine(sdb.get(), StrategyOptions{});
+  ObjService service(&engine, StrategyKind::kDfs, StrategyOptions{});
+
+  // An updater holds X on a child relation of every shard, so the
+  // retrieve's first sub-query blocks whichever shard it lands on.
+  const LockId rel = sdb->shards[0]->child_rels[0]->rel_id();
+  for (uint32_t k = 0; k < engine.num_shards(); ++k) {
+    engine.lock_manager(k)->Acquire(rel, LockMode::kExclusive);
+  }
+  std::atomic<bool> started{false};
+  Response resp;
+  std::thread reader([&] {
+    Request req;
+    req.verb = Verb::kRetrieve;
+    req.flags = kReqFlagProfile;
+    req.lo_parent = 0;
+    req.num_top = spec.num_parents;
+    req.attr_index = 0;
+    started.store(true);
+    resp = service.Execute(req);
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (uint32_t k = 0; k < engine.num_shards(); ++k) {
+    engine.lock_manager(k)->Release(rel, LockMode::kExclusive);
+  }
+  reader.join();
+
+  ASSERT_EQ(resp.status, RespStatus::kOk) << resp.error;
+  ASSERT_FALSE(resp.profile_json.empty());
+  EXPECT_GT(IntAfter(resp.profile_json, "lock_wait_us"), 0)
+      << resp.profile_json;
 }
 
 TEST(NetProfileTest, ProfileRidesTheWireAndCarriesTheFrameTraceId) {

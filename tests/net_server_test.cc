@@ -3,7 +3,8 @@
 // and by raw sockets (for pipelining and deliberately-corrupt bytes).
 // Covers wire-vs-embedded result equivalence, per-request strategy
 // override, admission control (SERVER_BUSY shedding), corrupt-frame
-// handling, and graceful drain through the SHUTDOWN verb.
+// handling, unavailable strategies on one and two shards, and graceful
+// drain through the SHUTDOWN verb.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,8 @@
 #include "net/client.h"
 #include "net/frame.h"
 #include "objstore/database.h"
+#include "shard/engine.h"
+#include "shard/sharded_db.h"
 
 namespace objrep {
 namespace net {
@@ -228,6 +231,45 @@ TEST(NetServerTest, BadRequestsAreAnsweredWithoutKillingTheConnection) {
 
   // The connection survived all three rejections.
   EXPECT_TRUE(client.Ping().ok());
+}
+
+TEST(NetServerTest, UnavailableStrategyIsABadRequestOnOneAndTwoShards) {
+  // DFSCACHE needs the Cache, which this database lacks: a client error,
+  // answered without dropping the connection, whether the server fronts
+  // the database directly (a 1-shard engine) or a 2-shard engine.
+  DatabaseSpec spec = ServerSpec();
+  spec.build_cache = false;
+  std::unique_ptr<ComplexDatabase> db;
+  ASSERT_TRUE(BuildDatabase(spec, &db).ok());
+  std::unique_ptr<shard::ShardedDatabase> sdb;
+  ASSERT_TRUE(shard::BuildShardedDatabase(spec, 2, &sdb).ok());
+  shard::ShardedEngine engine(sdb.get(), StrategyOptions{});
+  ObjServer one_shard(db.get(), ServerConfig{});
+  ObjServer two_shards(&engine, ServerConfig{});
+
+  for (ObjServer* server : {&one_shard, &two_shards}) {
+    SCOPED_TRACE(server == &one_shard ? "1 shard" : "2 shards");
+    ASSERT_TRUE(server->Start().ok());
+    ObjClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+    Request req;
+    req.verb = Verb::kRetrieve;
+    req.num_top = 5;
+    req.strategy = static_cast<uint8_t>(StrategyKind::kDfsCache);
+    Response resp;
+    ASSERT_TRUE(client.Call(std::move(req), &resp).ok());
+    EXPECT_EQ(resp.status, RespStatus::kBadRequest);
+    EXPECT_FALSE(resp.error.empty());
+    // The connection is still usable, for a strategy the database has.
+    EXPECT_TRUE(client.Ping().ok());
+    std::vector<int32_t> values;
+    EXPECT_TRUE(client
+                    .Retrieve(0, 5, 0, &values,
+                              static_cast<uint8_t>(StrategyKind::kDfs))
+                    .ok());
+    EXPECT_FALSE(values.empty());
+    server->Stop();
+  }
 }
 
 TEST(NetServerTest, CorruptFrameDrawsOneErrorResponseThenClose) {

@@ -2,7 +2,9 @@
 // database specs and randomized retrieve/update sequences, a ShardedEngine
 // over 2..4 shards must return exactly what one engine over one database
 // returns — the partitioning, replication, scatter-gather routing, and
-// cross-shard update fan-out must be invisible in the answers.
+// cross-shard update fan-out must be invisible in the answers. The
+// 1-shard engine that borrows a database (how the server fronts one) runs
+// alongside and must match direct execution in answers and per-query I/O.
 //
 // The point-wise and sorted-merge strategy families promise the single
 // engine's *sequence* (values and OIDs in order); SMART and ADAPTIVE
@@ -32,6 +34,7 @@
 #include "mvcc/engine.h"
 #include "shard/engine.h"
 #include "shard/sharded_db.h"
+#include "storage/disk_manager.h"
 #include "storage/fault_injector.h"
 #include "util/random.h"
 
@@ -202,17 +205,32 @@ TEST(ShardOracleTest, ShardedMatchesSingleEngineOnRandomizedWorkloads) {
           shard::BuildShardedDatabase(spec, num_shards, &sdb).ok());
       shard::ShardedEngine engine(sdb.get(), StrategyOptions{});
 
+      // The 1-shard engine borrowing its own copy of the database: its
+      // physical layout is the single engine's, so it must match direct
+      // execution in answer sequence and in per-query I/O, exactly.
+      std::unique_ptr<ComplexDatabase> db1;
+      ASSERT_TRUE(BuildDatabase(spec, &db1).ok());
+      shard::ShardedEngine one_shard(db1.get(), StrategyOptions{});
+
       for (const Query& q : queries) {
+        const IoCounters single_before = db->disk->counters();
+        const IoCounters one_before = db1->disk->counters();
         if (q.kind == Query::Kind::kRetrieve) {
-          RetrieveResult single, sharded;
+          RetrieveResult single, sharded, one;
           ASSERT_TRUE(RunSingle(strategy.get(), db.get(), q, &single).ok());
           ASSERT_TRUE(engine.ExecuteRetrieve(kind, q, &sharded).ok());
+          ASSERT_TRUE(one_shard.ExecuteRetrieve(kind, q, &one).ok());
           ExpectSameAnswer(kind, single, sharded);
+          ExpectSameAnswer(kind, single, one);
+          EXPECT_EQ(single.values, one.values);
         } else {
           RetrieveResult ignored;
           ASSERT_TRUE(RunSingle(strategy.get(), db.get(), q, &ignored).ok());
           ASSERT_TRUE(engine.ExecuteUpdate(kind, q).ok());
+          ASSERT_TRUE(one_shard.ExecuteUpdate(kind, q).ok());
         }
+        EXPECT_EQ((db->disk->counters() - single_before).total(),
+                  (db1->disk->counters() - one_before).total());
         if (HasFailure()) return;
       }
     }
@@ -375,6 +393,9 @@ TEST(ShardOracleTest, MvccCrashRecoveryConvergesToSingleEngine) {
     std::unique_ptr<shard::ShardedDatabase> sdb;
     ASSERT_TRUE(shard::BuildShardedDatabase(spec, kNumShards, &sdb).ok());
     shard::ShardedEngine engine(sdb.get(), StrategyOptions{});
+    std::unique_ptr<ComplexDatabase> db1;
+    ASSERT_TRUE(BuildDatabase(spec, &db1).ok());
+    shard::ShardedEngine one_shard(db1.get(), StrategyOptions{});
     const uint32_t victim = static_cast<uint32_t>(seed) % kNumShards;
     // The WAL commit path fires on MVCC commits and on cache installs, so
     // both read- and write-heavy mixes can crash the victim.
@@ -398,8 +419,12 @@ TEST(ShardOracleTest, MvccCrashRecoveryConvergesToSingleEngine) {
           ASSERT_TRUE(engine.ExecuteRetrieve(kind, q, &sharded).ok());
         }
         ExpectSameAnswer(kind, single, sharded);
+        RetrieveResult one;
+        ASSERT_TRUE(one_shard.ExecuteRetrieve(kind, q, &one).ok());
+        ExpectSameAnswer(kind, single, one);
       } else {
         ASSERT_TRUE(mvcc::MvccUpdate(db.get(), q).ok());
+        ASSERT_TRUE(one_shard.ExecuteUpdate(kind, q).ok());
         Status s = engine.ExecuteUpdate(kind, q);
         if (!s.ok()) {
           ASSERT_TRUE(sdb->shards[victim]->disk->fault_injector()->crashed())
@@ -419,15 +444,18 @@ TEST(ShardOracleTest, MvccCrashRecoveryConvergesToSingleEngine) {
     sdb->shards[victim]->disk->fault_injector()->ClearCrash();
     ASSERT_TRUE(mvcc::FoldMvcc(db.get()).ok());
     ASSERT_TRUE(engine.FoldAll().ok());
+    ASSERT_TRUE(one_shard.FoldAll().ok());
     Query scan;
     scan.kind = Query::Kind::kRetrieve;
     scan.lo_parent = 0;
     scan.num_top = spec.num_parents;
     scan.attr_index = 0;
-    RetrieveResult single, sharded;
+    RetrieveResult single, sharded, one;
     ASSERT_TRUE(strategy->ExecuteRetrieve(scan, &single).ok());
     ASSERT_TRUE(engine.ExecuteRetrieve(kind, scan, &sharded).ok());
+    ASSERT_TRUE(one_shard.ExecuteRetrieve(kind, scan, &one).ok());
     ExpectSameAnswer(kind, single, sharded);
+    ExpectSameAnswer(kind, single, one);
     if (HasFailure()) return;
   }
   EXPECT_GE(crashed_runs, 1) << "no run crashed the armed shard";

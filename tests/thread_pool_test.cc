@@ -1,6 +1,6 @@
 // Unit tests for the execution engine's thread pool: task execution,
 // futures, parallelism, FIFO draining on shutdown.
-#include "exec/thread_pool.h"
+#include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 

@@ -276,8 +276,10 @@ int RunShardedReport(const ExperimentConfig& config) {
         ++num_updates;
       }
     }
+    // Quiescent point: fold the MVCC versions, then flush deferred dirty
+    // pages — both part of the bill, as in RunWorkload.
+    if (s.ok()) s = engine.FoldAll();
     if (s.ok()) {
-      // Deferred dirty pages are part of the bill, as in RunWorkload.
       for (const auto& sh : sdb->shards) {
         s = sh->pool->FlushAll();
         if (!s.ok()) break;
