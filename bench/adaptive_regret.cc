@@ -38,7 +38,7 @@
 //   $ ./build/bench/adaptive_regret --quick          # CI subset
 //   $ ./build/bench/adaptive_regret --json=out.json  # + machine-readable
 //
-// Validate the JSON with: tools/check_bench_json.py --adaptive out.json
+// Validate the JSON with: tools/check_bench_json.py out.json
 #include <cinttypes>
 #include <cmath>
 #include <cstring>
@@ -178,15 +178,16 @@ double MeasureWarm(const SweepPoint& p, StrategyKind pin,
   return measured.AvgRetrieveIo();
 }
 
+const StrategyKind kCandidates[] = {
+    StrategyKind::kDfs, StrategyKind::kBfs, StrategyKind::kDfsCache,
+    StrategyKind::kSmart, StrategyKind::kDfsClust};
+
 PointResult MeasurePoint(const SweepPoint& p,
                          const StrategyOptions& options) {
-  const std::vector<StrategyKind> candidates = {
-      StrategyKind::kDfs, StrategyKind::kBfs, StrategyKind::kDfsCache,
-      StrategyKind::kSmart, StrategyKind::kDfsClust};
   PointResult r;
   r.point = p;
   r.num_queries = WorkloadFor(p).num_queries;
-  for (StrategyKind k : candidates) {
+  for (StrategyKind k : kCandidates) {
     double io = MeasureWarm(p, k, options);
     if (r.oracle_io == 0 || io < r.oracle_io) {
       r.oracle_io = io;
@@ -200,91 +201,60 @@ PointResult MeasurePoint(const SweepPoint& p,
   return r;
 }
 
-void WriteJson(const char* path, const std::vector<PointResult>& results) {
-  FILE* f = std::fopen(path, "w");
-  OBJREP_CHECK_MSG(f != nullptr, "cannot open JSON output file");
-  double max_regret = 0, sum_regret = 0;
-  for (const PointResult& r : results) {
-    max_regret = std::max(max_regret, r.regret);
-    sum_regret += r.regret;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"adaptive_regret\",\n");
-  std::fprintf(f, "  \"candidates\": [\"DFS\", \"BFS\", \"DFSCACHE\", "
-                  "\"SMART\", \"DFSCLUST\"],\n");
-  std::fprintf(f, "  \"max_regret\": %.6f,\n", max_regret);
-  std::fprintf(f, "  \"mean_regret\": %.6f,\n",
-               results.empty() ? 0.0 : sum_regret / results.size());
-  std::fprintf(f, "  \"points\": [");
-  bool first = true;
-  for (const PointResult& r : results) {
-    std::fprintf(f, "%s\n    {\"figure\": \"%s\", \"share_factor\": %u, "
-                 "\"num_top\": %u, \"pr_update\": %.2f, "
-                 "\"num_queries\": %u, \"oracle\": \"%s\", "
-                 "\"oracle_io\": %.4f, \"adaptive_io\": %.4f, "
-                 "\"regret\": %.6f, \"dominant_plan\": \"%s\"}",
-                 first ? "" : ",", r.point.figure, r.point.share_factor,
-                 r.point.num_top, r.point.pr_update, r.num_queries,
-                 StrategyKindName(r.oracle_kind), r.oracle_io,
-                 r.adaptive_io, r.regret,
-                 StrategyKindName(r.dominant_plan));
-    first = false;
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-}
-
-int Run(bool quick, const char* json_path, uint32_t calibration_window) {
+int Run(uint32_t calibration_window, const BenchArgs& args) {
   PrintTitle("Adaptive regret vs. oracle-best fixed strategy",
              "warm runs; candidates DFS/BFS/DFSCACHE/SMART/DFSCLUST; "
              "regret over avg retrieve I/O");
   StrategyOptions options;
   options.calibration_window = calibration_window;
 
+  Envelope env = MakeEnvelope("adaptive_regret", args);
+  std::string names;
+  for (StrategyKind k : kCandidates) {
+    names += std::string(names.empty() ? "\"" : ", \"") +
+             StrategyKindName(k) + "\"";
+  }
+  env.config.Raw("candidates", "[" + names + "]")
+      .Int("calibration_window", calibration_window);
+
   std::printf("%5s %4s %7s %6s %9s %11s %11s %8s   %s\n", "fig", "SF",
               "NumTop", "PrUpd", "oracle", "oracle I/O", "adaptive",
               "regret", "plan");
-  std::vector<PointResult> results;
   double max_regret = 0;
-  for (const SweepPoint& p : BuildSweep(quick)) {
+  for (const SweepPoint& p : BuildSweep(args.quick)) {
     PointResult r = MeasurePoint(p, options);
     std::printf("%5s %4u %7u %6.2f %9s %11.1f %11.1f %7.1f%%   %s\n",
                 p.figure, p.share_factor, p.num_top, p.pr_update,
                 StrategyKindName(r.oracle_kind), r.oracle_io, r.adaptive_io,
                 100 * r.regret, StrategyKindName(r.dominant_plan));
     max_regret = std::max(max_regret, r.regret);
-    results.push_back(r);
+    env.points.push_back(JsonObject()
+                             .Str("figure", p.figure)
+                             .Int("share_factor", p.share_factor)
+                             .Int("num_top", p.num_top)
+                             .Num("pr_update", p.pr_update)
+                             .Int("num_queries", r.num_queries)
+                             .Str("oracle", StrategyKindName(r.oracle_kind))
+                             .Num("oracle_io", r.oracle_io, 4)
+                             .Num("adaptive_io", r.adaptive_io, 4)
+                             .Str("dominant_plan",
+                                  StrategyKindName(r.dominant_plan)));
   }
   PrintRule();
   std::printf("%zu points, max regret %.1f%% (acceptance: <= 10%% at every "
-              "point)\n", results.size(), 100 * max_regret);
-  if (json_path != nullptr) {
-    WriteJson(json_path, results);
-    std::printf("wrote %s\n", json_path);
-  }
+              "point)\n", env.points.size(), 100 * max_regret);
+  WriteEnvelope(args.json_path, env);
   return max_regret <= 0.10 ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  const char* json_path = nullptr;
   uint32_t window = StrategyOptions{}.calibration_window;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_adaptive_regret.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--calibration-window=", 21) == 0) {
-      window = static_cast<uint32_t>(std::atoi(argv[i] + 21));
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--json[=PATH]] "
-                   "[--calibration-window=N]\n", argv[0]);
-      return 2;
-    }
+  BenchArgs args;
+  if (!ParseBenchArgs(argc, argv, "adaptive_regret", kQuickFlag | kJsonFlag,
+                      &args, {U32Flag("--calibration-window", &window)})) {
+    return 2;
   }
-  return Run(quick, json_path, window);
+  return Run(window, args);
 }

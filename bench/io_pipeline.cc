@@ -13,7 +13,7 @@
 //   $ ./build/bench/io_pipeline                  # full sweep, 100us seeks
 //   $ ./build/bench/io_pipeline --quick          # CI smoke (seconds)
 //   $ ./build/bench/io_pipeline --io-latency-us=250
-//   $ ./build/bench/io_pipeline --json           # also BENCH_throughput.json
+//   $ ./build/bench/io_pipeline --json           # also BENCH_io_pipeline.json
 //   $ ./build/bench/io_pipeline --json=out.json
 //
 // DFSCLUST is run at use_factor=1 (every child belongs to its parent's
@@ -21,8 +21,6 @@
 // extent read-ahead approaches the device's transfer-bound floor.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -96,11 +94,13 @@ RunPoint MeasurePoint(StrategyKind kind, const WorkloadSpec& wl,
 // neighbors) can only slow a run down, never speed it up. The fastest of
 // five runs is therefore the least-perturbed estimate of the cell's
 // throughput, and is far more stable run-to-run than any single timing.
+constexpr int kRunsPerPoint = 5;
+
 RunPoint MeasurePointStable(StrategyKind kind, const WorkloadSpec& wl,
                             uint32_t io_latency_us, uint32_t io_transfer_us,
                             bool prefetch, uint32_t workers) {
   RunPoint best;
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < kRunsPerPoint; ++i) {
     RunPoint p = MeasurePoint(kind, wl, io_latency_us, io_transfer_us,
                               prefetch, workers);
     if (i == 0 || p.qps > best.qps) best = p;
@@ -108,64 +108,12 @@ RunPoint MeasurePointStable(StrategyKind kind, const WorkloadSpec& wl,
   return best;
 }
 
-struct StrategySweep {
-  StrategyKind kind;
-  std::vector<RunPoint> points;  // [0] is the prefetch-off baseline
-};
-
-void WriteJson(const std::string& path, uint32_t io_latency_us,
-               uint32_t io_transfer_us, const WorkloadSpec& wl,
-               const std::vector<StrategySweep>& sweeps) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  OBJREP_CHECK_MSG(f != nullptr, "cannot open JSON output path");
-  std::fprintf(f,
-               "{\n  \"bench\": \"io_pipeline\",\n"
-               "  \"io_latency_us\": %u,\n  \"io_transfer_us\": %u,\n"
-               "  \"num_queries\": %u,\n"
-               "  \"strategies\": [",
-               io_latency_us, io_transfer_us, wl.num_queries);
-  for (size_t i = 0; i < sweeps.size(); ++i) {
-    const StrategySweep& sw = sweeps[i];
-    const double base_qps = sw.points[0].qps;
-    std::fprintf(f, "%s\n    {\n      \"strategy\": \"%s\",\n"
-                    "      \"runs\": [",
-                 i == 0 ? "" : ",", StrategyKindName(sw.kind));
-    for (size_t j = 0; j < sw.points.size(); ++j) {
-      const RunPoint& p = sw.points[j];
-      std::fprintf(
-          f,
-          "%s\n        {\"prefetch\": %s, \"workers\": %u, "
-          "\"seconds\": %.4f, \"queries_per_sec\": %.2f, "
-          "\"speedup\": %.3f, \"avg_io_per_query\": %.2f, "
-          "\"seq_read_pct\": %.1f, \"io_total\": %llu, "
-          "\"io_by_tag\": {",
-          j == 0 ? "" : ",", p.prefetch ? "true" : "false", p.workers,
-          p.seconds, p.qps, base_qps > 0 ? p.qps / base_qps : 0.0, p.avg_io,
-          p.seq_pct, static_cast<unsigned long long>(p.io_total));
-      bool first_tag = true;
-      for (size_t t = 0; t < kNumIoTags; ++t) {
-        uint64_t n = p.io_by_tag.total_for(static_cast<IoTag>(t));
-        if (n == 0) continue;
-        std::fprintf(f, "%s\"%s\": %llu", first_tag ? "" : ", ",
-                     IoTagName(static_cast<IoTag>(t)),
-                     static_cast<unsigned long long>(n));
-        first_tag = false;
-      }
-      std::fprintf(f, "}}");
-    }
-    std::fprintf(f, "\n      ]\n    }");
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-}
-
-void RunBench(uint32_t io_latency_us, uint32_t io_transfer_us, bool quick,
-              const char* json_path) {
+void RunBench(uint32_t io_transfer_us, const BenchArgs& args) {
   const std::vector<StrategyKind> kinds = {
       StrategyKind::kBfs, StrategyKind::kDfs, StrategyKind::kDfsClust};
   const std::vector<uint32_t> worker_counts =
-      quick ? std::vector<uint32_t>{0, 8}
-            : std::vector<uint32_t>{0, 1, 2, 4, 8, 16};
+      args.quick ? std::vector<uint32_t>{0, 8}
+                 : std::vector<uint32_t>{0, 1, 2, 4, 8, 16};
   // Quick mode trims the worker sweep, not the query stream: the stream
   // must match the full run's so a --quick measurement is comparable,
   // cell for cell, against a committed full-sweep baseline.
@@ -175,20 +123,25 @@ void RunBench(uint32_t io_latency_us, uint32_t io_transfer_us, bool quick,
   wl.pr_update = 0.0;
   wl.seed = 54;
 
+  Envelope env = MakeEnvelope("io_pipeline", args);
+  env.io_transfer_us = io_transfer_us;
+  env.config.Int("runs_per_point", kRunsPerPoint)
+      .Raw("db", SpecJson(DiskBoundSpec(args.io_latency_us, io_transfer_us)))
+      .Raw("workload", WorkloadJson(wl));
+
   std::printf("%-10s %-14s %9s %11s %9s %11s %7s\n", "strategy", "prefetch",
               "seconds", "queries/s", "speedup", "avg I/O", "seq%");
-  std::vector<StrategySweep> sweeps;
   for (StrategyKind kind : kinds) {
-    StrategySweep sweep;
-    sweep.kind = kind;
-    sweep.points.push_back(MeasurePointStable(
-        kind, wl, io_latency_us, io_transfer_us, /*prefetch=*/false, 0));
+    // [0] is the prefetch-off baseline the speedups are relative to.
+    std::vector<RunPoint> points = {MeasurePointStable(
+        kind, wl, args.io_latency_us, io_transfer_us, /*prefetch=*/false, 0)};
     for (uint32_t w : worker_counts) {
-      sweep.points.push_back(MeasurePointStable(
-          kind, wl, io_latency_us, io_transfer_us, /*prefetch=*/true, w));
+      points.push_back(MeasurePointStable(kind, wl, args.io_latency_us,
+                                          io_transfer_us, /*prefetch=*/true,
+                                          w));
     }
-    const double base_qps = sweep.points[0].qps;
-    for (const RunPoint& p : sweep.points) {
+    const double base_qps = points[0].qps;
+    for (const RunPoint& p : points) {
       char mode[32];
       if (!p.prefetch) {
         std::snprintf(mode, sizeof mode, "off");
@@ -200,13 +153,19 @@ void RunBench(uint32_t io_latency_us, uint32_t io_transfer_us, bool quick,
       std::printf("%-10s %-14s %9.3f %11.0f %8.2fx %11.1f %6.1f%%\n",
                   StrategyKindName(kind), mode, p.seconds, p.qps,
                   base_qps > 0 ? p.qps / base_qps : 0.0, p.avg_io, p.seq_pct);
+      env.points.push_back(JsonObject()
+                               .Str("strategy", StrategyKindName(kind))
+                               .Bool("prefetch", p.prefetch)
+                               .Int("workers", p.workers)
+                               .Num("seconds", p.seconds, 4)
+                               .Num("queries_per_sec", p.qps)
+                               .Num("avg_io_per_query", p.avg_io)
+                               .Num("seq_read_pct", p.seq_pct, 1)
+                               .Int("io_total", p.io_total)
+                               .Raw("io_by_tag", IoByTagJson(p.io_by_tag)));
     }
-    sweeps.push_back(std::move(sweep));
   }
-  if (json_path != nullptr) {
-    WriteJson(json_path, io_latency_us, io_transfer_us, wl, sweeps);
-    std::printf("\nwrote %s\n", json_path);
-  }
+  WriteEnvelope(args.json_path, env);
 }
 
 }  // namespace
@@ -214,34 +173,20 @@ void RunBench(uint32_t io_latency_us, uint32_t io_transfer_us, bool quick,
 }  // namespace objrep
 
 int main(int argc, char** argv) {
-  uint32_t io_latency_us = 100;
   uint32_t io_transfer_us = 50;
-  bool quick = false;
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--io-latency-us=", 16) == 0) {
-      io_latency_us =
-          static_cast<uint32_t>(std::strtoul(argv[i] + 16, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--io-transfer-us=", 17) == 0) {
-      io_transfer_us =
-          static_cast<uint32_t>(std::strtoul(argv[i] + 17, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_throughput.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--io-latency-us=N] [--io-transfer-us=N] "
-                   "[--quick] [--json[=PATH]]\n",
-                   argv[0]);
-      return 2;
-    }
+  objrep::bench::BenchArgs args;
+  args.io_latency_us = 100;
+  if (!objrep::bench::ParseBenchArgs(
+          argc, argv, "io_pipeline",
+          objrep::bench::kQuickFlag | objrep::bench::kIoLatencyFlag |
+              objrep::bench::kJsonFlag,
+          &args,
+          {objrep::bench::U32Flag("--io-transfer-us", &io_transfer_us)})) {
+    return 2;
   }
   objrep::bench::PrintTitle(
       "I/O pipeline: vectored reads + read-ahead on a seek-charging disk",
       "identical I/O counts; seeks coalesce and overlap query compute");
-  objrep::bench::RunBench(io_latency_us, io_transfer_us, quick, json_path);
+  objrep::bench::RunBench(io_transfer_us, args);
   return 0;
 }

@@ -15,7 +15,7 @@
 // at --io-latency-us a page). Under MVCC retrieves never wait and an
 // update is a version install plus one small logical record and sync, so
 // device waits overlap across clients even on one core. The committed
-// floor (tools/check_bench_json.py --mvcc): at 8 threads and
+// floor (FLOORS in tools/check_bench_json.py): at 8 threads and
 // Pr(UPDATE) = 0.3, MVCC aggregate retrieve throughput >= 2x 2PL's.
 //
 // The MVCC fold (applying versions to base pages) runs after the timed
@@ -24,15 +24,13 @@
 //
 //   $ ./build/bench/mvcc_contention
 //   $ ./build/bench/mvcc_contention --quick       (CI smoke: no floor point)
-//   $ ./build/bench/mvcc_contention --json=BENCH_mvcc.json
+//   $ ./build/bench/mvcc_contention --json        (BENCH_mvcc_contention.json)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "exec/concurrent_runner.h"
 #include "objstore/database.h"
 #include "objstore/workload.h"
 
@@ -72,117 +70,57 @@ WorkloadSpec MixSpec(double pr_update) {
   return wl;
 }
 
-struct ModeResult {
-  double retrieves_per_sec = 0;
-  double queries_per_sec = 0;
-};
-
-ModeResult RunMode(bool mvcc, uint32_t threads, double pr_update,
-                   double duration_seconds, uint32_t io_latency_us) {
+/// One arm of a sweep point on a fresh database: warm-up at a quarter of
+/// the window settles pools and caches, then one measured window.
+Window RunArm(bool mvcc, uint32_t threads, double pr_update,
+              const BenchArgs& args, const Timing& timing) {
   std::unique_ptr<ComplexDatabase> db;
-  Status s = BuildDatabase(ContentionSpec(mvcc, io_latency_us), &db);
+  Status s = BuildDatabase(ContentionSpec(mvcc, args.io_latency_us), &db);
   OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
   std::vector<Query> queries;
   s = GenerateWorkload(MixSpec(pr_update), *db, &queries);
   OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
-
-  ConcurrentRunOptions options;
-  options.num_threads = threads;
-  options.seed = 17;
-  // Warmup at a fraction of the window settles pools and caches.
-  options.duration_seconds = duration_seconds * 0.25;
-  ConcurrentRunResult warmup;
-  s = RunConcurrentWorkload(StrategyKind::kDfs, {}, db.get(), queries,
-                            options, &warmup);
-  OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
-
-  options.duration_seconds = duration_seconds;
-  ConcurrentRunResult result;
-  s = RunConcurrentWorkload(StrategyKind::kDfs, {}, db.get(), queries,
-                            options, &result);
-  OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
-
-  ModeResult out;
-  if (result.wall_seconds > 0) {
-    out.retrieves_per_sec =
-        static_cast<double>(result.combined.num_retrieves) /
-        result.wall_seconds;
-    out.queries_per_sec = result.queries_per_sec;
-  }
-  return out;
+  return Measure(timing,
+                 ConcurrentRunnerWindow(StrategyKind::kDfs, db.get(),
+                                        &queries, threads, 17));
 }
 
-struct SweepPoint {
-  uint32_t threads;
-  double pr_update;
-  ModeResult twopl;
-  ModeResult mvcc;
-  double retrieve_speedup;  // mvcc retrieves/s over 2PL retrieves/s
-};
-
-void WriteJson(const char* path, double duration_seconds,
-               uint32_t io_latency_us, const std::vector<SweepPoint>& pts) {
-  std::FILE* f = std::fopen(path, "w");
-  OBJREP_CHECK_MSG(f != nullptr, "cannot open JSON output path");
-  std::fprintf(f,
-               "{\n  \"bench\": \"mvcc_contention\",\n"
-               "  \"strategy\": \"DFS\",\n"
-               "  \"duration_seconds\": %.3f,\n  \"io_latency_us\": %u,\n"
-               "  \"points\": [",
-               duration_seconds, io_latency_us);
-  for (size_t i = 0; i < pts.size(); ++i) {
-    const SweepPoint& p = pts[i];
-    std::fprintf(
-        f,
-        "%s\n    {\"threads\": %u, \"pr_update\": %.2f, "
-        "\"twopl_retrieves_per_sec\": %.2f, "
-        "\"twopl_queries_per_sec\": %.2f, "
-        "\"mvcc_retrieves_per_sec\": %.2f, "
-        "\"mvcc_queries_per_sec\": %.2f, "
-        "\"retrieve_speedup\": %.3f}",
-        i == 0 ? "" : ",", p.threads, p.pr_update,
-        p.twopl.retrieves_per_sec, p.twopl.queries_per_sec,
-        p.mvcc.retrieves_per_sec, p.mvcc.queries_per_sec,
-        p.retrieve_speedup);
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-}
-
-void RunSweep(double duration_seconds, uint32_t io_latency_us, bool quick,
-              const char* json_path) {
+void RunSweep(const BenchArgs& args) {
   // The quick sweep stays below the floor point (8 threads, PrU 0.3):
   // CI smoke validates the harness; the committed JSON carries the claim.
   const std::vector<uint32_t> thread_counts =
-      quick ? std::vector<uint32_t>{1, 4} : std::vector<uint32_t>{1, 4, 8};
+      args.quick ? std::vector<uint32_t>{1, 4}
+                 : std::vector<uint32_t>{1, 4, 8};
   const std::vector<double> mixes =
-      quick ? std::vector<double>{0.0, 0.3}
-            : std::vector<double>{0.0, 0.1, 0.3, 0.5};
+      args.quick ? std::vector<double>{0.0, 0.3}
+                 : std::vector<double>{0.0, 0.1, 0.3, 0.5};
+
+  const Timing timing{args.duration * 0.25, args.duration, 1};
+  Envelope env = MakeEnvelope("mvcc_contention", args);
+  AddTiming(&env.config, timing)
+      .Str("strategy", "DFS")
+      .Raw("db", SpecJson(ContentionSpec(false, args.io_latency_us)))
+      .Raw("workload", WorkloadJson(MixSpec(0.0)));
 
   std::printf("%-8s %10s %14s %14s %10s\n", "threads", "pr_upd",
               "2pl ret/s", "mvcc ret/s", "speedup");
-  std::vector<SweepPoint> points;
   for (uint32_t k : thread_counts) {
     for (double pr : mixes) {
-      SweepPoint p;
-      p.threads = k;
-      p.pr_update = pr;
-      p.twopl = RunMode(false, k, pr, duration_seconds, io_latency_us);
-      p.mvcc = RunMode(true, k, pr, duration_seconds, io_latency_us);
-      p.retrieve_speedup =
-          p.twopl.retrieves_per_sec > 0
-              ? p.mvcc.retrieves_per_sec / p.twopl.retrieves_per_sec
-              : 0.0;
-      points.push_back(p);
+      const Window twopl = RunArm(false, k, pr, args, timing);
+      const Window mvcc = RunArm(true, k, pr, args, timing);
       std::printf("%-8u %10.2f %14.0f %14.0f %9.2fx\n", k, pr,
-                  p.twopl.retrieves_per_sec, p.mvcc.retrieves_per_sec,
-                  p.retrieve_speedup);
+                  twopl.retrieves_per_sec(), mvcc.retrieves_per_sec(),
+                  twopl.retrieves_per_sec() > 0
+                      ? mvcc.retrieves_per_sec() / twopl.retrieves_per_sec()
+                      : 0.0);
+      for (const auto& [arm, w] : {std::pair{"2pl", twopl}, {"mvcc", mvcc}}) {
+        JsonObject point;
+        point.Int("threads", k).Num("pr_update", pr).Str("arm", arm);
+        env.points.push_back(AddWindow(&point, w));
+      }
     }
   }
-  if (json_path != nullptr) {
-    WriteJson(json_path, duration_seconds, io_latency_us, points);
-    std::printf("\nwrote %s\n", json_path);
-  }
+  WriteEnvelope(args.json_path, env);
 }
 
 }  // namespace
@@ -190,34 +128,20 @@ void RunSweep(double duration_seconds, uint32_t io_latency_us, bool quick,
 }  // namespace objrep
 
 int main(int argc, char** argv) {
-  double duration = 2.0;
-  uint32_t io_latency_us = 100;
-  bool quick = false;
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--duration=", 11) == 0) {
-      duration = std::strtod(argv[i] + 11, nullptr);
-    } else if (std::strncmp(argv[i], "--io-latency-us=", 16) == 0) {
-      io_latency_us =
-          static_cast<uint32_t>(std::strtoul(argv[i] + 16, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-      duration = 0.4;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_mvcc.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--duration=S] [--io-latency-us=N] [--quick] "
-                   "[--json[=PATH]]\n",
-                   argv[0]);
-      return 2;
-    }
+  objrep::bench::BenchArgs args;
+  args.duration = 2.0;
+  args.quick_duration = 0.4;
+  args.io_latency_us = 100;
+  if (!objrep::bench::ParseBenchArgs(
+          argc, argv, "mvcc_contention",
+          objrep::bench::kQuickFlag | objrep::bench::kDurationFlag |
+              objrep::bench::kIoLatencyFlag | objrep::bench::kJsonFlag,
+          &args)) {
+    return 2;
   }
   objrep::bench::PrintTitle(
       "MVCC vs 2PL under contention: swept threads and update mix",
       "closed-loop clients; snapshot reads vs table S/X locks");
-  objrep::bench::RunSweep(duration, io_latency_us, quick, json_path);
+  objrep::bench::RunSweep(args);
   return 0;
 }

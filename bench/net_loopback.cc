@@ -3,7 +3,7 @@
 // connections, and does admission control keep latency bounded when the
 // in-flight budget is slashed mid-run?
 //
-//   $ ./build/bench/net_loopback                # full: 10k connections
+//   $ ./build/bench/net_loopback --json         # full: 10k connections
 //   $ ./build/bench/net_loopback --quick        # CI smoke: 512 connections
 //
 // The client side is NOT thread-per-connection (10k threads would bench
@@ -23,8 +23,10 @@
 //              excess with SERVER_BUSY (cheap, loop-side) and the few
 //              admitted requests must stay fast — shedding, not collapse.
 //
-// Results land in BENCH_net.json; tools/check_bench_json.py --net
-// validates the schema and enforces the overload bound.
+// --json writes BENCH_net_loopback.json: one point per verb with its
+// steady-phase latency, and the phase counters and overload latency under
+// `extra`. tools/check_bench_json.py validates it and enforces the
+// capacity, shedding and overload-latency rows of its FLOORS table.
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -47,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "net/frame.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -54,18 +57,19 @@
 #include "util/macros.h"
 
 using namespace objrep;
+using namespace objrep::bench;
 
 namespace {
 
 struct BenchFlags {
-  uint32_t connections = 10000;
+  // Phase sizes come from main: the full run's or --quick's, unless given.
+  uint32_t connections = 0;
+  double steady_seconds = 0;
+  double overload_seconds = 0;
   uint32_t client_procs = 8;
   uint32_t server_workers = 8;
-  double steady_seconds = 5.0;
-  double overload_seconds = 2.0;
   uint32_t overload_inflight = 4;
   uint32_t num_parents = 2000;
-  std::string out = "BENCH_net.json";
   // Update-target space, filled from the built database before the
   // children fork (child relation id + keys per relation).
   uint32_t update_rel = 0;
@@ -109,12 +113,6 @@ struct LoopResult {
   uint64_t other_errors = 0;  // BAD_REQUEST etc — any is a bench bug
   uint64_t dead_conns = 0;
 };
-
-uint64_t Pct(const std::vector<uint32_t>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  size_t idx = static_cast<size_t>(p * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
-}
 
 void BuildRequest(const BenchFlags& flags, Conn* c) {
   int phase = g_ctl->phase.load(std::memory_order_relaxed);
@@ -388,83 +386,35 @@ void FitFdBudget(BenchFlags* flags) {
   }
 }
 
-struct VerbSummary {
-  uint64_t count = 0, p50 = 0, p99 = 0, p999 = 0, max = 0;
-};
-
-VerbSummary Summarize(std::vector<uint32_t>& lat) {
-  std::sort(lat.begin(), lat.end());
-  VerbSummary s;
-  s.count = lat.size();
-  s.p50 = Pct(lat, 0.50);
-  s.p99 = Pct(lat, 0.99);
-  s.p999 = Pct(lat, 0.999);
-  s.max = lat.empty() ? 0 : lat.back();
-  return s;
-}
-
-void EmitVerb(std::FILE* f, const char* name, const VerbSummary& s,
-              bool last) {
-  std::fprintf(f,
-               "      \"%s\": {\"count\": %llu, \"p50_us\": %llu, "
-               "\"p99_us\": %llu, \"p999_us\": %llu, \"max_us\": %llu}%s\n",
-               name, static_cast<unsigned long long>(s.count),
-               static_cast<unsigned long long>(s.p50),
-               static_cast<unsigned long long>(s.p99),
-               static_cast<unsigned long long>(s.p999),
-               static_cast<unsigned long long>(s.max), last ? "" : ",");
-}
-
-int Usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s [--connections=N] [--procs=N] [--workers=N]\n"
-               "          [--steady=S] [--overload=S] [--overload-inflight=N]\n"
-               "          [--out=FILE] [--quick]\n",
-               prog);
-  return 2;
-}
-
-bool ParseFlag(const char* arg, const char* name, const char** value) {
-  size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *value = arg + n + 1;
-  return true;
+LatencySummary Summarize(const std::vector<uint32_t>& lat_us) {
+  std::vector<double> v(lat_us.begin(), lat_us.end());
+  return SummarizeLatencies(&v);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   BenchFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    if (ParseFlag(argv[i], "--connections", &v)) {
-      flags.connections = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (ParseFlag(argv[i], "--procs", &v)) {
-      flags.client_procs = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (ParseFlag(argv[i], "--workers", &v)) {
-      flags.server_workers =
-          static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (ParseFlag(argv[i], "--steady", &v)) {
-      flags.steady_seconds = std::strtod(v, nullptr);
-    } else if (ParseFlag(argv[i], "--overload", &v)) {
-      flags.overload_seconds = std::strtod(v, nullptr);
-    } else if (ParseFlag(argv[i], "--overload-inflight", &v)) {
-      flags.overload_inflight =
-          static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (ParseFlag(argv[i], "--out", &v)) {
-      flags.out = v;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      flags.connections = 512;
-      flags.steady_seconds = 2.0;
-      flags.overload_seconds = 1.0;
-    } else {
-      return Usage(argv[0]);
-    }
+  BenchArgs args;
+  // 0: the full run's value, or --quick's.
+  uint32_t connections = 0;
+  double steady = 0, overload = 0;
+  if (!ParseBenchArgs(argc, argv, "net_loopback", kQuickFlag | kJsonFlag,
+                      &args,
+                      {U32Flag("--connections", &connections),
+                       U32Flag("--procs", &flags.client_procs),
+                       U32Flag("--workers", &flags.server_workers),
+                       DoubleFlag("--steady", &steady),
+                       DoubleFlag("--overload", &overload),
+                       U32Flag("--overload-inflight",
+                               &flags.overload_inflight)}) ||
+      flags.client_procs == 0 || flags.server_workers == 0 ||
+      flags.overload_inflight == 0) {
+    return 2;
   }
-  if (flags.connections == 0 || flags.client_procs == 0 ||
-      flags.server_workers == 0 || flags.overload_inflight == 0) {
-    return Usage(argv[0]);
-  }
+  flags.connections = connections ? connections : args.quick ? 512 : 10000;
+  flags.steady_seconds = steady > 0 ? steady : args.quick ? 2.0 : 5.0;
+  flags.overload_seconds = overload > 0 ? overload : args.quick ? 1.0 : 2.0;
   FitFdBudget(&flags);
 
   g_ctl = static_cast<SharedCtl*>(
@@ -586,15 +536,15 @@ int main(int argc, char** argv) {
   }
   server.Stop();
 
-  VerbSummary steady[kVerbSlots];
+  LatencySummary steady_lat[kVerbSlots];
   uint64_t steady_ok = 0;
   for (int vb = 0; vb < kVerbSlots; ++vb) {
-    steady[vb] = Summarize(lat[kSteady][vb]);
-    steady_ok += steady[vb].count;
+    steady_lat[vb] = Summarize(lat[kSteady][vb]);
+    steady_ok += steady_lat[vb].count;
   }
   // "Admitted" under overload is RETRIEVE alone: PING bypasses admission
   // and stays cheap, so folding it in would flatter the p99.
-  VerbSummary admitted = Summarize(lat[kOverload][0]);
+  const LatencySummary admitted = Summarize(lat[kOverload][0]);
 
   OBJREP_CHECK_MSG(dead == 0, "connections died during the run");
   OBJREP_CHECK_MSG(other_errors == 0, "unexpected error responses");
@@ -606,63 +556,52 @@ int main(int argc, char** argv) {
   OBJREP_CHECK_MSG(admitted.count > 0,
                    "overload phase admitted no requests at all");
 
-  std::FILE* f = std::fopen(flags.out.c_str(), "w");
-  OBJREP_CHECK_MSG(f != nullptr, "cannot open output file");
-  std::fprintf(f,
-               "{\n  \"bench\": \"net_loopback\",\n"
-               "  \"connections\": %u,\n  \"client_procs\": %u,\n"
-               "  \"server_workers\": %u,\n",
-               flags.connections, flags.client_procs, flags.server_workers);
-  std::fprintf(f,
-               "  \"steady\": {\n    \"seconds\": %.3f,\n"
-               "    \"max_inflight\": %u,\n    \"requests_ok\": %llu,\n"
-               "    \"busy\": %llu,\n    \"throughput_rps\": %.1f,\n"
-               "    \"verbs\": {\n",
-               steady_s, flags.connections + 64,
-               static_cast<unsigned long long>(steady_ok),
-               static_cast<unsigned long long>(busy[kSteady]),
-               static_cast<double>(steady_ok) / steady_s);
+  Envelope env = MakeEnvelope("net_loopback", args);
+  env.config.Int("connections", flags.connections)
+      .Int("client_procs", flags.client_procs)
+      .Int("server_workers", flags.server_workers)
+      .Num("steady_seconds", flags.steady_seconds, 3)
+      .Num("overload_seconds", flags.overload_seconds, 3)
+      .Str("strategy", StrategyKindName(sc.default_strategy))
+      .Raw("db", SpecJson(spec));
   for (int vb = 0; vb < kVerbSlots; ++vb) {
-    EmitVerb(f, kVerbNames[vb], steady[vb], vb == kVerbSlots - 1);
+    JsonObject point;
+    point.Str("verb", kVerbNames[vb]);
+    env.points.push_back(AddLatency(&point, steady_lat[vb]));
   }
-  std::fprintf(f, "    }\n  },\n");
-  std::fprintf(f,
-               "  \"overload\": {\n    \"seconds\": %.3f,\n"
-               "    \"max_inflight\": %u,\n"
-               "    \"busy_rejections\": %llu,\n    \"admitted\": {\n",
-               overload_s, flags.overload_inflight,
-               static_cast<unsigned long long>(busy[kOverload]));
-  std::fprintf(f,
-               "      \"count\": %llu, \"p50_us\": %llu, \"p99_us\": %llu, "
-               "\"p999_us\": %llu, \"max_us\": %llu\n    }\n  },\n",
-               static_cast<unsigned long long>(admitted.count),
-               static_cast<unsigned long long>(admitted.p50),
-               static_cast<unsigned long long>(admitted.p99),
-               static_cast<unsigned long long>(admitted.p999),
-               static_cast<unsigned long long>(admitted.max));
-  std::fprintf(f,
-               "  \"server\": {\"accepted\": %llu, \"requests_admitted\": "
-               "%llu, \"responses\": %llu, \"busy_rejected\": %llu, "
-               "\"bad_frames\": %llu}\n}\n",
-               static_cast<unsigned long long>(st.accepted),
-               static_cast<unsigned long long>(st.requests_admitted),
-               static_cast<unsigned long long>(st.responses),
-               static_cast<unsigned long long>(st.busy_rejected),
-               static_cast<unsigned long long>(st.bad_frames));
-  std::fclose(f);
+  JsonObject admitted_json;
+  AddLatency(&admitted_json, admitted);
+  env.extra
+      .Raw("steady", JsonObject()
+                         .Num("seconds", steady_s, 3)
+                         .Int("max_inflight", flags.connections + 64)
+                         .Int("requests_ok", steady_ok)
+                         .Int("busy", busy[kSteady])
+                         .Num("throughput_rps", steady_ok / steady_s, 1)
+                         .str())
+      .Raw("overload", JsonObject()
+                           .Num("seconds", overload_s, 3)
+                           .Int("max_inflight", flags.overload_inflight)
+                           .Int("busy_rejections", busy[kOverload])
+                           .Raw("admitted", admitted_json.str())
+                           .str())
+      .Raw("server", JsonObject()
+                         .Int("accepted", st.accepted)
+                         .Int("requests_admitted", st.requests_admitted)
+                         .Int("responses", st.responses)
+                         .Int("busy_rejected", st.busy_rejected)
+                         .Int("bad_frames", st.bad_frames)
+                         .str());
 
   std::printf(
-      "steady:   %.0f req/s  RETRIEVE p50=%lluus p99=%lluus p999=%lluus\n",
-      static_cast<double>(steady_ok) / steady_s,
-      static_cast<unsigned long long>(steady[0].p50),
-      static_cast<unsigned long long>(steady[0].p99),
-      static_cast<unsigned long long>(steady[0].p999));
+      "steady:   %.0f req/s  RETRIEVE p50=%.0fus p99=%.0fus p999=%.0fus\n",
+      static_cast<double>(steady_ok) / steady_s, steady_lat[0].p50_us,
+      steady_lat[0].p99_us, steady_lat[0].p999_us);
   std::printf(
-      "overload: admitted=%llu busy=%llu  admitted p99=%lluus (budget %u)\n",
+      "overload: admitted=%llu busy=%llu  admitted p99=%.0fus (budget %u)\n",
       static_cast<unsigned long long>(admitted.count),
-      static_cast<unsigned long long>(busy[kOverload]),
-      static_cast<unsigned long long>(admitted.p99),
+      static_cast<unsigned long long>(busy[kOverload]), admitted.p99_us,
       flags.overload_inflight);
-  std::printf("wrote %s\n", flags.out.c_str());
+  WriteEnvelope(args.json_path, env);
   return 0;
 }

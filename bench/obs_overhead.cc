@@ -12,7 +12,7 @@
 // median repeat is reported to keep one noisy scheduler quantum from
 // deciding the number.
 //
-// The committed floor (tools/check_bench_json.py --obs): enabling
+// The committed floor (FLOORS in tools/check_bench_json.py): enabling
 // tracing + heat costs at most 5% of retrieve throughput at 8 threads.
 // The emitted JSON also carries one PROFILE-flagged request's
 // RetrieveProfile (checked for exact per-tag I/O sums) and the heat
@@ -20,17 +20,12 @@
 //
 //   $ ./build/bench/obs_overhead
 //   $ ./build/bench/obs_overhead --quick          (CI smoke)
-//   $ ./build/bench/obs_overhead --json=BENCH_obs_overhead.json
+//   $ ./build/bench/obs_overhead --json           (BENCH_obs_overhead.json)
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -64,88 +59,38 @@ DatabaseSpec ObsSpec() {
   return spec;
 }
 
-/// Runs `threads` closed-loop clients against `service` for ~`seconds`
-/// and returns aggregate retrieves per second. Parent ranges are skewed
-/// (u^2 toward low ids) so the heat map ranks a real hot set.
-double MeasureRps(net::ObjService* service, uint32_t num_parents,
-                  int threads, double seconds) {
-  std::atomic<bool> stop{false};
-  std::atomic<bool> go{false};
-  std::atomic<int> ready{0};
-  std::atomic<uint64_t> total_ops{0};
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(threads));
-  const uint32_t span = num_parents > kNumTop ? num_parents - kNumTop : 1;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      std::mt19937_64 rng(0x9e3779b97f4a7c15ull + 0x100000001b3ull *
-                          static_cast<uint64_t>(t + 1));
-      std::uniform_real_distribution<double> uni(0.0, 1.0);
-      uint64_t ops = 0;
-      ready.fetch_add(1, std::memory_order_release);
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      while (!stop.load(std::memory_order_relaxed)) {
-        const double u = uni(rng);
-        net::Request req;
-        req.verb = net::Verb::kRetrieve;
-        req.id = ops;
-        req.lo_parent = static_cast<uint32_t>(u * u * span);
-        req.num_top = kNumTop;
-        req.attr_index = 0;
-        net::Response resp = service->Execute(req);
-        OBJREP_CHECK_MSG(resp.status == net::RespStatus::kOk,
-                         resp.error.c_str());
-        ++ops;
-      }
-      total_ops.fetch_add(ops, std::memory_order_relaxed);
+/// A window of `threads` closed-loop retrieve clients against `service`
+/// with observability `on` or off. Parent ranges are skewed (u^2 toward
+/// low ids) so the heat map ranks a real hot set.
+WindowFn ServiceArm(net::ObjService* service, uint32_t num_parents,
+                    uint32_t threads, bool on) {
+  return [=](double seconds) {
+    Trace::SetEnabled(on);
+    HeatMap::Global().SetEnabled(on);
+    const uint32_t span = num_parents > kNumTop ? num_parents - kNumTop : 1;
+    std::vector<std::mt19937_64> rngs;
+    for (uint32_t t = 0; t < threads; ++t) {
+      rngs.emplace_back(0x9e3779b97f4a7c15ull +
+                        0x100000001b3ull * static_cast<uint64_t>(t + 1));
+    }
+    return ClosedLoop(threads, seconds, [&](uint32_t t, uint64_t i) {
+      const double u =
+          std::uniform_real_distribution<double>(0.0, 1.0)(rngs[t]);
+      net::Request req;
+      req.verb = net::Verb::kRetrieve;
+      req.id = i;
+      req.lo_parent = static_cast<uint32_t>(u * u * span);
+      req.num_top = kNumTop;
+      req.attr_index = 0;
+      net::Response resp = service->Execute(req);
+      OBJREP_CHECK_MSG(resp.status == net::RespStatus::kOk,
+                       resp.error.c_str());
+      return true;
     });
-  }
-  while (ready.load(std::memory_order_acquire) < threads) {
-    std::this_thread::yield();
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& w : workers) w.join();
-  const double dt = std::chrono::duration<double>(
-      std::chrono::steady_clock::now() - t0).count();
-  return static_cast<double>(total_ops.load()) / dt;
+  };
 }
 
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-void SetObservability(bool on) {
-  Trace::SetEnabled(on);
-  HeatMap::Global().SetEnabled(on);
-}
-
-void WriteJson(const char* path, int threads, double duration_seconds,
-               int repeats, double baseline_rps, double enabled_rps,
-               double overhead_pct, const std::string& profile_json,
-               const std::string& heat_json) {
-  std::FILE* f = std::fopen(path, "w");
-  OBJREP_CHECK_MSG(f != nullptr, "cannot open json output");
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"obs_overhead\",\n");
-  std::fprintf(f, "  \"threads\": %d,\n", threads);
-  std::fprintf(f, "  \"duration_seconds\": %.3f,\n", duration_seconds);
-  std::fprintf(f, "  \"repeats\": %d,\n", repeats);
-  std::fprintf(f, "  \"baseline_rps\": %.4f,\n", baseline_rps);
-  std::fprintf(f, "  \"enabled_rps\": %.4f,\n", enabled_rps);
-  std::fprintf(f, "  \"overhead_pct\": %.6f,\n", overhead_pct);
-  std::fprintf(f, "  \"profile\": %s,\n", profile_json.c_str());
-  std::fprintf(f, "  \"heat\": %s\n", heat_json.c_str());
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-}
-
-int Run(int threads, double duration_seconds, int repeats,
-        const char* json_path) {
+int Run(uint32_t threads, int repeats, const BenchArgs& args) {
   PrintTitle("obs_overhead: served retrieve throughput, tracing+heat "
              "on vs off",
              "closed loop, skewed parents, shared database and sessions");
@@ -156,31 +101,19 @@ int Run(int threads, double duration_seconds, int repeats,
   OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
   net::ObjService service(db.get(), StrategyKind::kDfs, StrategyOptions{});
 
-  // Warm the buffer pool and session pool outside any timed window.
-  SetObservability(false);
-  MeasureRps(&service, spec.num_parents, threads,
-             std::max(0.1, duration_seconds * 0.25));
-
-  std::vector<double> baseline_runs;
-  std::vector<double> enabled_runs;
-  std::printf("%-8s %14s %14s\n", "repeat", "baseline rps", "enabled rps");
-  for (int r = 0; r < repeats; ++r) {
-    SetObservability(false);
-    baseline_runs.push_back(
-        MeasureRps(&service, spec.num_parents, threads, duration_seconds));
-    SetObservability(true);
-    enabled_runs.push_back(
-        MeasureRps(&service, spec.num_parents, threads, duration_seconds));
-    std::printf("%-8d %14.0f %14.0f\n", r, baseline_runs.back(),
-                enabled_runs.back());
-  }
-  const double baseline_rps = Median(baseline_runs);
-  const double enabled_rps = Median(enabled_runs);
-  const double overhead_pct =
-      100.0 * (baseline_rps - enabled_rps) / baseline_rps;
+  // Arm 0 (off) also warms the buffer and session pools, untimed. Each
+  // repeat runs off then on, and each arm reports its median repeat.
+  const Timing timing{std::max(0.1, args.duration * 0.25), args.duration,
+                      repeats};
+  const std::vector<Window> arms = MeasureArms(
+      timing, {ServiceArm(&service, spec.num_parents, threads, false),
+               ServiceArm(&service, spec.num_parents, threads, true)});
+  const double baseline_rps = arms[0].retrieves_per_sec();
+  const double enabled_rps = arms[1].retrieves_per_sec();
   PrintRule();
   std::printf("median baseline %.0f rps, enabled %.0f rps, "
-              "overhead %.2f%%\n", baseline_rps, enabled_rps, overhead_pct);
+              "overhead %.2f%%\n", baseline_rps, enabled_rps,
+              100.0 * (baseline_rps - enabled_rps) / baseline_rps);
 
   // One PROFILE-flagged request with observability still on: the profile
   // that rides in the JSON is exactly what a client with --profile sees.
@@ -201,11 +134,19 @@ int Run(int threads, double duration_seconds, int repeats,
   std::printf("\nprofile: %s\n", presp.profile_json.c_str());
   std::printf("heat:    %s\n", heat_json.c_str());
 
-  if (json_path != nullptr) {
-    WriteJson(json_path, threads, duration_seconds, repeats, baseline_rps,
-              enabled_rps, overhead_pct, presp.profile_json, heat_json);
-    std::printf("\nwrote %s\n", json_path);
+  Envelope env = MakeEnvelope("obs_overhead", args);
+  AddTiming(&env.config, timing)
+      .Str("strategy", "DFS")
+      .Int("threads", threads)
+      .Raw("db", SpecJson(spec))
+      .Int("num_top", kNumTop);
+  for (size_t a = 0; a < arms.size(); ++a) {
+    JsonObject point;
+    point.Str("arm", a == 0 ? "off" : "on");
+    env.points.push_back(AddWindow(&point, arms[a]));
   }
+  env.extra.Raw("profile", presp.profile_json).Raw("heat", heat_json);
+  WriteEnvelope(args.json_path, env);
   return 0;
 }
 
@@ -214,35 +155,22 @@ int Run(int threads, double duration_seconds, int repeats,
 }  // namespace objrep
 
 int main(int argc, char** argv) {
-  int threads = 8;
-  double duration = 1.5;
-  int repeats = 3;
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      // Short windows are noisier; keep 3 repeats so the median can
-      // still throw away one bad scheduler quantum.
-      duration = 0.4;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--duration=", 11) == 0) {
-      duration = std::atof(argv[i] + 11);
-    } else if (std::strncmp(argv[i], "--repeats=", 10) == 0) {
-      repeats = std::atoi(argv[i] + 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_obs_overhead.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--threads=K] [--duration=SECONDS] "
-                   "[--repeats=N] [--quick] [--json[=PATH]]\n", argv[0]);
-      return 2;
-    }
-  }
-  if (threads < 1 || repeats < 1 || duration <= 0) {
-    std::fprintf(stderr, "obs_overhead: bad flag value\n");
+  uint32_t threads = 8;
+  uint32_t repeats = 3;
+  objrep::bench::BenchArgs args;
+  args.duration = 1.5;
+  // Short windows are noisier; --quick keeps 3 repeats so the median can
+  // still throw away one bad scheduler quantum.
+  args.quick_duration = 0.4;
+  if (!objrep::bench::ParseBenchArgs(
+          argc, argv, "obs_overhead",
+          objrep::bench::kQuickFlag | objrep::bench::kDurationFlag |
+              objrep::bench::kJsonFlag,
+          &args,
+          {objrep::bench::U32Flag("--threads", &threads),
+           objrep::bench::U32Flag("--repeats", &repeats)}) ||
+      threads < 1 || repeats < 1) {
     return 2;
   }
-  return objrep::bench::Run(threads, duration, repeats, json_path);
+  return objrep::bench::Run(threads, static_cast<int>(repeats), args);
 }

@@ -16,21 +16,19 @@
 // demand miss at --io-latency-us a page. Serialized, aggregate
 // throughput is capped near one device's worth regardless of K;
 // overlapped, K misses wait on the device concurrently. The committed
-// floor (tools/check_bench_json.py --readconc): at 8 threads the
+// floor (FLOORS in tools/check_bench_json.py): at 8 threads the
 // concurrent path sustains >= 3x the serialized aggregate retrieve
 // throughput.
 //
 //   $ ./build/bench/read_concurrency
 //   $ ./build/bench/read_concurrency --quick      (CI smoke: no floor point)
-//   $ ./build/bench/read_concurrency --json=BENCH_read_concurrency.json
+//   $ ./build/bench/read_concurrency --json       (BENCH_read_concurrency.json)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "exec/concurrent_runner.h"
 #include "objstore/database.h"
 #include "objstore/workload.h"
 
@@ -65,102 +63,56 @@ WorkloadSpec ReadOnlyMix() {
   return wl;
 }
 
-double RunMode(bool serialize_miss_io, uint32_t threads,
-               double duration_seconds, uint32_t io_latency_us) {
+/// One arm of a sweep point on a fresh database: warm-up at a quarter of
+/// the window settles pools (the cache-hostile spec keeps the measured
+/// window miss-dominated regardless), then one measured window.
+Window RunArm(bool serialize_miss_io, uint32_t threads,
+              const BenchArgs& args, const Timing& timing) {
   std::unique_ptr<ComplexDatabase> db;
-  Status s = BuildDatabase(ColdSpec(io_latency_us), &db);
+  Status s = BuildDatabase(ColdSpec(args.io_latency_us), &db);
   OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
   std::vector<Query> queries;
   s = GenerateWorkload(ReadOnlyMix(), *db, &queries);
   OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
-
   db->pool->SetSerializeMissIo(serialize_miss_io);
-
-  ConcurrentRunOptions options;
-  options.num_threads = threads;
-  options.seed = 23;
-  // Warmup at a fraction of the window settles pools; the cache-hostile
-  // spec keeps the measured window miss-dominated regardless.
-  options.duration_seconds = duration_seconds * 0.25;
-  ConcurrentRunResult warmup;
-  s = RunConcurrentWorkload(StrategyKind::kDfs, {}, db.get(), queries,
-                            options, &warmup);
-  OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
-
-  options.duration_seconds = duration_seconds;
-  ConcurrentRunResult result;
-  s = RunConcurrentWorkload(StrategyKind::kDfs, {}, db.get(), queries,
-                            options, &result);
-  OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
-
-  if (result.wall_seconds <= 0) return 0.0;
-  return static_cast<double>(result.combined.num_retrieves) /
-         result.wall_seconds;
+  return Measure(timing,
+                 ConcurrentRunnerWindow(StrategyKind::kDfs, db.get(),
+                                        &queries, threads, 23));
 }
 
-struct SweepPoint {
-  uint32_t threads;
-  double serialized_retrieves_per_sec;
-  double concurrent_retrieves_per_sec;
-  double speedup;  // concurrent over serialized aggregate retrieves/s
-};
-
-void WriteJson(const char* path, double duration_seconds,
-               uint32_t io_latency_us, const std::vector<SweepPoint>& pts) {
-  std::FILE* f = std::fopen(path, "w");
-  OBJREP_CHECK_MSG(f != nullptr, "cannot open JSON output path");
-  std::fprintf(f,
-               "{\n  \"bench\": \"read_concurrency\",\n"
-               "  \"strategy\": \"DFS\",\n"
-               "  \"duration_seconds\": %.3f,\n  \"io_latency_us\": %u,\n"
-               "  \"points\": [",
-               duration_seconds, io_latency_us);
-  for (size_t i = 0; i < pts.size(); ++i) {
-    const SweepPoint& p = pts[i];
-    std::fprintf(f,
-                 "%s\n    {\"threads\": %u, "
-                 "\"serialized_retrieves_per_sec\": %.2f, "
-                 "\"concurrent_retrieves_per_sec\": %.2f, "
-                 "\"speedup\": %.3f}",
-                 i == 0 ? "" : ",", p.threads,
-                 p.serialized_retrieves_per_sec,
-                 p.concurrent_retrieves_per_sec, p.speedup);
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-}
-
-void RunSweep(double duration_seconds, uint32_t io_latency_us, bool quick,
-              const char* json_path) {
+void RunSweep(const BenchArgs& args) {
   // The quick sweep stays below the floor point (8 threads): CI smoke
   // validates the harness; the committed JSON carries the claim.
   const std::vector<uint32_t> thread_counts =
-      quick ? std::vector<uint32_t>{1, 4}
-            : std::vector<uint32_t>{1, 2, 4, 8};
+      args.quick ? std::vector<uint32_t>{1, 4}
+                 : std::vector<uint32_t>{1, 2, 4, 8};
+
+  const Timing timing{args.duration * 0.25, args.duration, 1};
+  Envelope env = MakeEnvelope("read_concurrency", args);
+  AddTiming(&env.config, timing)
+      .Str("strategy", "DFS")
+      .Raw("db", SpecJson(ColdSpec(args.io_latency_us)))
+      .Raw("workload", WorkloadJson(ReadOnlyMix()));
 
   std::printf("%-8s %16s %16s %10s\n", "threads", "serial ret/s",
               "overlap ret/s", "speedup");
-  std::vector<SweepPoint> points;
   for (uint32_t k : thread_counts) {
-    SweepPoint p;
-    p.threads = k;
-    p.serialized_retrieves_per_sec =
-        RunMode(true, k, duration_seconds, io_latency_us);
-    p.concurrent_retrieves_per_sec =
-        RunMode(false, k, duration_seconds, io_latency_us);
-    p.speedup = p.serialized_retrieves_per_sec > 0
-                    ? p.concurrent_retrieves_per_sec /
-                          p.serialized_retrieves_per_sec
-                    : 0.0;
-    points.push_back(p);
+    const Window serialized = RunArm(true, k, args, timing);
+    const Window overlapped = RunArm(false, k, args, timing);
     std::printf("%-8u %16.0f %16.0f %9.2fx\n", k,
-                p.serialized_retrieves_per_sec,
-                p.concurrent_retrieves_per_sec, p.speedup);
+                serialized.retrieves_per_sec(), overlapped.retrieves_per_sec(),
+                serialized.retrieves_per_sec() > 0
+                    ? overlapped.retrieves_per_sec() /
+                          serialized.retrieves_per_sec()
+                    : 0.0);
+    for (const auto& [arm, w] : {std::pair{"serialized", serialized},
+                                 {"overlapped", overlapped}}) {
+      JsonObject point;
+      point.Int("threads", k).Str("arm", arm);
+      env.points.push_back(AddWindow(&point, w));
+    }
   }
-  if (json_path != nullptr) {
-    WriteJson(json_path, duration_seconds, io_latency_us, points);
-    std::printf("\nwrote %s\n", json_path);
-  }
+  WriteEnvelope(args.json_path, env);
 }
 
 }  // namespace
@@ -168,34 +120,20 @@ void RunSweep(double duration_seconds, uint32_t io_latency_us, bool quick,
 }  // namespace objrep
 
 int main(int argc, char** argv) {
-  double duration = 2.0;
-  uint32_t io_latency_us = 100;
-  bool quick = false;
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--duration=", 11) == 0) {
-      duration = std::strtod(argv[i] + 11, nullptr);
-    } else if (std::strncmp(argv[i], "--io-latency-us=", 16) == 0) {
-      io_latency_us =
-          static_cast<uint32_t>(std::strtoul(argv[i] + 16, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-      duration = 0.4;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_read_concurrency.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--duration=S] [--io-latency-us=N] [--quick] "
-                   "[--json[=PATH]]\n",
-                   argv[0]);
-      return 2;
-    }
+  objrep::bench::BenchArgs args;
+  args.duration = 2.0;
+  args.quick_duration = 0.4;
+  args.io_latency_us = 100;
+  if (!objrep::bench::ParseBenchArgs(
+          argc, argv, "read_concurrency",
+          objrep::bench::kQuickFlag | objrep::bench::kDurationFlag |
+              objrep::bench::kIoLatencyFlag | objrep::bench::kJsonFlag,
+          &args)) {
+    return 2;
   }
   objrep::bench::PrintTitle(
       "Read concurrency: miss I/O under evict_mu_ vs coalesced overlap",
       "closed-loop clients; cold cache-hostile retrieves, swept threads");
-  objrep::bench::RunSweep(duration, io_latency_us, quick, json_path);
+  objrep::bench::RunSweep(args);
   return 0;
 }

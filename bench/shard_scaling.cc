@@ -10,8 +10,8 @@
 // holder shards and each shard commits on its own WAL, so independent
 // clients overlap; with --io-latency-us > 0 the stalls are real device
 // waits and the aggregate retrieve throughput should scale out (>= 1.6x
-// at 2 shards, >= 2.5x at 4 — the floors tools/check_bench_json.py
-// --shard enforces).
+// at 2 shards, >= 2.5x at 4 — floors in tools/check_bench_json.py's
+// FLOORS table).
 //
 // Each shard gets the full buffer/cache budget, the scale-out semantics
 // of a cluster where every node brings its own memory; the sweep measures
@@ -20,14 +20,9 @@
 //
 //   $ ./build/bench/shard_scaling
 //   $ ./build/bench/shard_scaling --quick          (CI smoke: 1 and 2)
-//   $ ./build/bench/shard_scaling --json=BENCH_shard_scaling.json
-#include <atomic>
-#include <chrono>
+//   $ ./build/bench/shard_scaling --json          (BENCH_shard_scaling.json)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -74,76 +69,28 @@ WorkloadSpec MixedSpec() {
   return wl;
 }
 
-struct WorkerStats {
-  uint64_t retrieves = 0;
-  uint64_t updates = 0;
-};
-
-void ClientLoop(shard::ShardedEngine* engine, StrategyKind kind,
-                const std::vector<Query>* queries, size_t start,
-                std::atomic<bool>* stop, WorkerStats* out) {
-  size_t i = start;
-  while (!stop->load(std::memory_order_relaxed)) {
-    const Query& q = (*queries)[i++ % queries->size()];
-    if (q.kind == Query::Kind::kRetrieve) {
-      RetrieveResult result;
-      Status s = engine->ExecuteRetrieve(kind, q, &result);
-      OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
-      ++out->retrieves;
-    } else {
-      Status s = engine->ExecuteUpdate(kind, q);
-      OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
-      ++out->updates;
-    }
-  }
-}
-
-struct SweepPoint {
-  uint32_t shards;
-  double retrieves_per_sec;
-  double queries_per_sec;
-  double scaleout;  // retrieves_per_sec / 1-shard retrieves_per_sec
-};
-
-void WriteJson(const char* path, StrategyKind kind, uint32_t clients,
-               double duration_seconds, uint32_t io_latency_us,
-               const std::vector<SweepPoint>& pts) {
-  std::FILE* f = std::fopen(path, "w");
-  OBJREP_CHECK_MSG(f != nullptr, "cannot open JSON output path");
-  std::fprintf(f,
-               "{\n  \"bench\": \"shard_scaling\",\n"
-               "  \"strategy\": \"%s\",\n  \"clients\": %u,\n"
-               "  \"duration_seconds\": %.3f,\n  \"io_latency_us\": %u,\n"
-               "  \"points\": [",
-               StrategyKindName(kind), clients, duration_seconds,
-               io_latency_us);
-  for (size_t i = 0; i < pts.size(); ++i) {
-    const SweepPoint& p = pts[i];
-    std::fprintf(f,
-                 "%s\n    {\"shards\": %u, \"retrieves_per_sec\": %.2f, "
-                 "\"queries_per_sec\": %.2f, \"scaleout\": %.3f}",
-                 i == 0 ? "" : ",", p.shards, p.retrieves_per_sec,
-                 p.queries_per_sec, p.scaleout);
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-}
-
-void RunSweep(StrategyKind kind, uint32_t clients, double duration_seconds,
-              uint32_t io_latency_us, bool quick, const char* json_path) {
+void RunSweep(StrategyKind kind, uint32_t clients, const BenchArgs& args) {
   const std::vector<uint32_t> shard_counts =
-      quick ? std::vector<uint32_t>{1, 2} : std::vector<uint32_t>{1, 2, 4, 8};
+      args.quick ? std::vector<uint32_t>{1, 2}
+                 : std::vector<uint32_t>{1, 2, 4, 8};
+  const Timing timing{args.duration * 0.25, args.duration, 1};
+
+  Envelope env = MakeEnvelope("shard_scaling", args);
+  AddTiming(&env.config, timing)
+      .Str("strategy", StrategyKindName(kind))
+      .Int("clients", clients)
+      .Raw("db", SpecJson(ShardBenchSpec()))
+      .Raw("workload", WorkloadJson(MixedSpec()));
 
   std::printf("%-8s %10s %14s %12s %10s\n", "shards", "clients",
               "retrieves/s", "queries/s", "scaleout");
-  std::vector<SweepPoint> points;
   double base_rps = 0;
   for (uint32_t n : shard_counts) {
     std::unique_ptr<shard::ShardedDatabase> sdb;
     Status s = shard::BuildShardedDatabase(ShardBenchSpec(), n, &sdb);
     OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
     for (const auto& sh : sdb->shards) {
-      sh->disk->set_io_latency_us(io_latency_us);
+      sh->disk->set_io_latency_us(args.io_latency_us);
     }
     // The retained reference database gives every shard count the same
     // query stream.
@@ -152,57 +99,31 @@ void RunSweep(StrategyKind kind, uint32_t clients, double duration_seconds,
     OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
     shard::ShardedEngine engine(sdb.get(), {});
 
-    // Warmup: one sequential pass over the stream settles the pools
-    // before the timed window.
-    for (const Query& q : queries) {
-      if (q.kind == Query::Kind::kRetrieve) {
-        RetrieveResult result;
-        s = engine.ExecuteRetrieve(kind, q, &result);
-      } else {
-        s = engine.ExecuteUpdate(kind, q);
-      }
-      OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
-    }
-
-    std::atomic<bool> stop{false};
-    std::vector<WorkerStats> stats(clients);
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    auto t0 = std::chrono::steady_clock::now();
-    for (uint32_t c = 0; c < clients; ++c) {
-      threads.emplace_back(ClientLoop, &engine, kind, &queries,
-                           static_cast<size_t>(c) * 17, &stop, &stats[c]);
-    }
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(duration_seconds));
-    stop.store(true, std::memory_order_relaxed);
-    for (std::thread& t : threads) t.join();
-    double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-
-    uint64_t retrieves = 0, total = 0;
-    for (const WorkerStats& w : stats) {
-      retrieves += w.retrieves;
-      total += w.retrieves + w.updates;
-    }
-    SweepPoint p;
-    p.shards = n;
-    p.retrieves_per_sec =
-        elapsed > 0 ? static_cast<double>(retrieves) / elapsed : 0.0;
-    p.queries_per_sec =
-        elapsed > 0 ? static_cast<double>(total) / elapsed : 0.0;
-    if (n == 1) base_rps = p.retrieves_per_sec;
-    p.scaleout = base_rps > 0 ? p.retrieves_per_sec / base_rps : 0.0;
-    points.push_back(p);
+    // Client c walks the stream from offset 17c, so concurrent clients
+    // issue different queries.
+    const Window w = Measure(timing, [&](double seconds) {
+      return ClosedLoop(clients, seconds, [&](uint32_t c, uint64_t i) {
+        const Query& q = queries[(17 * c + i) % queries.size()];
+        if (q.kind == Query::Kind::kRetrieve) {
+          RetrieveResult result;
+          Status st = engine.ExecuteRetrieve(kind, q, &result);
+          OBJREP_CHECK_MSG(st.ok(), st.ToString().c_str());
+          return true;
+        }
+        Status st = engine.ExecuteUpdate(kind, q);
+        OBJREP_CHECK_MSG(st.ok(), st.ToString().c_str());
+        return false;
+      });
+    });
+    if (n == 1) base_rps = w.retrieves_per_sec();
     std::printf("%-8u %10u %14.0f %12.0f %9.2fx\n", n, clients,
-                p.retrieves_per_sec, p.queries_per_sec, p.scaleout);
+                w.retrieves_per_sec(), w.queries_per_sec(),
+                base_rps > 0 ? w.retrieves_per_sec() / base_rps : 0.0);
+    JsonObject point;
+    point.Int("shards", n);
+    env.points.push_back(AddWindow(&point, w));
   }
-  if (json_path != nullptr) {
-    WriteJson(json_path, kind, clients, duration_seconds, io_latency_us,
-              points);
-    std::printf("\nwrote %s\n", json_path);
-  }
+  WriteEnvelope(args.json_path, env);
 }
 
 }  // namespace
@@ -213,44 +134,26 @@ int main(int argc, char** argv) {
   using objrep::StrategyKind;
   StrategyKind kind = StrategyKind::kDfs;
   uint32_t clients = 16;
-  double duration = 2.0;
-  uint32_t io_latency_us = 150;
-  bool quick = false;
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--clients=", 10) == 0) {
-      clients = static_cast<uint32_t>(std::strtoul(argv[i] + 10, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--duration=", 11) == 0) {
-      duration = std::strtod(argv[i] + 11, nullptr);
-    } else if (std::strncmp(argv[i], "--io-latency-us=", 16) == 0) {
-      io_latency_us =
-          static_cast<uint32_t>(std::strtoul(argv[i] + 16, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--strategy=", 11) == 0) {
-      if (!objrep::ParseStrategyName(argv[i] + 11, &kind).ok()) {
-        std::fprintf(stderr, "unknown strategy: %s\n", argv[i] + 11);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-      duration = 0.5;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_shard_scaling.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--clients=K] [--duration=S] "
-                   "[--io-latency-us=N] [--strategy=NAME] [--quick] "
-                   "[--json[=PATH]]\n",
-                   argv[0]);
-      return 2;
-    }
+  objrep::bench::BenchArgs args;
+  args.duration = 2.0;
+  args.quick_duration = 0.5;
+  args.io_latency_us = 150;
+  const objrep::bench::ExtraFlag strategy_flag{
+      "--strategy", [&kind](const char* v) {
+        return objrep::ParseStrategyName(v, &kind).ok();
+      }};
+  if (!objrep::bench::ParseBenchArgs(
+          argc, argv, "shard_scaling",
+          objrep::bench::kQuickFlag | objrep::bench::kDurationFlag |
+              objrep::bench::kIoLatencyFlag | objrep::bench::kJsonFlag,
+          &args,
+          {objrep::bench::U32Flag("--clients", &clients), strategy_flag}) ||
+      clients == 0) {
+    return 2;
   }
-  if (clients == 0) return 2;
   objrep::bench::PrintTitle(
       "Shard scale-out: fixed offered concurrency, swept shard count",
       "closed-loop mixed stream; per-shard locks, WALs, and pools");
-  objrep::bench::RunSweep(kind, clients, duration, io_latency_us, quick,
-                          json_path);
+  objrep::bench::RunSweep(kind, clients, args);
   return 0;
 }

@@ -1,10 +1,10 @@
 // Throughput scaling of the concurrent execution engine (src/exec/).
 //
 // For each strategy, builds one cache-resident database (the buffer pool
-// holds the whole working set, so after a sequential warmup pass every
-// fetch is a hit and the hot path is the sharded page-table latch), then
-// sweeps 1..16 worker threads in timed mode and reports queries/sec,
-// speedup over 1 thread, and latency percentiles. On a multicore host the
+// holds the whole working set, so after a warm-up window every fetch is a
+// hit and the hot path is the sharded page-table latch), then sweeps
+// 1..16 worker threads in timed mode and reports queries/sec, speedup
+// over 1 thread, and latency percentiles. On a multicore host the
 // read-only sweep should scale near-linearly to the core count (>= 4x at
 // 8 threads); on a single core it degenerates to ~1x, which is a property
 // of the machine, not the engine.
@@ -12,6 +12,7 @@
 //   $ ./build/bench/throughput_scaling
 //   $ ./build/bench/throughput_scaling --duration=1.0
 //   $ ./build/bench/throughput_scaling --io-latency-us=50
+//   $ ./build/bench/throughput_scaling --json  # BENCH_throughput_scaling.json
 //
 // --io-latency-us simulates device latency: every physical page I/O
 // sleeps that long *outside* the DiskManager latch, so concurrent
@@ -19,12 +20,10 @@
 // device waits. With a cold pool this shows I/O-bound scaling even on
 // one core.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "exec/concurrent_runner.h"
 #include "obs/trace.h"
 
 namespace objrep {
@@ -57,38 +56,7 @@ WorkloadSpec ReadOnlySpec() {
   return wl;
 }
 
-struct SweepPoint {
-  StrategyKind kind;
-  uint32_t threads;
-  double qps;
-  double speedup;
-  double p50_ms, p95_ms, p99_ms;
-};
-
-void WriteJson(const char* path, double duration_seconds,
-               uint32_t io_latency_us, const std::vector<SweepPoint>& pts) {
-  std::FILE* f = std::fopen(path, "w");
-  OBJREP_CHECK_MSG(f != nullptr, "cannot open JSON output path");
-  std::fprintf(f,
-               "{\n  \"bench\": \"throughput_scaling\",\n"
-               "  \"duration_seconds\": %.3f,\n  \"io_latency_us\": %u,\n"
-               "  \"points\": [",
-               duration_seconds, io_latency_us);
-  for (size_t i = 0; i < pts.size(); ++i) {
-    const SweepPoint& p = pts[i];
-    std::fprintf(f,
-                 "%s\n    {\"strategy\": \"%s\", \"threads\": %u, "
-                 "\"queries_per_sec\": %.2f, \"speedup\": %.3f, "
-                 "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f}",
-                 i == 0 ? "" : ",", StrategyKindName(p.kind), p.threads,
-                 p.qps, p.speedup, p.p50_ms, p.p95_ms, p.p99_ms);
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-}
-
-void RunSweep(double duration_seconds, uint32_t io_latency_us,
-              const char* json_path) {
+void RunSweep(const BenchArgs& args) {
   const std::vector<StrategyKind> kinds = {
       StrategyKind::kDfs,          StrategyKind::kBfs,
       StrategyKind::kBfsNoDup,     StrategyKind::kDfsCache,
@@ -96,54 +64,44 @@ void RunSweep(double duration_seconds, uint32_t io_latency_us,
       StrategyKind::kDfsClustCache, StrategyKind::kBfsJoinIndex,
       StrategyKind::kBfsHash};
   const std::vector<uint32_t> thread_counts = {1, 2, 4, 8, 16};
+  // Each point first runs one unmeasured window at its own thread count,
+  // faulting the working set into the pool (and the subobject cache, for
+  // the caching strategies): the measured window sees the steady
+  // cache-resident state.
+  const Timing timing{args.duration, args.duration, 1};
+
+  Envelope env = MakeEnvelope("throughput_scaling", args);
+  AddTiming(&env.config, timing)
+      .Raw("db", SpecJson(CacheResidentSpec()))
+      .Raw("workload", WorkloadJson(ReadOnlySpec()));
 
   std::printf("%-16s %8s %12s %9s %10s %10s %10s\n", "strategy", "threads",
-              "queries/s", "speedup", "p50 ms", "p95 ms", "p99 ms");
-  std::vector<SweepPoint> points;
+              "queries/s", "speedup", "p50 ms", "p99 ms", "p999 ms");
   for (StrategyKind kind : kinds) {
     std::unique_ptr<ComplexDatabase> db;
     Status s = BuildDatabase(CacheResidentSpec(), &db);
     OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
-    db->disk->set_io_latency_us(io_latency_us);
+    db->disk->set_io_latency_us(args.io_latency_us);
     std::vector<Query> queries;
     s = GenerateWorkload(ReadOnlySpec(), *db, &queries);
     OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
 
-    // Warmup: one sequential pass faults the working set into the pool
-    // (and the subobject cache, for the caching strategies), so the timed
-    // sweep measures the steady cache-resident state.
-    std::unique_ptr<Strategy> warm;
-    s = MakeStrategy(kind, db.get(), {}, &warm);
-    OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
-    RunResult warm_result;
-    s = RunWorkload(warm.get(), db.get(), queries, &warm_result);
-    OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
-
     double base_qps = 0;
     for (uint32_t k : thread_counts) {
-      ConcurrentRunOptions opts;
-      opts.num_threads = k;
-      opts.duration_seconds = duration_seconds;
-      opts.seed = 101;
-      ConcurrentRunResult r;
-      s = RunConcurrentWorkload(kind, {}, db.get(), queries, opts, &r);
-      OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
-      if (k == 1) base_qps = r.queries_per_sec;
-      const double speedup =
-          base_qps > 0 ? r.queries_per_sec / base_qps : 0.0;
+      const Window w = Measure(
+          timing, ConcurrentRunnerWindow(kind, db.get(), &queries, k, 101));
+      if (k == 1) base_qps = w.queries_per_sec();
+      const LatencySummary& l = w.retrieve_latency;
       std::printf("%-16s %8u %12.0f %8.2fx %10.3f %10.3f %10.3f\n",
-                  StrategyKindName(kind), k, r.queries_per_sec, speedup,
-                  r.latency.p50_us / 1000.0, r.latency.p95_us / 1000.0,
-                  r.latency.p99_us / 1000.0);
-      points.push_back({kind, k, r.queries_per_sec, speedup,
-                        r.latency.p50_us / 1000.0, r.latency.p95_us / 1000.0,
-                        r.latency.p99_us / 1000.0});
+                  StrategyKindName(kind), k, w.queries_per_sec(),
+                  base_qps > 0 ? w.queries_per_sec() / base_qps : 0.0,
+                  l.p50_us / 1000.0, l.p99_us / 1000.0, l.p999_us / 1000.0);
+      JsonObject point;
+      point.Str("strategy", StrategyKindName(kind)).Int("threads", k);
+      env.points.push_back(AddWindow(&point, w));
     }
   }
-  if (json_path != nullptr) {
-    WriteJson(json_path, duration_seconds, io_latency_us, points);
-    std::printf("\nwrote %s\n", json_path);
-  }
+  WriteEnvelope(args.json_path, env);
 }
 
 }  // namespace
@@ -151,44 +109,35 @@ void RunSweep(double duration_seconds, uint32_t io_latency_us,
 }  // namespace objrep
 
 int main(int argc, char** argv) {
-  double duration = 0.25;
-  uint32_t io_latency_us = 0;
-  const char* json_path = nullptr;
-  const char* trace_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--duration=", 11) == 0) {
-      duration = std::strtod(argv[i] + 11, nullptr);
-    } else if (std::strncmp(argv[i], "--io-latency-us=", 16) == 0) {
-      io_latency_us = static_cast<uint32_t>(
-          std::strtoul(argv[i] + 16, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_throughput.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-      // Tracing on for the whole sweep: this is the overhead yardstick —
-      // enabled-vs-disabled throughput at 8 threads must stay within 5%.
-      trace_path = argv[i] + 12;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--duration=S] [--io-latency-us=N] "
-                   "[--json[=PATH]] [--trace-out=PATH]\n",
-                   argv[0]);
-      return 2;
-    }
+  std::string trace_path;
+  objrep::bench::BenchArgs args;
+  args.duration = 0.25;
+  // --trace-out turns tracing on for the whole sweep: enabled-vs-disabled
+  // throughput at 8 threads is the tracing-overhead yardstick.
+  const objrep::bench::ExtraFlag trace_flag{
+      "--trace-out", [&trace_path](const char* v) {
+        trace_path = v;
+        return !trace_path.empty();
+      }};
+  if (!objrep::bench::ParseBenchArgs(
+          argc, argv, "throughput_scaling",
+          objrep::bench::kDurationFlag | objrep::bench::kIoLatencyFlag |
+              objrep::bench::kJsonFlag,
+          &args, {trace_flag})) {
+    return 2;
   }
-  if (trace_path != nullptr) objrep::Trace::SetEnabled(true);
+  if (!trace_path.empty()) objrep::Trace::SetEnabled(true);
   objrep::bench::PrintTitle(
       "Throughput scaling: concurrent sessions over one shared database",
       "cache-resident read-only stream; timed sweep per (strategy, K)");
-  objrep::bench::RunSweep(duration, io_latency_us, json_path);
-  if (trace_path != nullptr) {
+  objrep::bench::RunSweep(args);
+  if (!trace_path.empty()) {
     objrep::Status s = objrep::Trace::FlushToFile(trace_path);
     if (!s.ok()) {
       std::fprintf(stderr, "trace flush failed: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s\n", trace_path);
+    std::printf("wrote %s\n", trace_path.c_str());
   }
   return 0;
 }

@@ -107,6 +107,7 @@ LatencySummary SummarizeLatencies(std::vector<double>* samples_us) {
   s.p50_us = PercentileSorted(*samples_us, 50);
   s.p95_us = PercentileSorted(*samples_us, 95);
   s.p99_us = PercentileSorted(*samples_us, 99);
+  s.p999_us = PercentileSorted(*samples_us, 99.9);
   s.max_us = samples_us->back();
   return s;
 }

@@ -38,11 +38,14 @@ struct LatencySummary {
   double p50_us = 0;
   double p95_us = 0;
   double p99_us = 0;
+  double p999_us = 0;
   double max_us = 0;
 };
 
 /// Sorts `samples_us` in place and summarizes it. Percentiles use the
-/// nearest-rank method; an empty sample set yields all zeros.
+/// nearest-rank method (the ceil(p*n)-th smallest sample), the one
+/// percentile definition every bench and load tool reports; an empty
+/// sample set yields all zeros.
 LatencySummary SummarizeLatencies(std::vector<double>* samples_us);
 
 struct ConcurrentRunOptions {

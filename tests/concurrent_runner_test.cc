@@ -188,5 +188,19 @@ TEST(ConcurrentRunnerTest, AggregateIoMatchesSequentialOnOneThread) {
   EXPECT_EQ(r.combined.total_io, base.total_io);
 }
 
+TEST(ConcurrentRunnerTest, PercentilesAreNearestRank) {
+  // Ten samples: nearest rank takes the ceil(p*n)-th smallest, so p99 and
+  // p999 are the maximum. The floor(p*(n-1)) index rule would answer 9.
+  std::vector<double> samples = {10, 3, 7, 1, 9, 5, 2, 8, 6, 4};
+  LatencySummary s = SummarizeLatencies(&samples);
+  EXPECT_EQ(s.count, 10u);
+  EXPECT_DOUBLE_EQ(s.p50_us, 5);
+  EXPECT_DOUBLE_EQ(s.p95_us, 10);
+  EXPECT_DOUBLE_EQ(s.p99_us, 10);
+  EXPECT_DOUBLE_EQ(s.p999_us, 10);
+  EXPECT_DOUBLE_EQ(s.max_us, 10);
+  EXPECT_DOUBLE_EQ(s.mean_us, 5.5);
+}
+
 }  // namespace
 }  // namespace objrep

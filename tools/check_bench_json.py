@@ -1,98 +1,47 @@
 #!/usr/bin/env python3
-"""Schema check for bench/io_pipeline JSON output (BENCH_throughput.json).
+"""Validates a bench result document and enforces its gates. Stdlib only.
 
-Validates structure and value sanity so CI catches a bench whose emitter
-drifted (missing fields, wrong types, nonsensical numbers) even when the
-JSON still parses. Stdlib only.
+Usage: check_bench_json.py FILE [--baseline FILE] [--tolerance PCT]
 
-Usage: check_bench_json.py FILE [--baseline FILE --tolerance PCT]
-       check_bench_json.py --metrics FILE
-       check_bench_json.py --adaptive FILE [--max-regret FRAC]
-       check_bench_json.py --net FILE [--min-connections N]
-                          [--baseline FILE --tolerance PCT]
-       check_bench_json.py --shard FILE
-       check_bench_json.py --mvcc FILE
-       check_bench_json.py --readconc FILE
-       check_bench_json.py --obs FILE [--max-overhead PCT]
+FILE is dispatched on its content: a bench envelope (the one document every
+gated bench writes, bench/bench_util.h WriteEnvelope; DESIGN.md §18), a
+metrics-registry dump (objrep_driver --metrics-json) or a tools/net_load
+--json dump. Every gate value lives in FLOORS; a failing gate names its
+row. Ratios (speedup, scaleout, overhead, regret) are computed from the
+raw points. A file named BENCH_*.json is a committed baseline: it must be
+BENCH_<bench>.json and must not come from a --quick run.
 
-With --metrics, FILE is instead a metrics-registry dump (the driver's
---metrics-json output) and only its schema is validated: the three
-top-level sections, counter/gauge value types, and per-histogram summary
-fields with ordered percentiles.
-
-With --adaptive, FILE is a bench/adaptive_regret dump: every sweep point
-must carry a finite regret >= 0 consistent with its oracle/adaptive I/O
-figures, and --max-regret (default 0.10, the acceptance bound) caps the
-worst point.
-
-With --net, FILE is a bench/net_loopback dump (BENCH_net.json): the
-steady phase must have shed nothing and carry ordered per-verb
-percentiles, the overload phase must show SERVER_BUSY shedding with the
-admitted requests' p99 bounded (no worse than twice the steady RETRIEVE
-p99 — shedding keeps admitted latency at least as good as the unshedded
-closed loop), and --min-connections (default 10000) enforces the
-capacity floor. With --baseline, per-verb steady p99 and throughput are
-also held to the baseline within --tolerance percent (default 25 for
---net: latency is host-sensitive, so this gate only means something
-against a baseline from the same machine).
-
-With --shard, FILE is a bench/shard_scaling dump (BENCH_shard_scaling
-.json): shard counts must be unique and increasing starting at the
-1-shard baseline (scaleout exactly 1), every point's scaleout must be
-consistent with its retrieve throughput, and the scale-out-efficiency
-floors are enforced for whichever points are present: >= 1.6x at 2
-shards and >= 2.5x at 4 (a --quick run sweeps only 1 and 2, so the
-4-shard floor binds only on the committed full sweep).
-
-With --mvcc, FILE is a bench/mvcc_contention dump (BENCH_mvcc.json):
-sweep points must be unique with self-consistent throughput and speedup
-figures, and every point at >= 8 threads with Pr(UPDATE) = 0.3 must show
-MVCC retrieving at >= 2x the 2PL rate (the acceptance floor; a --quick
-run sweeps below that point, so the floor binds only on the committed
-full sweep).
-
-With --readconc, FILE is a bench/read_concurrency dump
-(BENCH_read_concurrency.json): sweep points must be unique with
-self-consistent throughput and speedup figures, and every point at >= 8
-threads must show the overlapped miss path retrieving at >= 3x the
-serialized-under-evict_mu_ rate (the acceptance floor; a --quick run
-sweeps below that point, so the floor binds only on the committed full
-sweep).
-
-With --obs, FILE is a bench/obs_overhead dump (BENCH_obs_overhead.json):
-the baseline and enabled throughput figures must be self-consistent with
-overhead_pct, the enabled-tracing overhead is capped by --max-overhead
-(default 5, the acceptance bound), the embedded RetrieveProfile must obey
-the exact-sum invariant (per-tag reads/writes summing to its totals, per
-I/O block, including every per-shard slice), and the heat section must
-carry non-negative EWMA heats.
-
-With --baseline (default mode), also compares per-(strategy, prefetch,
-workers) run results against the baseline file. Two signals are checked:
-
-- avg_io_per_query must match the baseline within 1% (the pipeline is
-  deterministic; drift here is a real behavior change, machine-independent)
-- queries_per_sec must not regress by more than PCT percent (default 3).
-  Wall clock is host-sensitive, so this gate is only meaningful against a
-  baseline recorded on the same machine; CI's smoke uses schema-only mode.
-
-Speedups never fail the check.
+With --baseline, points matched on their sweep coordinates must keep
+avg_io_per_query within 1% (I/O counts are deterministic); rates may drop,
+or p99 grow, by at most --tolerance percent (default: the bench's FLOORS
+row) -- compare timings only with a baseline from the same machine.
 """
 
 import argparse
 import json
+import math
+import os
 import sys
 
-RUN_FIELDS = {
-    "prefetch": bool,
-    "workers": int,
-    "seconds": (int, float),
-    "queries_per_sec": (int, float),
-    "speedup": (int, float),
-    "avg_io_per_query": (int, float),
-    "seq_read_pct": (int, float),
-    "io_total": int,
-    "io_by_tag": dict,
+# Every gate value, in one table. Row -> (comparison, bound).
+FLOORS = {
+    "adaptive_regret: worst regret": ("<=", 0.10),
+    "shard_scaling: scaleout at 2 shards": (">=", 1.6),
+    "shard_scaling: scaleout at 4 shards": (">=", 2.5),
+    "mvcc_contention: mvcc/2pl at >=8 threads, pr_update 0.3": (">=", 2.0),
+    "read_concurrency: overlapped/serialized at >=8 threads": (">=", 3.0),
+    "obs_overhead: overhead %": ("<=", 5.0),
+    "net_loopback: connections": (">=", 10000),
+    "net_loopback: connections (quick)": (">=", 512),
+    "net_loopback: steady busy": ("<=", 0),
+    "net_loopback: overload busy_rejections": (">=", 1),
+    "net_loopback: overload admitted": (">=", 1),
+    # admitted RETRIEVE p99 <= max(2 x steady RETRIEVE p99, 20 ms)
+    "net_loopback: admitted p99 / max(steady p99, 10 ms)": ("<=", 2.0),
+    "net_loopback: bad frames": ("<=", 0),
+    "baseline: avg_io_per_query drift %": ("<=", 1.0),
+    "baseline: rate drop / p99 growth %": ("<=", 3.0),
+    "net_loopback baseline: rate drop / p99 growth %": ("<=", 25.0),
 }
 
 # Tag names bench emitters may use (src/obs/io_context.h). "none" is
@@ -103,747 +52,398 @@ IO_TAGS = {
     "mvcc_commit", "mvcc_fold",
 }
 
+NUM = (int, float)
+RATES = ("retrieves_per_sec", "queries_per_sec")
+LATENCY = ("p50_us", "p99_us", "p999_us", "max_us")
+
+
+class CheckError(Exception):
+    """A document that fails its schema or a gate."""
+
 
 def fail(msg):
-    print(f"check_bench_json: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
+    raise CheckError(msg)
 
 
-def check_type(obj, field, types, ctx):
-    if field not in obj:
+def need(obj, field, types, ctx):
+    if not isinstance(obj, dict) or field not in obj:
         fail(f"{ctx}: missing field '{field}'")
-    if not isinstance(obj[field], types):
-        fail(f"{ctx}: field '{field}' has type {type(obj[field]).__name__}")
-    return obj[field]
+    v = obj[field]
+    # bool is an int subclass: accept it only where a bool is asked for.
+    if not isinstance(v, types) or isinstance(v, bool) != (types is bool):
+        fail(f"{ctx}: field '{field}' has type {type(v).__name__}")
+    if isinstance(v, float) and not math.isfinite(v):
+        fail(f"{ctx}: field '{field}' is not finite")
+    return v
 
 
-def validate(doc):
-    if not isinstance(doc, dict):
-        fail("top level is not an object")
-    check_type(doc, "bench", str, "top level")
-    check_type(doc, "io_latency_us", int, "top level")
-    check_type(doc, "io_transfer_us", int, "top level")
-    num_queries = check_type(doc, "num_queries", int, "top level")
-    if num_queries <= 0:
-        fail("num_queries must be positive")
-    strategies = check_type(doc, "strategies", list, "top level")
-    if not strategies:
-        fail("strategies is empty")
-
-    runs_by_key = {}
-    for s in strategies:
-        name = check_type(s, "strategy", str, "strategy entry")
-        runs = check_type(s, "runs", list, f"strategy {name}")
-        if not runs:
-            fail(f"strategy {name}: runs is empty")
-        for run in runs:
-            ctx = f"strategy {name} run {run.get('workers', '?')}w"
-            for field, types in RUN_FIELDS.items():
-                check_type(run, field, types, ctx)
-            if run["seconds"] <= 0 or run["queries_per_sec"] <= 0:
-                fail(f"{ctx}: non-positive timing")
-            if run["speedup"] <= 0 or run["avg_io_per_query"] < 0:
-                fail(f"{ctx}: nonsensical speedup/io")
-            if not 0 <= run["seq_read_pct"] <= 100:
-                fail(f"{ctx}: seq_read_pct out of [0, 100]")
-            if run["workers"] < 0:
-                fail(f"{ctx}: negative workers")
-            if run["io_total"] < 0:
-                fail(f"{ctx}: negative io_total")
-            for tag, count in run["io_by_tag"].items():
-                if tag not in IO_TAGS:
-                    fail(f"{ctx}: unknown io_by_tag key '{tag}'")
-                if not isinstance(count, int) or count <= 0:
-                    fail(f"{ctx}: io_by_tag['{tag}'] must be a positive int"
-                         " (zero tags are omitted)")
-            if sum(run["io_by_tag"].values()) != run["io_total"]:
-                fail(f"{ctx}: io_by_tag does not sum to io_total — "
-                     "attribution lost pages")
-            runs_by_key[(name, run["prefetch"], run["workers"])] = run
-        # The first run of each strategy is the no-prefetch baseline the
-        # speedups are computed against.
-        base = runs[0]
-        if base["prefetch"] or base["workers"] != 0:
-            fail(f"strategy {name}: first run is not the baseline config")
-    return runs_by_key
+def nonneg(obj, fields, types, ctx):
+    for f in fields:
+        if need(obj, f, types, ctx) < 0:
+            fail(f"{ctx}: negative {f}")
 
 
-def compare(current, baseline, tolerance):
-    # Compare over the intersection of run configs: a --quick run sweeps a
-    # subset of the committed full sweep's (strategy, prefetch, workers)
-    # points, and those points must still hit baseline throughput.
-    matched = 0
-    worst = 0.0
-    for key, cur_run in current.items():
-        base_run = baseline.get(key)
-        if base_run is None:
-            continue
-        matched += 1
-        base_io = base_run["avg_io_per_query"]
-        cur_io = cur_run["avg_io_per_query"]
-        if base_io > 0 and abs(cur_io - base_io) / base_io > 0.01:
-            fail(
-                f"run {key}: avg_io_per_query {cur_io:.2f} vs baseline "
-                f"{base_io:.2f} — the I/O pipeline changed behavior"
-            )
-        base_qps = base_run["queries_per_sec"]
-        cur_qps = cur_run["queries_per_sec"]
-        drop_pct = 100.0 * (base_qps - cur_qps) / base_qps
-        worst = max(worst, drop_pct)
-        if drop_pct > tolerance:
-            fail(
-                f"run {key}: {cur_qps:.2f} q/s vs baseline "
-                f"{base_qps:.2f} q/s ({drop_pct:.1f}% regression, "
-                f"tolerance {tolerance}%)"
-            )
-    if matched == 0:
-        fail("no run config in common with the baseline")
-    print(f"check_bench_json: {matched} runs within {tolerance}% of "
-          f"baseline (worst regression {worst:.1f}%)")
+def gate(row, value, ctx, bound=None):
+    op, bound = FLOORS[row][0], FLOORS[row][1] if bound is None else bound
+    if not (value >= bound if op == ">=" else value <= bound):
+        fail(f"{ctx}: {value:.6g} violates FLOORS[{row!r}] ({op} {bound})")
 
 
-def validate_metrics(doc):
-    if not isinstance(doc, dict):
-        fail("metrics: top level is not an object")
-    counters = check_type(doc, "counters", dict, "metrics")
-    gauges = check_type(doc, "gauges", dict, "metrics")
-    histograms = check_type(doc, "histograms", dict, "metrics")
-    for name, v in counters.items():
-        if not isinstance(v, int) or v < 0:
-            fail(f"metrics: counter '{name}' is not a non-negative int")
-    for name, v in gauges.items():
-        if not isinstance(v, int):
-            fail(f"metrics: gauge '{name}' is not an int")
-    for name, h in histograms.items():
-        ctx = f"metrics: histogram '{name}'"
-        for field in ("count", "sum", "max", "p50", "p90", "p99"):
-            v = check_type(h, field, int, ctx)
-            if v < 0:
-                fail(f"{ctx}: negative {field}")
-        if not h["p50"] <= h["p90"] <= h["p99"] <= h["max"]:
-            fail(f"{ctx}: percentiles not ordered")
-        if h["count"] == 0 and (h["sum"] or h["max"]):
-            fail(f"{ctx}: empty histogram with nonzero sum/max")
-    return len(counters) + len(gauges) + len(histograms)
+def check_latency(obj, ctx):
+    """An ordered samples/p50/p99/p999/max block, microseconds."""
+    nonneg(obj, ("samples",), int, ctx)
+    vals = [need(obj, f, NUM, ctx) for f in LATENCY]
+    if vals[0] < 0 or vals != sorted(vals):
+        fail(f"{ctx}: percentiles not ordered")
+    if obj["samples"] == 0 and vals[-1]:
+        fail(f"{ctx}: empty summary with nonzero max")
 
 
-ADAPTIVE_POINT_FIELDS = {
-    "figure": str,
-    "share_factor": int,
-    "num_top": int,
-    "pr_update": (int, float),
-    "num_queries": int,
-    "oracle": str,
-    "oracle_io": (int, float),
-    "adaptive_io": (int, float),
-    "regret": (int, float),
-    "dominant_plan": str,
-}
+def check_io_by_tag(p, ctx):
+    """The exact-sum invariant: per-tag pages sum to io_total."""
+    total = need(p, "io_total", int, ctx)
+    for tag, n in need(p, "io_by_tag", dict, ctx).items():
+        if tag not in IO_TAGS or type(n) is not int or n <= 0:
+            fail(f"{ctx}: io_by_tag['{tag}'] must be a known tag with a "
+                 "positive int")
+    if sum(p["io_by_tag"].values()) != total:
+        fail(f"{ctx}: io_by_tag does not sum to io_total — attribution "
+             "lost pages")
 
 
-def validate_adaptive(doc, max_regret):
-    import math
+def check_point(p, ctx):
+    """The measured fields any point may carry, each where present."""
+    for f in RATES:
+        if f in p and need(p, f, NUM, ctx) <= 0:
+            fail(f"{ctx}: non-positive {f}")
+    if all(f in p for f in RATES) and p["queries_per_sec"] < \
+            p["retrieves_per_sec"]:
+        fail(f"{ctx}: retrieves exceed total queries")
+    if "p50_us" in p:
+        check_latency(p, ctx)
+    nonneg(p, {"avg_io_per_query", "workers"} & set(p), NUM, ctx)
+    if p.get("threads", 1) <= 0 or p.get("seconds", 1) <= 0 or \
+            not 0 <= p.get("pr_update", 0) <= 1 or \
+            not 0 <= p.get("seq_read_pct", 0) <= 100:
+        fail(f"{ctx}: threads, seconds, pr_update or seq_read_pct out of "
+             "range")
+    if "io_by_tag" in p:
+        check_io_by_tag(p, ctx)
 
-    if not isinstance(doc, dict):
-        fail("adaptive: top level is not an object")
-    if check_type(doc, "bench", str, "adaptive") != "adaptive_regret":
-        fail("adaptive: bench field is not 'adaptive_regret'")
-    candidates = check_type(doc, "candidates", list, "adaptive")
-    if not candidates or not all(isinstance(c, str) for c in candidates):
-        fail("adaptive: candidates must be a non-empty list of names")
-    points = check_type(doc, "points", list, "adaptive")
-    if not points:
-        fail("adaptive: points is empty")
-    worst = 0.0
+
+def arm_ratios(points, num, den, bench):
+    """Pairs each `num` arm point with its `den` arm at the same other
+    coordinates; yields (point, num/den retrieve rate)."""
+    by_key = {}
     for p in points:
-        ctx = (f"point ({p.get('figure', '?')}, sf={p.get('share_factor', '?')}, "
-               f"top={p.get('num_top', '?')}, pr={p.get('pr_update', '?')})")
-        for field, types in ADAPTIVE_POINT_FIELDS.items():
-            check_type(p, field, types, ctx)
+        if p["arm"] not in (num, den):
+            fail(f"{bench}: unknown arm '{p['arm']}'")
+        key = tuple(sorted((k, v) for k, v in p.items()
+                           if k in BENCHES[bench][0] and k != "arm"))
+        by_key.setdefault(key, {})[p["arm"]] = p
+    for key, arms in by_key.items():
+        if set(arms) != {num, den}:
+            fail(f"{bench} point {dict(key)}: needs both arms {num}/{den}")
+        yield arms[num], (arms[num]["retrieves_per_sec"] /
+                          arms[den]["retrieves_per_sec"])
+
+
+def gates_adaptive(doc):
+    candidates = need(doc["config"], "candidates", list, "config")
+    for p in doc["points"]:
+        ctx = (f"point ({p['figure']}, sf={p['share_factor']}, "
+               f"top={p['num_top']}, pr={p['pr_update']})")
         if p["figure"] not in ("fig3", "fig4", "fig5"):
             fail(f"{ctx}: unknown figure '{p['figure']}'")
         if p["oracle"] not in candidates:
             fail(f"{ctx}: oracle '{p['oracle']}' not in candidates")
-        if p["num_queries"] <= 0:
-            fail(f"{ctx}: non-positive num_queries")
-        if not 0 <= p["pr_update"] <= 1:
-            fail(f"{ctx}: pr_update out of [0, 1]")
-        if p["oracle_io"] <= 0 or p["adaptive_io"] < 0:
-            fail(f"{ctx}: nonsensical I/O figures")
-        regret = p["regret"]
-        if not math.isfinite(regret) or regret < 0:
-            fail(f"{ctx}: regret must be finite and >= 0, got {regret}")
-        expect = max(0.0, p["adaptive_io"] - p["oracle_io"]) / \
+        if p["num_queries"] <= 0 or p["oracle_io"] <= 0 or \
+                p["adaptive_io"] < 0:
+            fail(f"{ctx}: nonsensical query count or I/O figures")
+        regret = max(0.0, p["adaptive_io"] - p["oracle_io"]) / \
             max(p["oracle_io"], 1.0)
-        if abs(regret - expect) > 1e-4:
-            fail(f"{ctx}: regret {regret:.6f} inconsistent with I/O figures "
-                 f"(expected {expect:.6f})")
-        worst = max(worst, regret)
-        if max_regret is not None and regret > max_regret:
-            fail(f"{ctx}: regret {100 * regret:.1f}% exceeds the "
-                 f"{100 * max_regret:.0f}% bound (oracle {p['oracle']} "
-                 f"{p['oracle_io']:.1f} vs adaptive {p['adaptive_io']:.1f})")
-    for field in ("max_regret", "mean_regret"):
-        v = check_type(doc, field, (int, float), "adaptive")
-        if not math.isfinite(v) or v < 0:
-            fail(f"adaptive: {field} must be finite and >= 0")
-    if abs(doc["max_regret"] - worst) > 1e-4:
-        fail("adaptive: max_regret does not match the worst point")
-    return len(points), worst
+        gate("adaptive_regret: worst regret", regret, ctx)
 
 
-# Scale-out-efficiency floors by shard count (the acceptance bounds for
-# bench/shard_scaling). Only points actually present are held to them.
-SHARD_SCALEOUT_FLOORS = {2: 1.6, 4: 2.5}
-
-
-def validate_shard(doc):
-    if not isinstance(doc, dict):
-        fail("shard: top level is not an object")
-    if check_type(doc, "bench", str, "shard") != "shard_scaling":
-        fail("shard: bench field is not 'shard_scaling'")
-    check_type(doc, "strategy", str, "shard")
-    if check_type(doc, "clients", int, "shard") <= 0:
-        fail("shard: non-positive clients")
-    if check_type(doc, "duration_seconds", (int, float), "shard") <= 0:
-        fail("shard: non-positive duration")
-    if check_type(doc, "io_latency_us", int, "shard") < 0:
-        fail("shard: negative io_latency_us")
-    points = check_type(doc, "points", list, "shard")
-    if not points:
-        fail("shard: points is empty")
-    base_rps = None
-    prev_shards = 0
+def gates_shard(doc):
+    points = doc["points"]
+    if [p["shards"] for p in points] != sorted(p["shards"] for p in points) \
+            or points[0]["shards"] != 1:
+        fail("shard_scaling: shard counts must increase from the 1-shard "
+             "baseline")
+    base = points[0]["retrieves_per_sec"]
     for p in points:
-        ctx = f"shard point {p.get('shards', '?')}"
-        shards = check_type(p, "shards", int, ctx)
-        rps = check_type(p, "retrieves_per_sec", (int, float), ctx)
-        qps = check_type(p, "queries_per_sec", (int, float), ctx)
-        scaleout = check_type(p, "scaleout", (int, float), ctx)
-        if shards <= prev_shards:
-            fail(f"{ctx}: shard counts must be unique and increasing")
-        prev_shards = shards
-        if rps <= 0 or qps < rps:
-            fail(f"{ctx}: nonsensical throughput figures")
-        if base_rps is None:
-            if shards != 1:
-                fail("shard: first point is not the 1-shard baseline")
-            if abs(scaleout - 1.0) > 1e-6:
-                fail("shard: baseline scaleout is not 1")
-            base_rps = rps
-        expect = rps / base_rps
-        if abs(scaleout - expect) > max(1e-3, 1e-3 * expect):
-            fail(f"{ctx}: scaleout {scaleout:.3f} inconsistent with "
-                 f"throughput (expected {expect:.3f})")
-        floor = SHARD_SCALEOUT_FLOORS.get(shards)
-        if floor is not None and scaleout < floor:
-            fail(f"{ctx}: scaleout {scaleout:.2f}x is below the {floor}x "
-                 f"floor ({rps:.0f} vs baseline {base_rps:.0f} retrieves/s)")
-    return points
+        row = f"shard_scaling: scaleout at {p['shards']} shards"
+        if row in FLOORS:
+            gate(row, p["retrieves_per_sec"] / base,
+                 f"shard point {p['shards']}")
 
 
-# The MVCC acceptance floor (bench/mvcc_contention): at >= 8 threads and
-# Pr(UPDATE) = 0.3, snapshot execution must retrieve at >= 2x the 2PL
-# rate. A --quick run sweeps below that point, so the floor binds only on
-# the committed full-sweep JSON.
-MVCC_SPEEDUP_FLOOR = 2.0
-MVCC_FLOOR_THREADS = 8
-MVCC_FLOOR_PR_UPDATE = 0.3
-
-MVCC_POINT_FIELDS = {
-    "threads": int,
-    "pr_update": (int, float),
-    "twopl_retrieves_per_sec": (int, float),
-    "twopl_queries_per_sec": (int, float),
-    "mvcc_retrieves_per_sec": (int, float),
-    "mvcc_queries_per_sec": (int, float),
-    "retrieve_speedup": (int, float),
-}
+def gates_mvcc(doc):
+    for p, ratio in arm_ratios(doc["points"], "mvcc", "2pl",
+                               "mvcc_contention"):
+        if p["threads"] >= 8 and abs(p["pr_update"] - 0.3) < 1e-6:
+            gate("mvcc_contention: mvcc/2pl at >=8 threads, pr_update 0.3",
+                 ratio, f"mvcc point {p['threads']} threads")
 
 
-def validate_mvcc(doc):
-    if not isinstance(doc, dict):
-        fail("mvcc: top level is not an object")
-    if check_type(doc, "bench", str, "mvcc") != "mvcc_contention":
-        fail("mvcc: bench field is not 'mvcc_contention'")
-    check_type(doc, "strategy", str, "mvcc")
-    if check_type(doc, "duration_seconds", (int, float), "mvcc") <= 0:
-        fail("mvcc: non-positive duration")
-    if check_type(doc, "io_latency_us", int, "mvcc") < 0:
-        fail("mvcc: negative io_latency_us")
-    points = check_type(doc, "points", list, "mvcc")
-    if not points:
-        fail("mvcc: points is empty")
-    seen = set()
-    floor_points = 0
-    for p in points:
-        ctx = (f"mvcc point ({p.get('threads', '?')} threads, "
-               f"pr={p.get('pr_update', '?')})")
-        for field, types in MVCC_POINT_FIELDS.items():
-            check_type(p, field, types, ctx)
-        if p["threads"] <= 0:
-            fail(f"{ctx}: non-positive threads")
-        if not 0 <= p["pr_update"] <= 1:
-            fail(f"{ctx}: pr_update out of [0, 1]")
-        key = (p["threads"], round(p["pr_update"], 6))
-        if key in seen:
-            fail(f"{ctx}: duplicate sweep point")
-        seen.add(key)
-        for field in ("twopl_retrieves_per_sec", "mvcc_retrieves_per_sec"):
-            if p[field] <= 0:
-                fail(f"{ctx}: non-positive {field}")
-        for mode in ("twopl", "mvcc"):
-            if p[f"{mode}_queries_per_sec"] < p[f"{mode}_retrieves_per_sec"]:
-                fail(f"{ctx}: {mode} retrieves exceed total queries")
-        expect = p["mvcc_retrieves_per_sec"] / p["twopl_retrieves_per_sec"]
-        if abs(p["retrieve_speedup"] - expect) > max(1e-3, 1e-3 * expect):
-            fail(f"{ctx}: retrieve_speedup {p['retrieve_speedup']:.3f} "
-                 f"inconsistent with throughput (expected {expect:.3f})")
-        if (p["threads"] >= MVCC_FLOOR_THREADS and
-                abs(p["pr_update"] - MVCC_FLOOR_PR_UPDATE) < 1e-6):
-            floor_points += 1
-            if p["retrieve_speedup"] < MVCC_SPEEDUP_FLOOR:
-                fail(f"{ctx}: retrieve speedup {p['retrieve_speedup']:.2f}x "
-                     f"is below the {MVCC_SPEEDUP_FLOOR}x floor "
-                     f"({p['mvcc_retrieves_per_sec']:.0f} vs "
-                     f"{p['twopl_retrieves_per_sec']:.0f} retrieves/s)")
-    return points, floor_points
-
-
-# The read-concurrency acceptance floor (bench/read_concurrency): at
-# >= 8 threads the coalesced overlapped miss path must retrieve at >= 3x
-# the serialized baseline (miss I/O held under evict_mu_). A --quick run
-# sweeps below that point, so the floor binds only on the committed
-# full-sweep JSON.
-READCONC_SPEEDUP_FLOOR = 3.0
-READCONC_FLOOR_THREADS = 8
-
-READCONC_POINT_FIELDS = {
-    "threads": int,
-    "serialized_retrieves_per_sec": (int, float),
-    "concurrent_retrieves_per_sec": (int, float),
-    "speedup": (int, float),
-}
-
-
-def validate_readconc(doc):
-    if not isinstance(doc, dict):
-        fail("readconc: top level is not an object")
-    if check_type(doc, "bench", str, "readconc") != "read_concurrency":
-        fail("readconc: bench field is not 'read_concurrency'")
-    check_type(doc, "strategy", str, "readconc")
-    if check_type(doc, "duration_seconds", (int, float), "readconc") <= 0:
-        fail("readconc: non-positive duration")
-    if check_type(doc, "io_latency_us", int, "readconc") < 0:
-        fail("readconc: negative io_latency_us")
-    points = check_type(doc, "points", list, "readconc")
-    if not points:
-        fail("readconc: points is empty")
-    seen = set()
-    floor_points = 0
-    for p in points:
-        ctx = f"readconc point ({p.get('threads', '?')} threads)"
-        for field, types in READCONC_POINT_FIELDS.items():
-            check_type(p, field, types, ctx)
-        if p["threads"] <= 0:
-            fail(f"{ctx}: non-positive threads")
-        if p["threads"] in seen:
-            fail(f"{ctx}: duplicate sweep point")
-        seen.add(p["threads"])
-        for field in ("serialized_retrieves_per_sec",
-                      "concurrent_retrieves_per_sec"):
-            if p[field] <= 0:
-                fail(f"{ctx}: non-positive {field}")
-        expect = (p["concurrent_retrieves_per_sec"] /
-                  p["serialized_retrieves_per_sec"])
-        if abs(p["speedup"] - expect) > max(1e-3, 1e-3 * expect):
-            fail(f"{ctx}: speedup {p['speedup']:.3f} inconsistent with "
-                 f"throughput (expected {expect:.3f})")
-        if p["threads"] >= READCONC_FLOOR_THREADS:
-            floor_points += 1
-            if p["speedup"] < READCONC_SPEEDUP_FLOOR:
-                fail(f"{ctx}: speedup {p['speedup']:.2f}x is below the "
-                     f"{READCONC_SPEEDUP_FLOOR}x floor "
-                     f"({p['concurrent_retrieves_per_sec']:.0f} vs "
-                     f"{p['serialized_retrieves_per_sec']:.0f} retrieves/s)")
-    return points, floor_points
+def gates_readconc(doc):
+    for p, ratio in arm_ratios(doc["points"], "overlapped", "serialized",
+                               "read_concurrency"):
+        if p["threads"] >= 8:
+            gate("read_concurrency: overlapped/serialized at >=8 threads",
+                 ratio, f"readconc point {p['threads']} threads")
 
 
 def check_profile_io(io, ctx):
-    """One RetrieveProfile I/O block: known tags, positive entries, and
-    per-tag reads/writes summing exactly to the block's totals."""
-    total_reads = check_type(io, "total_reads", int, ctx)
-    total_writes = check_type(io, "total_writes", int, ctx)
-    if total_reads < 0 or total_writes < 0:
-        fail(f"{ctx}: negative totals")
-    tags = check_type(io, "tags", dict, ctx)
-    sum_reads = sum_writes = 0
-    for tag, entry in tags.items():
-        if tag not in IO_TAGS:
-            fail(f"{ctx}: unknown tag '{tag}'")
-        r = check_type(entry, "reads", int, f"{ctx} tag {tag}")
-        w = check_type(entry, "writes", int, f"{ctx} tag {tag}")
-        if r < 0 or w < 0 or (r == 0 and w == 0):
-            fail(f"{ctx}: tag '{tag}' entries must be non-negative and "
-                 "nonzero (zero tags are omitted)")
-        sum_reads += r
-        sum_writes += w
-    if sum_reads != total_reads or sum_writes != total_writes:
-        fail(f"{ctx}: tags sum to {sum_reads}r/{sum_writes}w but totals "
-             f"claim {total_reads}r/{total_writes}w — attribution lost pages")
+    """The exact-sum invariant of one RetrieveProfile I/O block: per-tag
+    reads/writes sum to the block's totals."""
+    totals = [need(io, f, int, ctx) for f in ("total_reads", "total_writes")]
+    sums = [0, 0]
+    for tag, entry in need(io, "tags", dict, ctx).items():
+        rw = [need(entry, f, int, f"{ctx} tag {tag}")
+              for f in ("reads", "writes")]
+        if tag not in IO_TAGS or min(rw) < 0 or max(rw) == 0:
+            fail(f"{ctx}: tag '{tag}' must be known, non-negative, nonzero")
+        sums = [a + b for a, b in zip(sums, rw)]
+    if sums != totals:
+        fail(f"{ctx}: profile tags sum to {sums[0]}r/{sums[1]}w but totals "
+             f"claim {totals[0]}r/{totals[1]}w — attribution lost pages")
 
 
-def validate_profile(p, ctx):
-    for field in ("trace_id", "total_us", "lock_wait_us", "commit_wait_us",
-                  "cache_hits", "cache_misses", "rows"):
-        if check_type(p, field, int, ctx) < 0:
-            fail(f"{ctx}: negative {field}")
-    check_type(p, "verb", str, ctx)
-    check_type(p, "plan", int, ctx)
-    check_profile_io(check_type(p, "io", dict, ctx), f"{ctx} io")
-    shards = check_type(p, "shards", list, ctx)
-    seen = set()
+def gates_obs(doc):
+    rates = {p["arm"]: p["retrieves_per_sec"] for p in doc["points"]}
+    if sorted(rates) != ["off", "on"] or len(doc["points"]) != 2:
+        fail("obs_overhead: needs exactly one 'off' and one 'on' point")
+    gate("obs_overhead: overhead %",
+         100.0 * (rates["off"] - rates["on"]) / rates["off"], "obs")
+    extra = need(doc, "extra", dict, "obs")
+    prof = need(extra, "profile", dict, "obs extra")
+    nonneg(prof, ("trace_id", "total_us", "lock_wait_us", "commit_wait_us",
+                  "cache_hits", "cache_misses", "rows"), int, "obs profile")
+    need(prof, "verb", str, "obs profile")
+    check_profile_io(need(prof, "io", dict, "obs profile"), "obs profile io")
+    shards = need(prof, "shards", list, "obs profile")
     for s in shards:
-        sctx = f"{ctx} shard {s.get('shard', '?')}"
-        k = check_type(s, "shard", int, sctx)
-        if k in seen:
-            fail(f"{sctx}: duplicate shard slice")
-        seen.add(k)
-        if check_type(s, "us", int, sctx) < 0:
-            fail(f"{sctx}: negative us")
-        check_profile_io(check_type(s, "io", dict, sctx), sctx)
-
-
-def validate_obs(doc, max_overhead):
-    if not isinstance(doc, dict):
-        fail("obs: top level is not an object")
-    if check_type(doc, "bench", str, "obs") != "obs_overhead":
-        fail("obs: bench field is not 'obs_overhead'")
-    if check_type(doc, "threads", int, "obs") <= 0:
-        fail("obs: non-positive threads")
-    if check_type(doc, "duration_seconds", (int, float), "obs") <= 0:
-        fail("obs: non-positive duration")
-    baseline = check_type(doc, "baseline_rps", (int, float), "obs")
-    enabled = check_type(doc, "enabled_rps", (int, float), "obs")
-    if baseline <= 0 or enabled <= 0:
-        fail("obs: non-positive throughput")
-    overhead = check_type(doc, "overhead_pct", (int, float), "obs")
-    expect = 100.0 * (baseline - enabled) / baseline
-    if abs(overhead - expect) > max(0.01, 1e-3 * abs(expect)):
-        fail(f"obs: overhead_pct {overhead:.3f} inconsistent with "
-             f"throughput figures (expected {expect:.3f})")
-    if max_overhead is not None and overhead > max_overhead:
-        fail(f"obs: enabled-tracing overhead {overhead:.2f}% exceeds the "
-             f"{max_overhead:.0f}% bound ({enabled:.0f} vs baseline "
-             f"{baseline:.0f} retrieves/s)")
-    validate_profile(check_type(doc, "profile", dict, "obs"), "obs profile")
-    heat = check_type(doc, "heat", dict, "obs")
-    if check_type(heat, "touches", int, "obs heat") <= 0:
+        sctx = f"obs profile shard {s.get('shard', '?')} (per-shard)"
+        nonneg(s, ("shard", "us"), int, sctx)
+        check_profile_io(need(s, "io", dict, sctx), sctx)
+    if len({s["shard"] for s in shards}) != len(shards):
+        fail("obs profile: duplicate shard slice")
+    heat = need(extra, "heat", dict, "obs extra")
+    if need(heat, "touches", int, "obs heat") <= 0:
         fail("obs heat: the tracked run recorded no touches")
-    tops = check_type(heat, "top_parents", list, "obs heat")
-    if not tops:
-        fail("obs heat: top_parents is empty")
-    prev = None
-    for t in tops:
-        ctx = f"obs heat parent {t.get('parent', '?')}"
-        check_type(t, "parent", int, ctx)
-        h = check_type(t, "heat", (int, float), ctx)
-        if h < 0:
-            fail(f"{ctx}: negative heat")
-        if prev is not None and h > prev + 1e-9:
-            fail("obs heat: top_parents not sorted by heat")
-        prev = h
-    return overhead
+    heats = [need(t, "heat", NUM, "obs heat parent")
+             for t in need(heat, "top_parents", list, "obs heat")]
+    if not heats or min(heats) < 0 or heats != sorted(heats, reverse=True):
+        fail("obs heat: top_parents must be non-empty, non-negative and "
+             "sorted by heat")
 
 
-NET_VERBS = ("RETRIEVE", "UPDATE", "PING")
-
-
-def check_percentiles(obj, ctx):
-    """Validates an ordered count/p50/p99/p999/max summary block."""
-    for field in ("count", "p50_us", "p99_us", "p999_us", "max_us"):
-        v = check_type(obj, field, int, ctx)
-        if v < 0:
-            fail(f"{ctx}: negative {field}")
-    if not obj["p50_us"] <= obj["p99_us"] <= obj["p999_us"] <= obj["max_us"]:
-        fail(f"{ctx}: percentiles not ordered")
-    if obj["count"] == 0 and obj["max_us"]:
-        fail(f"{ctx}: empty summary with nonzero max")
-
-
-def validate_net(doc, min_connections):
-    if not isinstance(doc, dict):
-        fail("net: top level is not an object")
-    if check_type(doc, "bench", str, "net") != "net_loopback":
-        fail("net: bench field is not 'net_loopback'")
-    connections = check_type(doc, "connections", int, "net")
-    if connections < min_connections:
-        fail(f"net: only {connections} connections — the capacity floor "
-             f"is {min_connections} (pass --min-connections for quick runs)")
-    for field in ("client_procs", "server_workers"):
-        if check_type(doc, field, int, "net") <= 0:
-            fail(f"net: non-positive {field}")
-
-    steady = check_type(doc, "steady", dict, "net")
-    if check_type(steady, "seconds", (int, float), "net steady") <= 0:
-        fail("net steady: non-positive seconds")
-    if check_type(steady, "throughput_rps", (int, float), "net steady") <= 0:
-        fail("net steady: non-positive throughput")
-    if check_type(steady, "requests_ok", int, "net steady") <= 0:
-        fail("net steady: no successful requests")
-    if check_type(steady, "busy", int, "net steady") != 0:
-        fail("net steady: shed load despite a provisioned budget")
-    if check_type(steady, "max_inflight", int, "net steady") < connections:
+def gates_net(doc):
+    conns = need(doc["config"], "connections", int, "net config")
+    gate("net_loopback: connections (quick)" if doc["quick"]
+         else "net_loopback: connections", conns, "net")
+    verbs = {p["verb"]: p for p in doc["points"]}
+    if sorted(verbs) != ["PING", "RETRIEVE", "UPDATE"] or \
+            len(doc["points"]) != 3 or min(p["samples"] for p in
+                                           doc["points"]) == 0:
+        fail("net: needs one point with samples per RETRIEVE/UPDATE/PING")
+    steady, overload, server = (need(need(doc, "extra", dict, "net"), k,
+                                     dict, "net extra")
+                                for k in ("steady", "overload", "server"))
+    if min(need(steady, f, NUM, "net steady") for f in
+           ("seconds", "throughput_rps", "requests_ok")) <= 0:
+        fail("net steady: non-positive seconds, throughput or requests_ok")
+    if need(steady, "max_inflight", int, "net steady") < conns:
         fail("net steady: budget below the connection count — the phase "
              "was not actually unshedded")
-    verbs = check_type(steady, "verbs", dict, "net steady")
-    for name in NET_VERBS:
-        if name not in verbs:
-            fail(f"net steady: verb '{name}' missing")
-        check_percentiles(verbs[name], f"net steady verb {name}")
-        if verbs[name]["count"] == 0:
-            fail(f"net steady: verb '{name}' has no samples")
-    for name in verbs:
-        if name not in NET_VERBS:
-            fail(f"net steady: unknown verb '{name}'")
-
-    overload = check_type(doc, "overload", dict, "net")
-    if check_type(overload, "seconds", (int, float), "net overload") <= 0:
-        fail("net overload: non-positive seconds")
-    budget = check_type(overload, "max_inflight", int, "net overload")
-    if not 0 < budget < connections:
-        fail("net overload: budget was not an overload "
-             f"({budget} vs {connections} connections)")
-    if check_type(overload, "busy_rejections", int, "net overload") <= 0:
-        fail("net overload: no SERVER_BUSY rejections — admission control "
-             "never engaged")
-    admitted = check_type(overload, "admitted", dict, "net overload")
-    check_percentiles(admitted, "net overload admitted")
-    if admitted["count"] <= 0:
-        fail("net overload: nothing was admitted — that is collapse, "
-             "not shedding")
-    # The shedding contract: the few admitted requests must be served at
-    # least as fast as the unshedded steady closed loop (2x slack for
-    # measurement noise; 20ms floor so near-idle quick runs don't flap).
-    bound = max(2 * verbs["RETRIEVE"]["p99_us"], 20000)
-    if admitted["p99_us"] > bound:
-        fail(f"net overload: admitted p99 {admitted['p99_us']}us exceeds "
-             f"the {bound}us bound — shedding is not keeping admitted "
-             "latency bounded")
-
-    server = check_type(doc, "server", dict, "net")
-    for field in ("accepted", "requests_admitted", "responses",
-                  "busy_rejected", "bad_frames"):
-        if check_type(server, field, int, "net server") < 0:
-            fail(f"net server: negative {field}")
-    if server["accepted"] < connections:
+    gate("net_loopback: steady busy", need(steady, "busy", int, "net steady"),
+         "net steady")
+    if need(overload, "seconds", NUM, "net overload") <= 0 or \
+            not 0 < need(overload, "max_inflight", int, "net overload") < conns:
+        fail("net overload: non-positive seconds or not an overload budget")
+    gate("net_loopback: overload busy_rejections",
+         need(overload, "busy_rejections", int, "net overload"),
+         "net overload")
+    admitted = need(overload, "admitted", dict, "net overload")
+    check_latency(admitted, "net overload admitted")
+    gate("net_loopback: overload admitted", admitted["samples"],
+         "net overload")
+    gate("net_loopback: admitted p99 / max(steady p99, 10 ms)",
+         admitted["p99_us"] / max(verbs["RETRIEVE"]["p99_us"], 10000),
+         "net overload")
+    nonneg(server, ("accepted", "requests_admitted", "responses",
+                    "busy_rejected", "bad_frames"), int, "net server")
+    if server["accepted"] < conns:
         fail("net server: accepted fewer connections than the bench claims")
-    if server["bad_frames"] != 0:
-        fail("net server: bad frames on a clean loopback run")
-    return doc
+    gate("net_loopback: bad frames", server["bad_frames"], "net server")
 
 
-def check_netload_summary(obj, ctx):
-    """Validates one net_load client/latency summary block."""
-    for field in ("clients", "connected", "ok", "busy", "rejected",
-                  "transport_errors", "p50_us", "p99_us", "p999_us",
-                  "max_us"):
-        if check_type(obj, field, int, ctx) < 0:
-            fail(f"{ctx}: negative {field}")
-    if obj["connected"] > obj["clients"]:
-        fail(f"{ctx}: more connections than clients")
-    if not obj["p50_us"] <= obj["p99_us"] <= obj["p999_us"] <= obj["max_us"]:
-        fail(f"{ctx}: percentiles not ordered")
+# bench -> (sweep coordinates, required measured fields, gates)
+BENCHES = {
+    "io_pipeline": (
+        {"strategy": str, "prefetch": bool, "workers": int},
+        {"seconds": NUM, "queries_per_sec": NUM, "avg_io_per_query": NUM,
+         "seq_read_pct": NUM, "io_total": int, "io_by_tag": dict}, None),
+    "adaptive_regret": (
+        {"figure": str, "share_factor": int, "num_top": int,
+         "pr_update": NUM},
+        {"num_queries": int, "oracle": str, "oracle_io": NUM,
+         "adaptive_io": NUM, "dominant_plan": str}, gates_adaptive),
+    "shard_scaling": ({"shards": int}, {"retrieves_per_sec": NUM,
+                                        "queries_per_sec": NUM}, gates_shard),
+    "mvcc_contention": ({"threads": int, "pr_update": NUM, "arm": str},
+                        {"retrieves_per_sec": NUM}, gates_mvcc),
+    "read_concurrency": ({"threads": int, "arm": str},
+                         {"retrieves_per_sec": NUM}, gates_readconc),
+    "obs_overhead": ({"arm": str}, {"retrieves_per_sec": NUM}, gates_obs),
+    "net_loopback": ({"verb": str}, {"samples": int}, gates_net),
+    "throughput_scaling": ({"strategy": str, "threads": int},
+                           {"queries_per_sec": NUM}, None),
+}
 
 
-def validate_netload(doc):
-    """tools/net_load --json dump: overall + per-endpoint percentiles."""
-    if not isinstance(doc, dict):
-        fail("netload: top level is not an object")
-    if check_type(doc, "bench", str, "netload") != "net_load":
-        fail("netload: bench field is not 'net_load'")
-    if check_type(doc, "duration_s", (int, float), "netload") <= 0:
-        fail("netload: non-positive duration")
-    if check_type(doc, "throughput_rps", (int, float), "netload") < 0:
-        fail("netload: negative throughput")
-    overall = check_type(doc, "overall", dict, "netload")
-    check_netload_summary(overall, "netload overall")
-    if overall["ok"] <= 0:
-        fail("netload: no successful requests")
-    if overall["transport_errors"] != 0:
-        fail("netload: transport errors on the run")
-    endpoints = check_type(doc, "endpoints", list, "netload")
-    if not endpoints:
-        fail("netload: endpoints is empty")
-    for e in endpoints:
-        ctx = f"netload endpoint {e.get('host', '?')}:{e.get('port', '?')}"
-        check_type(e, "host", str, ctx)
-        check_type(e, "port", int, ctx)
-        check_netload_summary(e, ctx)
-    if sum(e["ok"] for e in endpoints) != overall["ok"]:
+def coords(doc, p):
+    return tuple(p[k] for k in BENCHES[doc["bench"]][0])
+
+
+def check_envelope(doc, path):
+    bench = need(doc, "bench", str, "envelope")
+    if bench not in BENCHES:
+        fail(f"unknown bench '{bench}'")
+    quick = need(doc, "quick", bool, "envelope")
+    name = os.path.basename(path)
+    if name.startswith("BENCH_") and (name != f"BENCH_{bench}.json" or quick):
+        fail(f"{name}: a committed baseline must be BENCH_{bench}.json from "
+             "a full run, not --quick")
+    nonneg(need(doc, "device", dict, "envelope"),
+           ("io_latency_us", "io_transfer_us"), int, "device")
+    need(doc, "config", dict, "envelope")
+    if "extra" in doc:
+        need(doc, "extra", dict, "envelope")
+    points = need(doc, "points", list, "envelope")
+    if not points:
+        fail("points is empty")
+    coord_fields, measured, gates = BENCHES[bench]
+    for p in points:
+        ctx = f"{bench} point {p}"[:120]
+        for f, t in {**coord_fields, **measured}.items():
+            need(p, f, t, ctx)
+        check_point(p, ctx)
+    if len({coords(doc, p) for p in points}) != len(points):
+        fail(f"{bench}: duplicate sweep point")
+    if gates:
+        gates(doc)
+    return f"{bench} envelope OK ({len(points)} points)"
+
+
+def compare(cur, base, tolerance):
+    if cur["bench"] != base["bench"]:
+        fail(f"baseline is bench '{base['bench']}', run is '{cur['bench']}'")
+    row = ("net_loopback baseline: rate drop / p99 growth %"
+           if cur["bench"] == "net_loopback"
+           else "baseline: rate drop / p99 growth %")
+    by_key = {coords(base, p): p for p in base["points"]}
+    pairs = [(f"point {coords(cur, p)}", p, by_key[coords(cur, p)])
+             for p in cur["points"] if coords(cur, p) in by_key]
+    if not pairs:
+        fail("no sweep point in common with the baseline")
+    c_extra, b_extra = cur.get("extra", {}), base.get("extra", {})
+    if "steady" in c_extra and "steady" in b_extra:
+        pairs.append(("steady", c_extra["steady"], b_extra["steady"]))
+    for ctx, c, b in pairs:
+        ctx += " vs baseline"
+        if b.get("avg_io_per_query", 0) > 0 and "avg_io_per_query" in c:
+            gate("baseline: avg_io_per_query drift %", 100 * abs(
+                c["avg_io_per_query"] - b["avg_io_per_query"]) /
+                b["avg_io_per_query"], ctx)
+        for f in RATES + ("throughput_rps",):
+            if f in c and f in b:
+                gate(row, 100 * (b[f] - c[f]) / b[f], f"{ctx} {f}",
+                     tolerance)
+        if b.get("p99_us", 0) > 0 and "p99_us" in c:
+            gate(row, 100 * (c["p99_us"] - b["p99_us"]) / b["p99_us"],
+                 f"{ctx} p99_us", tolerance)
+    return f"{len(pairs)} comparisons within FLOORS[{row!r}] of the baseline"
+
+
+def check_metrics(doc):
+    counters = need(doc, "counters", dict, "metrics")
+    nonneg(counters, counters, int, "metrics counters")
+    gauges = need(doc, "gauges", dict, "metrics")
+    for name in gauges:
+        need(gauges, name, int, "metrics gauges")
+    for name, h in need(doc, "histograms", dict, "metrics").items():
+        ctx = f"metrics: histogram '{name}'"
+        vals = [need(h, f, int, ctx) for f in
+                ("count", "sum", "max", "p50", "p90", "p99")]
+        if min(vals) < 0 or not h["p50"] <= h["p90"] <= h["p99"] <= h["max"]:
+            fail(f"{ctx}: negative or unordered values")
+        if h["count"] == 0 and (h["sum"] or h["max"]):
+            fail(f"{ctx}: empty histogram with nonzero sum/max")
+    return "metrics dump OK"
+
+
+def check_netload(doc):
+    if need(doc, "duration_s", NUM, "netload") <= 0 or \
+            need(doc, "throughput_rps", NUM, "netload") < 0:
+        fail("netload: bad duration or throughput")
+    overall = need(doc, "overall", dict, "netload")
+    endpoints = need(doc, "endpoints", list, "netload")
+    for ctx, e in [("netload overall", overall)] + [
+            (f"netload endpoint {need(e, 'host', str, 'netload')}:"
+             f"{need(e, 'port', int, 'netload')}", e) for e in endpoints]:
+        nonneg(e, ("clients", "connected", "ok", "busy", "rejected",
+                   "transport_errors", "p50_us", "p99_us", "p999_us",
+                   "max_us"), int, ctx)
+        if e["connected"] > e["clients"] or not \
+                e["p50_us"] <= e["p99_us"] <= e["p999_us"] <= e["max_us"]:
+            fail(f"{ctx}: more connections than clients, or unordered "
+                 "percentiles")
+    if overall["ok"] <= 0 or overall["transport_errors"] != 0:
+        fail("netload: no successful requests, or transport errors")
+    if not endpoints or sum(e["ok"] for e in endpoints) != overall["ok"]:
         fail("netload: per-endpoint ok counts do not sum to overall")
-    return overall
+    return f"net_load dump OK ({overall['ok']} requests)"
 
 
-def compare_net(current, baseline, tolerance):
-    """Holds steady per-verb p99 and throughput to the baseline."""
-    checked = 0
-    worst = 0.0
-    for name in NET_VERBS:
-        base_p99 = baseline["steady"]["verbs"][name]["p99_us"]
-        cur_p99 = current["steady"]["verbs"][name]["p99_us"]
-        if base_p99 > 0:
-            growth = 100.0 * (cur_p99 - base_p99) / base_p99
-            worst = max(worst, growth)
-            checked += 1
-            if growth > tolerance:
-                fail(f"net: steady {name} p99 {cur_p99}us vs baseline "
-                     f"{base_p99}us (+{growth:.1f}%, tolerance {tolerance}%)")
-    base_rps = baseline["steady"]["throughput_rps"]
-    cur_rps = current["steady"]["throughput_rps"]
-    drop = 100.0 * (base_rps - cur_rps) / base_rps
-    worst = max(worst, drop)
-    if drop > tolerance:
-        fail(f"net: throughput {cur_rps:.0f} rps vs baseline "
-             f"{base_rps:.0f} rps (-{drop:.1f}%, tolerance {tolerance}%)")
-    print(f"check_bench_json: net within {tolerance}% of baseline "
-          f"({checked} verbs + throughput, worst +{worst:.1f}%)")
+def load(path):
+    with open(path) as f:
+        doc = json.load(f)
+    return doc if isinstance(doc, dict) else fail("top level is not an object")
+
+
+def check_file(path, baseline=None, tolerance=None):
+    """Validates `path` (and compares it with `baseline`); returns a
+    summary line or raises CheckError."""
+    doc = load(path)
+    if "counters" in doc:
+        return check_metrics(doc)
+    if doc.get("bench") == "net_load":
+        return check_netload(doc)
+    summary = check_envelope(doc, path)
+    if baseline:
+        base = load(baseline)
+        check_envelope(base, baseline)
+        summary += "; " + compare(doc, base, tolerance)
+    return summary
 
 
 def main():
-    parser = argparse.ArgumentParser()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("file")
     parser.add_argument("--baseline")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="regression tolerance PCT (default 3, "
-                             "or 25 with --net)")
-    parser.add_argument("--net", action="store_true",
-                        help="FILE is a bench/net_loopback dump")
-    parser.add_argument("--min-connections", type=int, default=10000,
-                        help="capacity floor for --net (lower it for "
-                             "--quick bench runs)")
-    parser.add_argument("--metrics", action="store_true",
-                        help="FILE is a metrics-registry dump, not bench JSON")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="FILE is a bench/adaptive_regret dump")
-    parser.add_argument("--shard", action="store_true",
-                        help="FILE is a bench/shard_scaling dump")
-    parser.add_argument("--mvcc", action="store_true",
-                        help="FILE is a bench/mvcc_contention dump")
-    parser.add_argument("--readconc", action="store_true",
-                        help="FILE is a bench/read_concurrency dump")
-    parser.add_argument("--obs", action="store_true",
-                        help="FILE is a bench/obs_overhead dump")
-    parser.add_argument("--netload", action="store_true",
-                        help="FILE is a tools/net_load --json dump")
-    parser.add_argument("--max-regret", type=float, default=0.10,
-                        help="worst-point regret bound for --adaptive "
-                             "(fraction; negative disables the gate)")
-    parser.add_argument("--max-overhead", type=float, default=5.0,
-                        help="enabled-tracing overhead bound for --obs "
-                             "(percent; negative disables the gate)")
+    parser.add_argument("--tolerance", type=float,
+                        help="rate-drop / p99-growth bound PCT for "
+                             "--baseline (default: the bench's FLOORS row)")
     args = parser.parse_args()
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = 25.0 if args.net else 3.0
-
-    if args.net:
-        if args.metrics or args.adaptive:
-            fail("--net does not combine with --metrics/--adaptive")
-        with open(args.file) as f:
-            current = validate_net(json.load(f), args.min_connections)
-        print(f"check_bench_json: {args.file}: net schema OK "
-              f"({current['connections']} connections, "
-              f"{current['overload']['busy_rejections']} shed)")
-        if args.baseline:
-            with open(args.baseline) as f:
-                baseline = validate_net(json.load(f), args.min_connections)
-            compare_net(current, baseline, tolerance)
-        return
-
-    if args.shard:
-        if args.baseline or args.metrics or args.adaptive or args.net or \
-                args.mvcc:
-            fail("--shard does not combine with other modes")
-        with open(args.file) as f:
-            points = validate_shard(json.load(f))
-        peak = max(p["scaleout"] for p in points)
-        print(f"check_bench_json: {args.file}: shard schema OK "
-              f"({len(points)} points, peak scaleout {peak:.2f}x)")
-        return
-
-    if args.obs:
-        if args.baseline or args.metrics or args.adaptive or args.net or \
-                args.shard or args.mvcc:
-            fail("--obs does not combine with other modes")
-        bound = None if args.max_overhead < 0 else args.max_overhead
-        with open(args.file) as f:
-            overhead = validate_obs(json.load(f), bound)
-        print(f"check_bench_json: {args.file}: obs schema OK "
-              f"(enabled-tracing overhead {overhead:.2f}%)")
-        return
-
-    if args.netload:
-        if args.baseline or args.metrics or args.adaptive or args.net or \
-                args.shard or args.mvcc or args.obs:
-            fail("--netload does not combine with other modes")
-        with open(args.file) as f:
-            overall = validate_netload(json.load(f))
-        print(f"check_bench_json: {args.file}: netload schema OK "
-              f"({overall['ok']} requests, p99 {overall['p99_us']}us)")
-        return
-
-    if args.readconc:
-        if args.baseline or args.metrics or args.adaptive or args.net or \
-                args.shard or args.mvcc or args.obs or args.netload:
-            fail("--readconc does not combine with other modes")
-        with open(args.file) as f:
-            points, floor_points = validate_readconc(json.load(f))
-        peak = max(p["speedup"] for p in points)
-        print(f"check_bench_json: {args.file}: readconc schema OK "
-              f"({len(points)} points, {floor_points} at the floor, "
-              f"peak speedup {peak:.2f}x)")
-        return
-
-    if args.mvcc:
-        if args.baseline or args.metrics or args.adaptive or args.net or \
-                args.shard:
-            fail("--mvcc does not combine with other modes")
-        with open(args.file) as f:
-            points, floor_points = validate_mvcc(json.load(f))
-        peak = max(p["retrieve_speedup"] for p in points)
-        print(f"check_bench_json: {args.file}: mvcc schema OK "
-              f"({len(points)} points, {floor_points} at the floor, "
-              f"peak speedup {peak:.2f}x)")
-        return
-
-    if args.adaptive:
-        if args.baseline or args.metrics:
-            fail("--adaptive does not combine with --baseline/--metrics")
-        bound = None if args.max_regret < 0 else args.max_regret
-        with open(args.file) as f:
-            n, worst = validate_adaptive(json.load(f), bound)
-        print(f"check_bench_json: {args.file}: adaptive schema OK "
-              f"({n} points, max regret {100 * worst:.1f}%)")
-        return
-
-    if args.metrics:
-        if args.baseline:
-            fail("--metrics does not take a --baseline")
-        with open(args.file) as f:
-            n = validate_metrics(json.load(f))
-        print(f"check_bench_json: {args.file}: metrics schema OK "
-              f"({n} metrics)")
-        return
-
-    with open(args.file) as f:
-        current = validate(json.load(f))
-    print(f"check_bench_json: {args.file}: schema OK ({len(current)} runs)")
-
-    if args.baseline:
-        with open(args.baseline) as f:
-            baseline = validate(json.load(f))
-        compare(current, baseline, tolerance)
+    try:
+        print(f"check_bench_json: {args.file}: "
+              f"{check_file(args.file, args.baseline, args.tolerance)}")
+    except CheckError as e:
+        print(f"check_bench_json: FAIL: {args.file}: {e}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "core/experiment_config.h"
+#include "exec/concurrent_runner.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "obs/trace.h"
@@ -110,15 +111,9 @@ struct ClientResult {
   uint64_t busy = 0;
   uint64_t rejected = 0;  // SHUTTING_DOWN / BAD_REQUEST / ERROR
   uint64_t transport_errors = 0;
-  std::vector<uint64_t> latencies_us;  // OK responses only
+  std::vector<double> latencies_us;  // OK responses only
   bool connected = false;
 };
-
-uint64_t Percentile(std::vector<uint64_t>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  size_t idx = static_cast<size_t>(p * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
-}
 
 void ClientLoop(const LoadFlags& flags, const Endpoint& ep,
                 const DbShape& shape, uint64_t seed, std::atomic<bool>* stop,
@@ -167,7 +162,7 @@ void ClientLoop(const LoadFlags& flags, const Endpoint& ep,
     }
     if (resp.status == net::RespStatus::kOk) {
       out->ok++;
-      out->latencies_us.push_back(static_cast<uint64_t>(
+      out->latencies_us.push_back(static_cast<double>(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - t0)
               .count()));
@@ -255,7 +250,7 @@ struct EndpointSummary {
 EndpointSummary Summarize(const std::vector<ClientResult>& results,
                           size_t first, size_t stride) {
   EndpointSummary s;
-  std::vector<uint64_t> lat;
+  std::vector<double> lat;
   for (size_t i = first; i < results.size(); i += stride) {
     ++s.clients;
     if (results[i].connected) ++s.connected;
@@ -266,11 +261,11 @@ EndpointSummary Summarize(const std::vector<ClientResult>& results,
     lat.insert(lat.end(), results[i].latencies_us.begin(),
                results[i].latencies_us.end());
   }
-  std::sort(lat.begin(), lat.end());
-  s.p50 = Percentile(lat, 0.50);
-  s.p99 = Percentile(lat, 0.99);
-  s.p999 = Percentile(lat, 0.999);
-  s.max = lat.empty() ? 0 : lat.back();
+  const LatencySummary l = SummarizeLatencies(&lat);
+  s.p50 = static_cast<uint64_t>(l.p50_us);
+  s.p99 = static_cast<uint64_t>(l.p99_us);
+  s.p999 = static_cast<uint64_t>(l.p999_us);
+  s.max = static_cast<uint64_t>(l.max_us);
   return s;
 }
 
@@ -369,19 +364,7 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  ClientResult total;
-  total.connected = true;
-  std::vector<uint64_t> lat;
-  for (ClientResult& r : results) {
-    total.ok += r.ok;
-    total.busy += r.busy;
-    total.rejected += r.rejected;
-    total.transport_errors += r.transport_errors;
-    if (!r.connected) total.connected = false;
-    lat.insert(lat.end(), r.latencies_us.begin(), r.latencies_us.end());
-  }
-  std::sort(lat.begin(), lat.end());
-
+  const EndpointSummary total = Summarize(results, 0, 1);
   std::printf(
       "clients=%u duration=%.1fs ok=%llu busy=%llu rejected=%llu "
       "transport_errors=%llu\n",
@@ -392,33 +375,25 @@ int main(int argc, char** argv) {
   std::printf(
       "throughput=%.0f req/s  p50=%lluus p99=%lluus p999=%lluus max=%lluus\n",
       elapsed > 0 ? static_cast<double>(total.ok) / elapsed : 0.0,
-      static_cast<unsigned long long>(Percentile(lat, 0.50)),
-      static_cast<unsigned long long>(Percentile(lat, 0.99)),
-      static_cast<unsigned long long>(Percentile(lat, 0.999)),
-      static_cast<unsigned long long>(lat.empty() ? 0 : lat.back()));
+      static_cast<unsigned long long>(total.p50),
+      static_cast<unsigned long long>(total.p99),
+      static_cast<unsigned long long>(total.p999),
+      static_cast<unsigned long long>(total.max));
 
   // Per-endpoint accounting: with several servers, an unreachable or sick
   // member must not hide inside the aggregate.
   if (flags.endpoints.size() > 1) {
     for (size_t e = 0; e < flags.endpoints.size(); ++e) {
-      uint32_t clients = 0, connected = 0;
-      uint64_t ok = 0, busy = 0, rejected = 0, transport = 0;
-      for (size_t i = e; i < results.size(); i += flags.endpoints.size()) {
-        ++clients;
-        if (results[i].connected) ++connected;
-        ok += results[i].ok;
-        busy += results[i].busy;
-        rejected += results[i].rejected;
-        transport += results[i].transport_errors;
-      }
+      const EndpointSummary es =
+          Summarize(results, e, flags.endpoints.size());
       std::printf(
           "endpoint %s:%u clients=%u connected=%u ok=%llu busy=%llu "
           "rejected=%llu transport_errors=%llu\n",
-          flags.endpoints[e].host.c_str(), flags.endpoints[e].port, clients,
-          connected, static_cast<unsigned long long>(ok),
-          static_cast<unsigned long long>(busy),
-          static_cast<unsigned long long>(rejected),
-          static_cast<unsigned long long>(transport));
+          flags.endpoints[e].host.c_str(), flags.endpoints[e].port,
+          es.clients, es.connected, static_cast<unsigned long long>(es.ok),
+          static_cast<unsigned long long>(es.busy),
+          static_cast<unsigned long long>(es.rejected),
+          static_cast<unsigned long long>(es.transport_errors));
     }
   }
 
@@ -428,12 +403,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", flags.json_out.c_str());
       return 1;
     }
-    EndpointSummary overall = Summarize(results, 0, 1);
     out << "{\"bench\":\"net_load\",\"duration_s\":" << elapsed
         << ",\"throughput_rps\":"
         << (elapsed > 0 ? static_cast<double>(total.ok) / elapsed : 0.0)
         << ",\"overall\":{";
-    overall.WriteJson(out);
+    total.WriteJson(out);
     out << "},\"endpoints\":[";
     for (size_t e = 0; e < flags.endpoints.size(); ++e) {
       if (e > 0) out << ",";
@@ -462,5 +436,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return total.connected && total.ok > 0 ? 0 : 1;
+  return total.connected == total.clients && total.ok > 0 ? 0 : 1;
 }
