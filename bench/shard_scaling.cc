@@ -73,7 +73,10 @@ void RunSweep(StrategyKind kind, uint32_t clients, const BenchArgs& args) {
   const std::vector<uint32_t> shard_counts =
       args.quick ? std::vector<uint32_t>{1, 2}
                  : std::vector<uint32_t>{1, 2, 4, 8};
-  const Timing timing{args.duration * 0.25, args.duration, 1};
+  // Quick windows are short and noisy on a shared host: each --quick
+  // point is the median of 3 windows.
+  const Timing timing{args.duration * 0.25, args.duration,
+                      args.quick ? 3 : 1};
 
   Envelope env = MakeEnvelope("shard_scaling", args);
   AddTiming(&env.config, timing)

@@ -144,7 +144,7 @@ Status RunConcurrentWorkload(StrategyKind kind,
 
   Clock::time_point wall0 = Clock::now();
   {
-    ThreadPool pool(k);
+    ThreadPool pool(k, "threadpool");
     std::vector<std::future<void>> futures;
     futures.reserve(k);
     for (uint32_t w = 0; w < k; ++w) {

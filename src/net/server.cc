@@ -666,7 +666,7 @@ Status ObjServer::Start() {
   }
 
   im.pool = std::make_unique<ThreadPool>(
-      im.config.num_workers == 0 ? 1 : im.config.num_workers);
+      im.config.num_workers == 0 ? 1 : im.config.num_workers, "threadpool");
   im.loop_thread = std::thread([this] { impl_->Loop(); });
   return Status::OK();
 }

@@ -78,11 +78,13 @@ Response ObjService::Execute(const Request& req) {
                                          : DoUpdate(req, kind, &resp);
 
   if (collect) {
+    // Added to what fan-out helpers already merged in: their I/O and cache
+    // traffic never touched this thread's counters.
     collector.profile.total_us = Trace::NowMicros() - start_us;
-    collector.profile.io = CurrentThreadIoTags() - tags_before;
+    collector.profile.io += CurrentThreadIoTags() - tags_before;
     const IoThreadState& st = CurrentIoThreadState();
-    collector.profile.cache_hits = st.cache_hits - hits_before;
-    collector.profile.cache_misses = st.cache_misses - misses_before;
+    collector.profile.cache_hits += st.cache_hits - hits_before;
+    collector.profile.cache_misses += st.cache_misses - misses_before;
     collector.profile.rows = resp.values.size();
     scope.reset();
     SlowQueryRing::Global().MaybeRecord(collector.profile);

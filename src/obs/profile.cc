@@ -89,6 +89,16 @@ ProfileCollector* ProfileCollector::Current() {
   return CurrentCollectorRef();
 }
 
+void ProfileCollector::Merge(const RetrieveProfile& helper) {
+  for (const ShardProfile& s : helper.shards) AddShard(s.shard, s.us, s.io);
+  profile.lock_wait_us += helper.lock_wait_us;
+  profile.commit_wait_us += helper.commit_wait_us;
+  if (helper.plan >= 0) profile.plan = helper.plan;
+  profile.io += helper.io;
+  profile.cache_hits += helper.cache_hits;
+  profile.cache_misses += helper.cache_misses;
+}
+
 ProfileCollector::Scope::Scope(ProfileCollector* c)
     : prev_(CurrentCollectorRef()) {
   CurrentCollectorRef() = c;

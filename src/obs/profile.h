@@ -6,9 +6,13 @@
 // that DiskManager bumps at the same sites as the volume counters),
 // object-cache hits/misses, lock-wait and MVCC commit-retry wait, the
 // adaptive planner's choice, and per-shard timing/IO. The shard layer can
-// report per-shard slices because scatter-gather runs every shard
-// sub-query sequentially on the calling thread, so bracketing each one
-// with thread-local snapshots attributes its I/O exactly.
+// report per-shard slices because every shard sub-query runs wholly on one
+// thread, so bracketing it with thread-local snapshots attributes its I/O
+// exactly. Scatter-gather runs sub-queries concurrently on helper threads:
+// each helper reports into its own collector, billing its whole-task I/O
+// and cache traffic there, and the request thread Merge()s it after the
+// join — so ObjService adds its own thread's delta on top, and the
+// whole-request I/O still equals the sum of the shard slices.
 //
 // Collection is pull-free: ObjService installs a ProfileCollector in a
 // thread-local for the duration of one request (when the client set the
@@ -91,6 +95,11 @@ class ProfileCollector {
     }
     profile.shards.push_back(ShardProfile{shard, us, io});
   }
+  /// Folds in the collector a helper thread filled for this request: its
+  /// shard slices, lock and commit waits and plan, plus its whole-task
+  /// I/O and cache hits/misses (`helper.io`, `helper.cache_*`), which
+  /// this request's thread-local counters never see.
+  void Merge(const RetrieveProfile& helper);
   void SetPlan(int64_t plan) { profile.plan = plan; }
   void AddLockWait(uint64_t us) { profile.lock_wait_us += us; }
   void AddCommitWait(uint64_t us) { profile.commit_wait_us += us; }

@@ -1,6 +1,8 @@
 #include "shard/engine.h"
 
 #include <algorithm>
+#include <atomic>
+#include <future>
 #include <string>
 #include <utility>
 
@@ -21,6 +23,18 @@ std::vector<ComplexDatabase*> ShardsOf(ShardedDatabase* db) {
   for (const auto& shard : db->shards) shards.push_back(shard.get());
   return shards;
 }
+
+/// One sub-query offered to the fan-out pool. Whoever flips `claimed`
+/// first runs it: a helper, or the caller when it comes to collect. Only a
+/// helper run writes the other fields; the pool's future for the task
+/// publishes them. (The future is kept outside: the pool's shared state
+/// owns the task closure, which owns this struct.)
+struct FanOutTask {
+  std::atomic<bool> claimed{false};
+  Status status;
+  /// The helper's own collector, when the request is being profiled.
+  ProfileCollector collector;
+};
 
 }  // namespace
 
@@ -49,6 +63,13 @@ ShardedEngine::ShardedEngine(const DatabaseSpec& spec,
     retrieve_subqueries_.push_back(
         reg.GetCounter(prefix + "retrieve_subqueries"));
     update_subqueries_.push_back(reg.GetCounter(prefix + "update_subqueries"));
+  }
+  fanout_helper_subqueries_ =
+      reg.GetCounter("shard.fanout_helper_subqueries");
+  if (n > 1) {
+    // One request's whole fan-out; FanOut grows the pool with the number
+    // of concurrent callers.
+    fanout_pool_ = std::make_unique<ThreadPool>(n - 1, "shard.fanout_pool");
   }
 }
 
@@ -128,10 +149,11 @@ bool ShardedEngine::IsSortedMerge(StrategyKind kind) {
 Status ShardedEngine::RunShardRetrieve(Session* session, uint32_t k,
                                        const Query& q, RetrieveResult* out) {
   retrieve_subqueries_[k]->Add(1);
-  // Sub-queries run sequentially on the calling thread, so the
-  // thread-local per-tag I/O delta across this bracket is exactly this
-  // shard's slice of the request — the profile's per-shard sums add up
-  // to the flat counters by construction.
+  // A sub-query runs wholly on one thread — the caller's or a fan-out
+  // helper's, each under its own collector — so the thread-local per-tag
+  // I/O delta across this bracket is exactly this shard's slice of the
+  // request, and the profile's per-shard sums add up to the flat counters
+  // by construction.
   ProfileCollector* collector = ProfileCollector::Current();
   uint64_t t0 = 0;
   IoTagBreakdown io_before;
@@ -178,14 +200,79 @@ Status ShardedEngine::RetrievePointwise(Session* session, const Query& q,
   return Status::OK();
 }
 
+Status ShardedEngine::FanOut(Session* session, const Query& q,
+                             std::vector<RetrieveResult>* parts) {
+  const uint32_t n = num_shards();
+  parts->resize(n);
+  // The pool is sized from the traffic: N-1 helpers for every caller
+  // inside FanOut right now, so a sub-query never queues behind another
+  // request's sub-query. Device waits are sleeps that hold no core, so the
+  // core count is no bound here. The pool keeps its high-water size.
+  const uint32_t callers = fanout_callers_.fetch_add(1) + 1;
+  if (fanout_pool_ != nullptr) fanout_pool_->GrowTo(callers * (n - 1));
+  ProfileCollector* collector = ProfileCollector::Current();
+  std::vector<std::shared_ptr<FanOutTask>> tasks(n);
+  std::vector<std::future<void>> done(n);
+  for (uint32_t k = 1; k < n; ++k) {
+    auto task = std::make_shared<FanOutTask>();
+    tasks[k] = task;
+    // The task borrows `q`, `session` and the part, all alive until this
+    // call returns; a task that runs later finds itself claimed and
+    // touches only its own FanOutTask. A rejected submit (pool shutting
+    // down) is simply claimed by the caller below.
+    auto run = [this, task, session, k, qp = &q, part = &(*parts)[k],
+                profiled = collector != nullptr] {
+      if (task->claimed.exchange(true)) return;
+      fanout_helper_subqueries_->Add(1);
+      if (!profiled) {
+        task->status = RunShardRetrieve(session, k, *qp, part);
+        return;
+      }
+      // The request's collector lives on the caller's thread: this helper
+      // reports into its own, billing its whole-task I/O and cache traffic
+      // there, for the caller to merge after the join.
+      ProfileCollector::Scope scope(&task->collector);
+      const IoTagBreakdown io_before = CurrentThreadIoTags();
+      const IoThreadState& st = CurrentIoThreadState();
+      const uint64_t hits_before = st.cache_hits;
+      const uint64_t misses_before = st.cache_misses;
+      task->status = RunShardRetrieve(session, k, *qp, part);
+      RetrieveProfile& p = task->collector.profile;
+      p.io = CurrentThreadIoTags() - io_before;
+      p.cache_hits = st.cache_hits - hits_before;
+      p.cache_misses = st.cache_misses - misses_before;
+    };
+    fanout_pool_->TrySubmit(std::move(run), &done[k]);
+  }
+  std::vector<Status> status(n);
+  status[0] = RunShardRetrieve(session, 0, q, &(*parts)[0]);
+  // Claim-or-run in shard order: run what no helper has started, wait
+  // only for what a helper is already running. Every task is collected,
+  // even after an error, because running tasks borrow `q`, `session` and
+  // `parts`.
+  for (uint32_t k = 1; k < n; ++k) {
+    FanOutTask* task = tasks[k].get();
+    if (!task->claimed.exchange(true)) {
+      status[k] = RunShardRetrieve(session, k, q, &(*parts)[k]);
+      continue;
+    }
+    done[k].wait();
+    status[k] = task->status;
+    if (collector != nullptr) collector->Merge(task->collector.profile);
+  }
+  fanout_callers_.fetch_sub(1);
+  for (const Status& s : status) {
+    OBJREP_RETURN_NOT_OK(s);
+  }
+  return Status::OK();
+}
+
 Status ShardedEngine::RetrieveMerge(Session* session, const Query& q,
                                     bool dedup, RetrieveResult* out) {
   const uint32_t n = num_shards();
-  std::vector<RetrieveResult> parts(n);
-  for (uint32_t k = 0; k < n; ++k) {
-    OBJREP_RETURN_NOT_OK(RunShardRetrieve(session, k, q, &parts[k]));
-    out->cost += parts[k].cost;
-  }
+  std::vector<RetrieveResult> parts;
+  OBJREP_RETURN_NOT_OK(FanOut(session, q, &parts));
+  for (const RetrieveResult& part : parts) out->cost += part.cost;
   // K-way merge by packed OID. Every per-shard BFS-family stream is
   // (relation, key)-sorted, so the merged stream reproduces the single
   // engine's order; equal OIDs carry equal values, so ties need no
@@ -218,9 +305,9 @@ Status ShardedEngine::RetrieveMerge(Session* session, const Query& q,
 
 Status ShardedEngine::RetrieveConcat(Session* session, const Query& q,
                                      RetrieveResult* out) {
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    RetrieveResult part;
-    OBJREP_RETURN_NOT_OK(RunShardRetrieve(session, k, q, &part));
+  std::vector<RetrieveResult> parts;
+  OBJREP_RETURN_NOT_OK(FanOut(session, q, &parts));
+  for (const RetrieveResult& part : parts) {
     out->values.insert(out->values.end(), part.values.begin(),
                        part.values.end());
     out->oids.insert(out->oids.end(), part.oids.begin(), part.oids.end());

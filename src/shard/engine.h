@@ -17,13 +17,26 @@
 //     output order is cache-state-dependent even on one engine, so only
 //     the result multiset is defined.
 //
+// Fan-out is concurrent: the shards share no pool, disk, latch or lock
+// table, so a retrieve waits for its slowest shard, not for the sum of
+// all shards. The caller offers shards 1..N-1 to an engine-owned helper
+// pool, which keeps N-1 helpers per concurrent caller, runs shard 0
+// itself, then collects each remaining shard by claim-or-run — a
+// sub-query no helper has started yet is run by the caller, so a helper
+// that is slow to be scheduled degrades to the sequential path and a
+// caller never waits behind another request's task. Merge and
+// concatenation run in shard order after every sub-query finished, so
+// answers are those of the sequential engine. Point-wise runs and the
+// update fan-out stay sequential on the calling thread.
+//
 // Every sub-query runs through the one execution path (exec/executor.h)
 // on its shard, which picks 2PL, WAL transaction or MVCC snapshot from the
 // shard itself.
 //
 // A single ComplexDatabase is served as a 1-shard engine that borrows it:
-// no copy and no holder table, since every parent and child lives on
-// shard 0. This is how the network service executes on one database.
+// no copy, no holder table and no helper pool, since every parent and
+// child lives on shard 0. This is how the network service executes on one
+// database.
 //
 // Each shard has its own LockManager (the scale-out lever: an update
 // X-locks only its holder shards, not the whole store), its own adaptive
@@ -51,6 +64,7 @@
 #define OBJREP_SHARD_ENGINE_H_
 
 #include <array>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,6 +75,7 @@
 #include "objstore/database.h"
 #include "objstore/workload.h"
 #include "shard/sharded_db.h"
+#include "util/thread_pool.h"
 
 namespace objrep {
 
@@ -143,6 +158,12 @@ class ShardedEngine {
   Status RunShardRetrieve(Session* session, uint32_t k, const Query& q,
                           RetrieveResult* out);
 
+  /// Runs `q` on every shard concurrently, shard k's answer into
+  /// (*parts)[k]. Returns once every sub-query has finished, with the
+  /// first error in shard order.
+  Status FanOut(Session* session, const Query& q,
+                std::vector<RetrieveResult>* parts);
+
   Status RetrievePointwise(Session* session, const Query& q,
                            RetrieveResult* out);
   Status RetrieveMerge(Session* session, const Query& q, bool dedup,
@@ -172,6 +193,17 @@ class ShardedEngine {
   // Per-shard work attribution ("shard.<k>.*" in the metrics registry).
   std::vector<Counter*> retrieve_subqueries_;
   std::vector<Counter*> update_subqueries_;
+  /// Fan-out sub-queries a helper ran ("shard.fanout_helper_subqueries");
+  /// the rest of shards 1..N-1 were claimed back by their caller.
+  Counter* fanout_helper_subqueries_ = nullptr;
+
+  /// Requests inside FanOut right now; the helper pool grows to N-1
+  /// helpers per caller.
+  std::atomic<uint32_t> fanout_callers_{0};
+
+  /// Scatter-gather helpers; null with one shard. Declared last so it
+  /// joins before any state its tasks use is destroyed.
+  std::unique_ptr<ThreadPool> fanout_pool_;
 };
 
 }  // namespace shard

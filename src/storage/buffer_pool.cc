@@ -79,7 +79,8 @@ void BufferPool::SetPrefetchOptions(const PrefetchOptions& options) {
     }
   }
   if (prefetch_.enabled && prefetch_.io_workers > 0) {
-    prefetch_workers_ = std::make_unique<ThreadPool>(prefetch_.io_workers);
+    prefetch_workers_ = std::make_unique<ThreadPool>(prefetch_.io_workers,
+                                                     "storage.prefetch_pool");
   }
 }
 

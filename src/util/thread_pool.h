@@ -1,14 +1,21 @@
-// Fixed-size thread pool with a FIFO task queue and futures.
+// Thread pool with a FIFO task queue and futures. It starts with a fixed
+// number of workers and only grows on request (GrowTo).
 //
-// Two consumers: the execution engine's workers (the ConcurrentRunner
-// submits one session closure per worker, and the throughput bench reuses
-// one pool across sweep points), and the BufferPool's background prefetch
-// workers (DESIGN.md §9). It lives in util — header-only, below every
-// layer — so storage can own a pool without depending on exec.
+// Four consumers: the execution engine's workers (the ConcurrentRunner
+// submits one session closure per worker), the network server's request
+// workers, the BufferPool's background prefetch workers (DESIGN.md §9),
+// and the ShardedEngine's scatter-gather helpers (DESIGN.md §14). It lives
+// in util — header-only, below every layer — so storage can own a pool
+// without depending on exec.
+//
+// Each pool records its queue depth, queue wait and task run time under
+// its own metric-name prefix ("<prefix>.queue_depth", ...), so the server's
+// admission queue is never mixed with helper or prefetch traffic.
 //
 // Tasks may block on LockManager locks; they must not submit-and-wait on
 // further tasks in the same pool (no work stealing, so that would deadlock
-// once all workers wait).
+// once all workers wait). The sharded engine's fan-out avoids this by
+// claim-or-run: its caller runs any task no worker has started yet.
 #ifndef OBJREP_UTIL_THREAD_POOL_H_
 #define OBJREP_UTIL_THREAD_POOL_H_
 
@@ -19,6 +26,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -33,8 +41,16 @@ namespace objrep {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (at least one).
-  explicit ThreadPool(uint32_t num_threads) {
+  /// Spawns `num_threads` workers (at least one), recording into the
+  /// "<metric_prefix>.queue_depth", ".queue_wait_us" and ".task_run_us"
+  /// registry metrics.
+  ThreadPool(uint32_t num_threads, const std::string& metric_prefix)
+      : depth_(MetricsRegistry::Global().GetGauge(metric_prefix +
+                                                  ".queue_depth")),
+        queue_wait_us_(MetricsRegistry::Global().GetHistogram(
+            metric_prefix + ".queue_wait_us")),
+        task_run_us_(MetricsRegistry::Global().GetHistogram(
+            metric_prefix + ".task_run_us")) {
     OBJREP_CHECK(num_threads > 0);
     workers_.reserve(num_threads);
     for (uint32_t i = 0; i < num_threads; ++i) {
@@ -49,7 +65,23 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  uint32_t size() const { return static_cast<uint32_t>(workers_.size()); }
+  uint32_t size() const {
+    std::lock_guard<std::mutex> sl(shutdown_mu_);
+    return static_cast<uint32_t>(workers_.size());
+  }
+
+  /// Adds workers until the pool has at least `num_threads`. A pool never
+  /// shrinks, and once shutting down it no longer grows.
+  void GrowTo(uint32_t num_threads) {
+    std::lock_guard<std::mutex> sl(shutdown_mu_);
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      if (stopping_) return;
+    }
+    while (workers_.size() < num_threads) {
+      workers_.emplace_back([this] { WorkerLoop(); });
+    }
+  }
 
   /// Graceful draining stop (DESIGN.md §13): stops accepting new tasks —
   /// concurrent TrySubmit calls return false from this point on, they are
@@ -89,7 +121,7 @@ class ThreadPool {
       if (stopping_) return false;
       queue_.emplace_back(
           QueuedTask{[task] { (*task)(); }, enqueued_us, trace_id});
-      QueueMetrics().depth->Set(static_cast<int64_t>(queue_.size()));
+      depth_->Set(static_cast<int64_t>(queue_.size()));
     }
     cv_.notify_one();
     if (out != nullptr) *out = task->get_future();
@@ -116,19 +148,6 @@ class ThreadPool {
                             ///< around the task's run
   };
 
-  // Registry mirrors (DESIGN.md §11), shared by all pools in the process.
-  struct PoolQueueMetrics {
-    Gauge* depth = MetricsRegistry::Global().GetGauge("threadpool.queue_depth");
-    Histogram* queue_wait_us =
-        MetricsRegistry::Global().GetHistogram("threadpool.queue_wait_us");
-    Histogram* task_run_us =
-        MetricsRegistry::Global().GetHistogram("threadpool.task_run_us");
-  };
-  static PoolQueueMetrics& QueueMetrics() {
-    static PoolQueueMetrics* m = new PoolQueueMetrics();
-    return *m;
-  }
-
   void WorkerLoop() {
     for (;;) {
       QueuedTask task;
@@ -138,19 +157,25 @@ class ThreadPool {
         if (queue_.empty()) return;  // stopping_ with nothing left to run
         task = std::move(queue_.front());
         queue_.pop_front();
-        QueueMetrics().depth->Set(static_cast<int64_t>(queue_.size()));
+        depth_->Set(static_cast<int64_t>(queue_.size()));
       }
       uint64_t start_us = Trace::NowMicros();
-      QueueMetrics().queue_wait_us->Record(start_us - task.enqueued_us);
+      queue_wait_us_->Record(start_us - task.enqueued_us);
       {
         ScopedTraceId trace_scope(task.trace_id);
         task.fn();
       }
-      QueueMetrics().task_run_us->Record(Trace::NowMicros() - start_us);
+      task_run_us_->Record(Trace::NowMicros() - start_us);
     }
   }
 
-  std::mutex shutdown_mu_;  // serializes Shutdown callers
+  // Registry mirrors (DESIGN.md §11), shared by every pool with the same
+  // prefix.
+  Gauge* const depth_;
+  Histogram* const queue_wait_us_;
+  Histogram* const task_run_us_;
+  // Serializes Shutdown and GrowTo callers; guards workers_.
+  mutable std::mutex shutdown_mu_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<QueuedTask> queue_;  // guarded by mu_

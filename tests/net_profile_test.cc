@@ -2,12 +2,14 @@
 // RETRIEVE against a 4-shard MVCC engine returns a RetrieveProfile whose
 // per-shard per-tag I/O sums *exactly* to the engines' flat counters —
 // the same exactness invariant io_attribution_test pins for flat runs,
-// here proven across the service boundary. Also: a sharded 2PL
-// sub-query's lock wait in the profile, the PROFILE flag over a real
-// socket, trace-id stamping, unknown-flag rejection, and the slow-query
-// ring surfacing through STATS.
+// here proven across the service boundary, for the point-wise path and
+// for the concurrent scatter-gather paths whose sub-queries run on helper
+// threads. Also: a sharded 2PL sub-query's lock wait in the profile, the
+// PROFILE flag over a real socket, trace-id stamping, unknown-flag
+// rejection, and the slow-query ring surfacing through STATS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -22,6 +24,7 @@
 #include "net/server.h"
 #include "net/service.h"
 #include "obs/heat_map.h"
+#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace_context.h"
 #include "objstore/database.h"
@@ -31,6 +34,12 @@
 namespace objrep {
 namespace net {
 namespace {
+
+/// One point-wise strategy and the scatter-gather ones: sorted merge,
+/// merge with cross-shard dedup, and concatenation.
+constexpr StrategyKind kProfiledStrategies[] = {
+    StrategyKind::kDfs, StrategyKind::kBfs, StrategyKind::kBfsNoDup,
+    StrategyKind::kAdaptive};
 
 DatabaseSpec ShardedMvccSpec() {
   DatabaseSpec spec;
@@ -50,14 +59,16 @@ DatabaseSpec ShardedMvccSpec() {
 
 /// Parses the integer right after `"key":` starting at `from`; -1 if the
 /// key is absent. The profile serializer emits bare non-negative decimals
-/// for every integer field, so no general JSON machinery is needed.
+/// for every integer field, so no general JSON machinery is needed. A
+/// 64-bit trace id is accumulated unsigned (no signed overflow) and comes
+/// back through static_cast<uint64_t> intact.
 int64_t IntAfter(const std::string& json, const std::string& key,
                  size_t from = 0, size_t* at = nullptr) {
   const std::string needle = "\"" + key + "\":";
   size_t pos = json.find(needle, from);
   if (pos == std::string::npos) return -1;
   pos += needle.size();
-  int64_t v = 0;
+  uint64_t v = 0;
   bool any = false;
   while (pos < json.size() && json[pos] >= '0' && json[pos] <= '9') {
     v = v * 10 + (json[pos] - '0');
@@ -65,7 +76,7 @@ int64_t IntAfter(const std::string& json, const std::string& key,
     any = true;
   }
   if (at != nullptr) *at = pos;
-  return any ? v : -1;
+  return any ? static_cast<int64_t>(v) : -1;
 }
 
 /// Sums every occurrence of `"key":N` at or after `from`.
@@ -83,66 +94,84 @@ int64_t SumAll(const std::string& json, const std::string& key,
 }
 
 TEST(NetProfileTest, ShardedMvccProfileSumsExactlyToEngineCounters) {
-  std::unique_ptr<shard::ShardedDatabase> sdb;
-  ASSERT_TRUE(
-      shard::BuildShardedDatabase(ShardedMvccSpec(), 4, &sdb).ok());
-  shard::ShardedEngine engine(sdb.get(), StrategyOptions{});
-  ObjService service(&engine, StrategyKind::kDfs, StrategyOptions{});
+  for (StrategyKind kind : kProfiledStrategies) {
+    SCOPED_TRACE(StrategyKindName(kind));
+    std::unique_ptr<shard::ShardedDatabase> sdb;
+    ASSERT_TRUE(
+        shard::BuildShardedDatabase(ShardedMvccSpec(), 4, &sdb).ok());
+    shard::ShardedEngine engine(sdb.get(), StrategyOptions{});
+    ObjService service(&engine, kind, StrategyOptions{});
 
-  std::vector<IoCounters> before;
-  for (const auto& s : sdb->shards) before.push_back(s->disk->counters());
+    // A slow device on shard 0, which the caller runs itself: the helpers
+    // claim shards 1..3 long before the caller could claim them back, so
+    // their I/O reaches the profile only through the caller's merge.
+    const bool fans_out = kind != StrategyKind::kDfs;
+    if (fans_out) sdb->shards[0]->disk->set_io_latency_us(2000);
+    Counter* helper_runs = MetricsRegistry::Global().GetCounter(
+        "shard.fanout_helper_subqueries");
+    const uint64_t helped_before = helper_runs->value();
 
-  ScopedTraceId scope(0x1234);
-  Request req;
-  req.verb = Verb::kRetrieve;
-  req.flags = kReqFlagProfile;
-  req.lo_parent = 0;
-  req.num_top = sdb->spec.num_parents;  // full range: every shard works
-  req.attr_index = 0;
-  Response resp = service.Execute(req);
-  ASSERT_EQ(resp.status, RespStatus::kOk) << resp.error;
-  ASSERT_FALSE(resp.profile_json.empty());
-  ASSERT_FALSE(resp.values.empty());
-  const std::string& p = resp.profile_json;
+    std::vector<IoCounters> before;
+    for (const auto& s : sdb->shards) before.push_back(s->disk->counters());
 
-  // Ground truth: the flat IoCounters delta summed over every shard's
-  // disk. The test is single-threaded, so all of it belongs to this one
-  // request.
-  uint64_t reads = 0, writes = 0;
-  for (size_t k = 0; k < sdb->shards.size(); ++k) {
-    IoCounters delta = sdb->shards[k]->disk->counters() - before[k];
-    reads += delta.reads;
-    writes += delta.writes;
+    ScopedTraceId scope(0x1234);
+    Request req;
+    req.verb = Verb::kRetrieve;
+    req.flags = kReqFlagProfile;
+    req.lo_parent = 0;
+    req.num_top = sdb->spec.num_parents;  // full range: every shard works
+    req.attr_index = 0;
+    Response resp = service.Execute(req);
+    ASSERT_EQ(resp.status, RespStatus::kOk) << resp.error;
+    ASSERT_FALSE(resp.profile_json.empty());
+    ASSERT_FALSE(resp.values.empty());
+    EXPECT_EQ(helper_runs->value() - helped_before, fans_out ? 3u : 0u)
+        << "sub-queries on shards 1..3 must run on fan-out helpers";
+    const std::string& p = resp.profile_json;
+
+    // Ground truth: the flat IoCounters delta summed over every shard's
+    // disk. Only this one request ran, so all of it is this request's —
+    // including the I/O its sub-queries did on fan-out helper threads.
+    uint64_t reads = 0, writes = 0;
+    for (size_t k = 0; k < sdb->shards.size(); ++k) {
+      IoCounters delta = sdb->shards[k]->disk->counters() - before[k];
+      reads += delta.reads;
+      writes += delta.writes;
+    }
+    EXPECT_GT(reads, 0u) << "retrieve did no physical I/O; nothing to pin";
+
+    // Whole-request totals match the engines exactly.
+    EXPECT_EQ(IntAfter(p, "total_reads"), static_cast<int64_t>(reads)) << p;
+    EXPECT_EQ(IntAfter(p, "total_writes"), static_cast<int64_t>(writes))
+        << p;
+
+    // The per-shard slices partition the whole-request bill: the
+    // request's "io" block appears before "shards", so summed occurrences
+    // past that point are exactly the slices.
+    size_t shards_at = p.find("\"shards\":[");
+    ASSERT_NE(shards_at, std::string::npos) << p;
+    EXPECT_EQ(SumAll(p, "total_reads", shards_at),
+              static_cast<int64_t>(reads));
+    EXPECT_EQ(SumAll(p, "total_writes", shards_at),
+              static_cast<int64_t>(writes));
+    // Full-range scatter: all 4 shards report a slice (distinct ids — the
+    // sum alone could alias, so count the slices too).
+    size_t slices = 0;
+    for (size_t pos = p.find("{\"shard\":", shards_at);
+         pos != std::string::npos; pos = p.find("{\"shard\":", pos + 1)) {
+      ++slices;
+    }
+    EXPECT_EQ(slices, 4u) << p;
+    EXPECT_EQ(SumAll(p, "shard", shards_at), 0 + 1 + 2 + 3) << p;
+    if (kind == StrategyKind::kAdaptive) {
+      EXPECT_GE(IntAfter(p, "plan"), 0) << p;
+    }
+
+    // The ambient trace id is stamped into the profile.
+    EXPECT_EQ(IntAfter(p, "trace_id"), 0x1234) << p;
+    EXPECT_EQ(IntAfter(p, "rows"),
+              static_cast<int64_t>(resp.values.size())) << p;
   }
-  EXPECT_GT(reads, 0u) << "retrieve did no physical I/O; nothing to pin";
-
-  // Whole-request totals match the engines exactly.
-  EXPECT_EQ(IntAfter(p, "total_reads"), static_cast<int64_t>(reads)) << p;
-  EXPECT_EQ(IntAfter(p, "total_writes"), static_cast<int64_t>(writes)) << p;
-
-  // The per-shard slices partition the whole-request bill: the request's
-  // "io" block appears before "shards", so summed occurrences past that
-  // point are exactly the slices.
-  size_t shards_at = p.find("\"shards\":[");
-  ASSERT_NE(shards_at, std::string::npos) << p;
-  EXPECT_EQ(SumAll(p, "total_reads", shards_at),
-            static_cast<int64_t>(reads));
-  EXPECT_EQ(SumAll(p, "total_writes", shards_at),
-            static_cast<int64_t>(writes));
-  // Full-range scatter: all 4 shards report a slice (distinct ids — the
-  // sum alone could alias, so count the slices too).
-  size_t slices = 0;
-  for (size_t pos = p.find("{\"shard\":", shards_at);
-       pos != std::string::npos; pos = p.find("{\"shard\":", pos + 1)) {
-    ++slices;
-  }
-  EXPECT_EQ(slices, 4u) << p;
-  EXPECT_EQ(SumAll(p, "shard", shards_at), 0 + 1 + 2 + 3) << p;
-
-  // The ambient trace id is stamped into the profile.
-  EXPECT_EQ(IntAfter(p, "trace_id"), 0x1234) << p;
-  EXPECT_EQ(IntAfter(p, "rows"),
-            static_cast<int64_t>(resp.values.size())) << p;
 }
 
 TEST(NetProfileTest, ShardedProfileReportsLockWait) {
@@ -150,40 +179,64 @@ TEST(NetProfileTest, ShardedProfileReportsLockWait) {
   // the executor, which bills the wait into the installed profile.
   DatabaseSpec spec = ShardedMvccSpec();
   spec.enable_mvcc = false;
-  std::unique_ptr<shard::ShardedDatabase> sdb;
-  ASSERT_TRUE(shard::BuildShardedDatabase(spec, 2, &sdb).ok());
-  shard::ShardedEngine engine(sdb.get(), StrategyOptions{});
-  ObjService service(&engine, StrategyKind::kDfs, StrategyOptions{});
+  for (StrategyKind kind : kProfiledStrategies) {
+    SCOPED_TRACE(StrategyKindName(kind));
+    std::unique_ptr<shard::ShardedDatabase> sdb;
+    ASSERT_TRUE(shard::BuildShardedDatabase(spec, 2, &sdb).ok());
+    shard::ShardedEngine engine(sdb.get(), StrategyOptions{});
+    ObjService service(&engine, kind, StrategyOptions{});
 
-  // An updater holds X on a child relation of every shard, so the
-  // retrieve's first sub-query blocks whichever shard it lands on.
-  const LockId rel = sdb->shards[0]->child_rels[0]->rel_id();
-  for (uint32_t k = 0; k < engine.num_shards(); ++k) {
-    engine.lock_manager(k)->Acquire(rel, LockMode::kExclusive);
-  }
-  std::atomic<bool> started{false};
-  Response resp;
-  std::thread reader([&] {
-    Request req;
-    req.verb = Verb::kRetrieve;
-    req.flags = kReqFlagProfile;
-    req.lo_parent = 0;
-    req.num_top = spec.num_parents;
-    req.attr_index = 0;
-    started.store(true);
-    resp = service.Execute(req);
-  });
-  while (!started.load()) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  for (uint32_t k = 0; k < engine.num_shards(); ++k) {
-    engine.lock_manager(k)->Release(rel, LockMode::kExclusive);
-  }
-  reader.join();
+    // An updater holds X on a child relation of shard 1. On the fan-out
+    // paths it also holds shard 0's, so the caller blocks on shard 0 while
+    // a helper claims shard 1 and blocks there; the point-wise path blocks
+    // on the calling thread.
+    const bool fans_out = kind != StrategyKind::kDfs;
+    const LockId rel0 = sdb->shards[0]->child_rels[0]->rel_id();
+    const LockId rel1 = sdb->shards[1]->child_rels[0]->rel_id();
+    engine.lock_manager(1)->Acquire(rel1, LockMode::kExclusive);
+    if (fans_out) engine.lock_manager(0)->Acquire(rel0, LockMode::kExclusive);
+    Counter* helper_runs = MetricsRegistry::Global().GetCounter(
+        "shard.fanout_helper_subqueries");
+    const uint64_t helped_before = helper_runs->value();
+    const auto sent = std::chrono::steady_clock::now();
+    Response resp;
+    std::thread reader([&] {
+      Request req;
+      req.verb = Verb::kRetrieve;
+      req.flags = kReqFlagProfile;
+      req.lo_parent = 0;
+      req.num_top = spec.num_parents;
+      req.attr_index = 0;
+      resp = service.Execute(req);
+    });
+    // The caller waits on shard 0 for at most `caller_wait`; the helper
+    // then waits on shard 1 for `hold` more, four times as long. Without
+    // the helper's wait merged in, lock_wait_us could not reach hold / 2.
+    auto hold = std::chrono::milliseconds(50);
+    if (fans_out) {
+      while (helper_runs->value() == helped_before) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      engine.lock_manager(0)->Release(rel0, LockMode::kExclusive);
+      const auto caller_wait = std::chrono::duration_cast<
+          std::chrono::milliseconds>(std::chrono::steady_clock::now() - sent);
+      hold = std::max(hold, 4 * caller_wait);
+    }
+    std::this_thread::sleep_for(hold);
+    engine.lock_manager(1)->Release(rel1, LockMode::kExclusive);
+    reader.join();
 
-  ASSERT_EQ(resp.status, RespStatus::kOk) << resp.error;
-  ASSERT_FALSE(resp.profile_json.empty());
-  EXPECT_GT(IntAfter(resp.profile_json, "lock_wait_us"), 0)
-      << resp.profile_json;
+    ASSERT_EQ(resp.status, RespStatus::kOk) << resp.error;
+    ASSERT_FALSE(resp.profile_json.empty());
+    EXPECT_GT(IntAfter(resp.profile_json, "lock_wait_us"), 0)
+        << resp.profile_json;
+    if (fans_out) {
+      EXPECT_GE(IntAfter(resp.profile_json, "lock_wait_us"),
+                std::chrono::duration_cast<std::chrono::microseconds>(hold)
+                        .count() / 2)
+          << resp.profile_json;
+    }
+  }
 }
 
 TEST(NetProfileTest, ProfileRidesTheWireAndCarriesTheFrameTraceId) {

@@ -16,6 +16,11 @@
 // the holder fan-out), and requires the sharded store to converge to the
 // single engine's final state.
 //
+// A concurrent test drives one 4-shard engine from many threads at once,
+// so scatter-gather sub-queries overlap on the engine's helper pool, and
+// then faults one shard's reads: the retrieve must return that error and
+// the engine must keep serving.
+//
 // Seeds default to 10; the nightly sweep sets OBJREP_SHARD_SEEDS higher.
 #include <gtest/gtest.h>
 
@@ -24,6 +29,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -309,6 +315,113 @@ TEST(ShardOracleTest, OneShardCrashRecoveryConvergesToSingleEngine) {
   }
   // The sweep is vacuous if no seed actually crashed a shard.
   EXPECT_GE(crashed_runs, 1) << "no run crashed the armed shard";
+}
+
+// --- Concurrent scatter-gather (DESIGN.md §14) ---------------------------
+
+TEST(ShardOracleTest, ConcurrentFanOutMatchesSingleEngineAndSurfacesFaults) {
+  constexpr StrategyKind kFanOutKinds[] = {
+      StrategyKind::kBfs, StrategyKind::kBfsNoDup, StrategyKind::kAdaptive};
+  constexpr size_t kNumKinds = std::size(kFanOutKinds);
+  constexpr uint32_t kNumShards = 4;
+  constexpr uint32_t kThreads = 8;
+  constexpr uint32_t kPerThread = 9;
+  const DatabaseSpec spec = RandomSpec(5);
+
+  // Retrieves only, plus the full scan the fault phase reruns.
+  Rng rng(97);
+  std::vector<Query> queries;
+  for (int i = 0; i < 12; ++i) {
+    Query q;
+    q.kind = Query::Kind::kRetrieve;
+    q.num_top = 1 + static_cast<uint32_t>(rng.Uniform(spec.num_parents));
+    q.lo_parent = static_cast<uint32_t>(
+        rng.Uniform(spec.num_parents - q.num_top + 1));
+    q.attr_index = static_cast<int>(rng.Uniform(3));
+    queries.push_back(q);
+  }
+  Query scan;
+  scan.kind = Query::Kind::kRetrieve;
+  scan.lo_parent = 0;
+  scan.num_top = spec.num_parents;
+  scan.attr_index = 0;
+  queries.push_back(scan);
+  const size_t scan_index = queries.size() - 1;
+
+  // Single-engine answers, one strategy per kind.
+  std::vector<std::vector<RetrieveResult>> expected(kNumKinds);
+  {
+    std::unique_ptr<ComplexDatabase> db;
+    ASSERT_TRUE(BuildDatabase(spec, &db).ok());
+    for (size_t i = 0; i < kNumKinds; ++i) {
+      std::unique_ptr<Strategy> strategy;
+      ASSERT_TRUE(MakeStrategy(kFanOutKinds[i], db.get(), StrategyOptions{},
+                               &strategy)
+                      .ok());
+      expected[i].resize(queries.size());
+      for (size_t j = 0; j < queries.size(); ++j) {
+        ASSERT_TRUE(strategy->ExecuteRetrieve(queries[j], &expected[i][j])
+                        .ok());
+      }
+    }
+  }
+
+  std::unique_ptr<shard::ShardedDatabase> sdb;
+  ASSERT_TRUE(shard::BuildShardedDatabase(spec, kNumShards, &sdb).ok());
+  shard::ShardedEngine engine(sdb.get(), StrategyOptions{});
+
+  // Every thread mixes the three kinds over the query list; answers are
+  // checked on this thread after the join.
+  struct Outcome {
+    size_t kind = 0;
+    size_t query = 0;
+    Status status;
+    RetrieveResult result;
+  };
+  std::vector<std::vector<Outcome>> outcomes(kThreads);
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint32_t i = 0; i < kPerThread; ++i) {
+        Outcome o;
+        o.kind = (t + i) % kNumKinds;
+        o.query = (5 * t + i) % queries.size();
+        o.status = engine.ExecuteRetrieve(kFanOutKinds[o.kind],
+                                          queries[o.query], &o.result);
+        outcomes[t].push_back(std::move(o));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const std::vector<Outcome>& per_thread : outcomes) {
+    for (const Outcome& o : per_thread) {
+      SCOPED_TRACE("query " + std::to_string(o.query));
+      ASSERT_TRUE(o.status.ok()) << o.status.ToString();
+      ExpectSameAnswer(kFanOutKinds[o.kind], expected[o.kind][o.query],
+                       o.result);
+      if (HasFailure()) return;
+    }
+  }
+
+  // A read fault on the last shard — a sub-query normally run by a helper
+  // — is the retrieve's error, and the next retrieve succeeds.
+  ComplexDatabase* victim = sdb->shards[kNumShards - 1].get();
+  for (size_t i = 0; i < kNumKinds; ++i) {
+    SCOPED_TRACE(StrategyKindName(kFanOutKinds[i]));
+    ASSERT_TRUE(victim->pool->FlushAll().ok());
+    victim->pool->InvalidateAllClean();  // the scan must read the disk
+    victim->disk->fault_injector()->Configure(/*seed=*/7,
+                                              /*read_fault_rate=*/1.0,
+                                              /*write_fault_rate=*/0.0);
+    RetrieveResult failed;
+    Status s = engine.ExecuteRetrieve(kFanOutKinds[i], scan, &failed);
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    victim->disk->fault_injector()->Reset();
+    RetrieveResult recovered;
+    s = engine.ExecuteRetrieve(kFanOutKinds[i], scan, &recovered);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ExpectSameAnswer(kFanOutKinds[i], expected[i][scan_index], recovered);
+  }
 }
 
 // --- MVCC differential with crash + recovery (DESIGN.md §15) ------------
