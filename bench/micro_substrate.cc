@@ -1,5 +1,6 @@
 // Micro-benchmarks of the storage substrate (google-benchmark): B-tree
-// probes and scans, hash-file probes, external sort, buffer-pool hit path.
+// probes and scans, hash-file probes, external sort, buffer-pool hit and
+// miss paths.
 // These are engineering benchmarks (M1 in DESIGN.md), not paper figures.
 #include <benchmark/benchmark.h>
 
@@ -138,6 +139,37 @@ void BM_BufferPoolHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BufferPoolHit);
+
+// Miss path with an eviction on every fetch: cycles over 10x capacity
+// pages, so each FetchPage misses and evicts the LRU victim (after the
+// first `capacity` fetches fill the free frames). Time per iteration is
+// ns per miss: victim selection under evict_mu_, page-table churn and the
+// in-memory device read. Not gated; Arg is the pool size in frames.
+void BM_BufferPoolMiss(benchmark::State& state) {
+  const uint32_t frames = static_cast<uint32_t>(state.range(0));
+  DiskManager disk;
+  std::vector<PageId> pids;
+  {
+    BufferPool loader(&disk, 16);
+    for (uint32_t i = 0; i < frames * 10; ++i) {
+      PageGuard g;
+      OBJREP_CHECK(loader.NewPage(&g).ok());
+      pids.push_back(g.page_id());
+    }
+    OBJREP_CHECK(loader.FlushAll().ok());
+  }
+  BufferPool pool(&disk, frames);
+  size_t next = 0;
+  for (auto _ : state) {
+    PageGuard g;
+    OBJREP_CHECK(pool.FetchPage(pids[next], &g).ok());
+    benchmark::DoNotOptimize(g.page());
+    if (++next == pids.size()) next = 0;
+  }
+  OBJREP_CHECK(pool.hits() == 0);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BufferPoolMiss)->Arg(100)->Arg(4000);
 
 }  // namespace
 }  // namespace objrep

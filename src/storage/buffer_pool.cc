@@ -225,64 +225,70 @@ Status BufferPool::ReclaimFrame(std::unique_lock<std::mutex>& lk,
 }
 
 Status BufferPool::AllocateFrames(std::unique_lock<std::mutex>& lk, size_t k,
-                                  std::vector<uint32_t>* frames_out) {
-  frames_out->clear();
-  frames_out->reserve(k);
-  // One LRU scan selects all remaining victims; reclaiming oldest-first
-  // evicts the same frames in the same order as repeated single-victim
-  // scans would, so write-back order (and thus every I/O count) matches
-  // the one-page-at-a-time path exactly. A dirty reclaim releases
-  // evict_mu_ around its device write (§17), after which both the free
-  // list and the scan are redone: single-threaded the stamps have not
-  // moved, so the victim sequence is bit-identical to the fully-latched
-  // path; under concurrency the fresh scan never acts on candidates that
-  // went stale during the window.
-  std::vector<std::pair<uint64_t, uint32_t>> candidates;
-  while (frames_out->size() < k) {
-    while (frames_out->size() < k && !free_frames_.empty()) {
-      frames_out->push_back(free_frames_.back());
+                                  uint32_t* frames_out) {
+  // One pass per victim, no sort, no allocation: the victim is the smallest
+  // (last_unpin, frame) pair among the unpinned in-use frames, and a
+  // reclaimed frame leaves in_use, so successive passes walk the victims
+  // oldest-first. `floor` is the last pair tried: a frame whose kEvicting
+  // CAS fails (a racing pin) is skipped by the next pass, and once nothing
+  // above the floor remains the floor resets for a fresh pass. A dirty
+  // reclaim released evict_mu_ mid-write (§17), so it resets the floor
+  // too: the next pass never acts on a choice that went stale meanwhile.
+  using Candidate = std::pair<uint64_t, uint32_t>;  // (last_unpin, frame)
+  constexpr Candidate kNoFloor{0, UINT32_MAX};
+  Candidate floor = kNoFloor;
+  size_t taken = 0;
+  auto roll_back = [&] {
+    // The batch is all-or-nothing: return what was taken to the free list.
+    for (size_t j = 0; j < taken; ++j) free_frames_.push_back(frames_out[j]);
+  };
+  while (taken < k) {
+    if (!free_frames_.empty()) {
+      frames_out[taken++] = free_frames_.back();
       free_frames_.pop_back();
+      continue;
     }
-    if (frames_out->size() == k) break;
-    candidates.clear();
-    for (uint32_t i = 0; i < frames_.size(); ++i) {
-      Frame& f = frames_[i];
+    bool any = false;
+    Candidate best{UINT64_MAX, UINT32_MAX};
+    for (uint32_t i = 0; i < capacity_; ++i) {
+      const Frame& f = frames_[i];
       if (!f.in_use || f.pin_count.load(std::memory_order_relaxed) != 0) {
         continue;
       }
-      candidates.emplace_back(f.last_unpin.load(std::memory_order_relaxed), i);
+      any = true;
+      const Candidate c{f.last_unpin.load(std::memory_order_relaxed), i};
+      if (floor != kNoFloor && c <= floor) continue;  // already tried
+      if (c < best) best = c;
     }
-    if (candidates.empty()) {
-      // Roll back: the batch is all-or-nothing.
-      for (uint32_t fr : *frames_out) free_frames_.push_back(fr);
-      frames_out->clear();
+    if (!any) {
+      roll_back();
       return Status::NoSpace("buffer pool exhausted: all frames pinned");
     }
-    std::sort(candidates.begin(), candidates.end());
-    for (const auto& [stamp, victim] : candidates) {
-      if (frames_out->size() == k) break;
-      int expected = 0;
-      if (!frames_[victim].pin_count.compare_exchange_strong(
-              expected, kEvicting, std::memory_order_acquire)) {
-        continue;  // raced with a concurrent pin; maybe rescan
-      }
-      const bool was_dirty =
-          frames_[victim].dirty.load(std::memory_order_relaxed);
-      Status s = ReclaimFrame(lk, victim);
-      if (!s.ok()) {
-        // The victim's write-back failed: ReclaimFrame restored it
-        // (still resident, still dirty), so only the frames already taken
-        // roll back to the free list.
-        for (uint32_t fr : *frames_out) free_frames_.push_back(fr);
-        frames_out->clear();
-        return s;
-      }
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().evictions->Add(1);
-      frames_out->push_back(victim);
-      if (was_dirty && !serialize_miss_io_.load(std::memory_order_relaxed)) {
-        break;  // evict_mu_ was released mid-write: rescan before continuing
-      }
+    if (best.second == UINT32_MAX) {
+      floor = kNoFloor;  // every candidate raced a pin: rescan
+      continue;
+    }
+    floor = best;
+    const uint32_t victim = best.second;
+    int expected = 0;
+    if (!frames_[victim].pin_count.compare_exchange_strong(
+            expected, kEvicting, std::memory_order_acquire)) {
+      continue;  // raced with a concurrent pin: try the next-oldest
+    }
+    const bool was_dirty =
+        frames_[victim].dirty.load(std::memory_order_relaxed);
+    Status s = ReclaimFrame(lk, victim);
+    if (!s.ok()) {
+      // The victim's write-back failed: ReclaimFrame restored it (still
+      // resident, still dirty), so only the frames already taken roll back.
+      roll_back();
+      return s;
+    }
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().evictions->Add(1);
+    frames_out[taken++] = victim;
+    if (was_dirty && !serialize_miss_io_.load(std::memory_order_relaxed)) {
+      floor = kNoFloor;  // evict_mu_ was released mid-write: rescan
     }
   }
   return Status::OK();
@@ -290,10 +296,7 @@ Status BufferPool::AllocateFrames(std::unique_lock<std::mutex>& lk, size_t k,
 
 Status BufferPool::AllocateFrame(std::unique_lock<std::mutex>& lk,
                                  uint32_t* frame_out) {
-  std::vector<uint32_t> one;
-  OBJREP_RETURN_NOT_OK(AllocateFrames(lk, 1, &one));
-  *frame_out = one[0];
-  return Status::OK();
+  return AllocateFrames(lk, 1, frame_out);
 }
 
 void BufferPool::AbandonFrameLocked(uint32_t frame) {
@@ -677,10 +680,10 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
     // absent pages are vector-loaded with one ReadPages, issued after
     // evict_mu_ is released (§17) since the claims keep every allocated
     // frame private until publication.
-    std::vector<uint32_t> frames;
+    std::vector<uint32_t> frames(need.size());
     std::unique_lock<std::mutex> big(evict_mu_);
     RecycleRetiredStagingLocked();
-    s = AllocateFrames(big, need.size(), &frames);
+    s = AllocateFrames(big, need.size(), frames.data());
     if (s.ok()) {
       std::vector<PageId> load_pids;
       std::vector<Page*> ptrs;

@@ -15,9 +15,13 @@
 //   * Replacement is exact strict LRU: each frame records the global clock
 //     stamp of its last unpin, and victim selection (serialized by
 //     `evict_mu_`, which also covers FlushAll and InvalidateAllClean)
-//     picks the unpinned in-use frame with the smallest stamp. This is
-//     bit-identical to the seed's intrusive-list LRU for single-threaded
-//     runs, so all paper figures are unchanged.
+//     picks the unpinned in-use frame with the smallest (stamp, frame)
+//     pair. Each victim costs one linear pass over the frames under
+//     evict_mu_ — no sort, no heap allocation — so a miss holds the latch
+//     for O(capacity) loads. Invariant: the single-threaded victim sequence
+//     (and write-back order) equals a plain list LRU's, so all paper
+//     figures are unchanged; buffer_pool_lru_test drives the pool and a
+//     list-LRU reference model through the same seeded traces to prove it.
 //   * Demand-miss I/O runs *outside* evict_mu_ (DESIGN.md §17). A misser
 //     claims the page in its bucket's in-flight table (probe-or-claim is
 //     atomic under the bucket latch), holds evict_mu_ only long enough to
@@ -45,9 +49,9 @@
 //     mid-update (approximate while workers run).
 //
 // Batched I/O (DESIGN.md §9): FetchPages pins a whole batch with one
-// evict_mu_ pass — victims for all missing pages are selected in one LRU
-// scan (oldest first, the same victims the one-at-a-time path would pick)
-// — and reads the missing pages with a single vectored DiskManager::
+// evict_mu_ hold — victims for all missing pages are selected oldest first,
+// one pass each (the same victims the one-at-a-time path would pick) —
+// and reads the missing pages with a single vectored DiskManager::
 // ReadPages issued after evict_mu_ is released (the batch's in-flight
 // claims keep the unpublished frames private).
 //
@@ -484,16 +488,16 @@ class BufferPool {
   /// evict_mu_ on entry and exit but may be released around a dirty
   /// victim's write-back (see ReclaimFrame).
   Status AllocateFrame(std::unique_lock<std::mutex>& lk, uint32_t* frame_out);
-  /// Takes/evicts `k` frames at once — free frames first, then the k
-  /// oldest unpinned victims scanned oldest-first (the same victims, same
-  /// write-back order, as k AllocateFrame calls). A dirty reclaim drops
-  /// evict_mu_ around the device write, after which the LRU scan is redone
-  /// (stamps are stable single-threaded, so the victim sequence is
-  /// bit-identical to the fully-latched path; under concurrency a fresh
-  /// scan never acts on stale candidates). On failure nothing is
-  /// allocated.
+  /// Takes/evicts `k` frames into `frames_out[0..k)` — free frames first,
+  /// then the k oldest unpinned victims, each found by one linear pass
+  /// (the same victims, same write-back order, as k AllocateFrame calls).
+  /// A dirty reclaim drops evict_mu_ around the device write, after which
+  /// the free list and the pass restart from scratch (stamps are stable
+  /// single-threaded, so the victim sequence is bit-identical to the
+  /// fully-latched path; under concurrency a fresh pass never acts on
+  /// stale candidates). On failure nothing is allocated.
   Status AllocateFrames(std::unique_lock<std::mutex>& lk, size_t k,
-                        std::vector<uint32_t>* frames_out);
+                        uint32_t* frames_out);
   /// Claims + unmaps one evictable frame, writing it back if dirty. `lk`
   /// holds evict_mu_ on entry and exit; a dirty write-back releases it
   /// around the device write — the kEvicting claim keeps the frame
