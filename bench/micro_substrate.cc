@@ -1,13 +1,17 @@
 // Micro-benchmarks of the storage substrate (google-benchmark): B-tree
 // probes and scans, hash-file probes, external sort, buffer-pool hit and
-// miss paths.
+// miss paths, and a WAL page-image commit.
 // These are engineering benchmarks (M1 in DESIGN.md), not paper figures.
 #include <benchmark/benchmark.h>
+
+#include <cstring>
+#include <memory>
 
 #include "access/btree.h"
 #include "access/hash_file.h"
 #include "relational/external_sort.h"
 #include "relational/temp_file.h"
+#include "storage/wal.h"
 #include "util/random.h"
 
 namespace objrep {
@@ -144,12 +148,13 @@ BENCHMARK(BM_BufferPoolHit);
 // pages, so each FetchPage misses and evicts the LRU victim (after the
 // first `capacity` fetches fill the free frames). Time per iteration is
 // ns per miss: victim selection under evict_mu_, page-table churn and the
-// in-memory device read. Not gated; Arg is the pool size in frames.
-void BM_BufferPoolMiss(benchmark::State& state) {
-  const uint32_t frames = static_cast<uint32_t>(state.range(0));
-  DiskManager disk;
-  std::vector<PageId> pids;
-  {
+// in-memory device read. Not gated; Arg is the pool size in frames. The
+// ->Threads(4) variant shares one pool: thread t walks the pages t, t+4,
+// t+8, ... of the cycle, so the threads never share a page (every fetch
+// still misses) yet contend on the pool's latches, page table and volume —
+// the cost a single thread never sees.
+struct MissFixture {
+  explicit MissFixture(uint32_t frames) {
     BufferPool loader(&disk, 16);
     for (uint32_t i = 0; i < frames * 10; ++i) {
       PageGuard g;
@@ -157,19 +162,71 @@ void BM_BufferPoolMiss(benchmark::State& state) {
       pids.push_back(g.page_id());
     }
     OBJREP_CHECK(loader.FlushAll().ok());
+    pool = std::make_unique<BufferPool>(&disk, frames);
   }
-  BufferPool pool(&disk, frames);
-  size_t next = 0;
+  DiskManager disk;
+  std::vector<PageId> pids;
+  std::unique_ptr<BufferPool> pool;
+};
+
+void BM_BufferPoolMiss(benchmark::State& state) {
+  static std::unique_ptr<MissFixture> fixture;
+  if (state.thread_index() == 0) {
+    fixture = std::make_unique<MissFixture>(
+        static_cast<uint32_t>(state.range(0)));
+  }
+  // The first loop iteration is a barrier across the benchmark's threads,
+  // so every thread sees the fixture thread 0 built.
+  const size_t stride = static_cast<size_t>(state.threads());
+  size_t next = static_cast<size_t>(state.thread_index());
   for (auto _ : state) {
+    const std::vector<PageId>& pids = fixture->pids;
     PageGuard g;
-    OBJREP_CHECK(pool.FetchPage(pids[next], &g).ok());
+    OBJREP_CHECK(fixture->pool->FetchPage(pids[next], &g).ok());
     benchmark::DoNotOptimize(g.page());
-    if (++next == pids.size()) next = 0;
+    next += stride;
+    if (next >= pids.size()) next -= pids.size();
   }
-  OBJREP_CHECK(pool.hits() == 0);
   state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) {
+    OBJREP_CHECK(fixture->pool->hits() == 0);
+    fixture.reset();
+  }
 }
 BENCHMARK(BM_BufferPoolMiss)->Arg(100)->Arg(4000);
+BENCHMARK(BM_BufferPoolMiss)->Arg(100)->Threads(4)->UseRealTime();
+
+// One WAL transaction as a served update commits it: begin, dirty two
+// resident pages, commit — two page-image records (checksummed, appended
+// to the log), the commit record and sync, two write-through page writes,
+// and the applied record that truncates the log.
+void BM_WalCommitPageImage(benchmark::State& state) {
+  DiskManager disk;
+  BufferPool pool(&disk, 16);
+  Wal wal(&disk);
+  pool.AttachWal(&wal);
+  PageId pids[2];
+  for (PageId& pid : pids) {
+    PageGuard g;
+    OBJREP_CHECK(pool.NewPage(&g).ok());
+    pid = g.page_id();
+  }
+  OBJREP_CHECK(pool.FlushAll().ok());
+  uint32_t stamp = 0;
+  for (auto _ : state) {
+    OBJREP_CHECK(pool.BeginTxn().ok());
+    for (PageId pid : pids) {
+      PageGuard g;
+      OBJREP_CHECK(pool.FetchPage(pid, &g).ok());
+      std::memcpy(g.page()->data, &stamp, sizeof(stamp));
+      g.MarkDirty();
+    }
+    OBJREP_CHECK(pool.CommitTxn().ok());
+    ++stamp;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WalCommitPageImage);
 
 }  // namespace
 }  // namespace objrep

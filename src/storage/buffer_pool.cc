@@ -54,6 +54,9 @@ BufferPool::BufferPool(DiskManager* disk, uint32_t capacity)
   for (uint32_t i = 0; i < capacity; ++i) {
     free_frames_.push_back(capacity - 1 - i);
   }
+  // Size every shard for its share of the pool up front, so the page
+  // tables do not grow while the first misses fill the frames.
+  for (Shard& shard : shards_) shard.table.Reserve(capacity / kNumShards + 8);
 }
 
 BufferPool::~BufferPool() {
@@ -102,9 +105,9 @@ std::vector<PageId> BufferPool::StagedPageIds() {
   std::vector<PageId> out;
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> l(shard.mu);
-    for (const auto& [pid, slot] : shard.map) {
-      if (slot >= capacity_) out.push_back(pid);
-    }
+    shard.table.ForEach([&](const PageTable::Entry& e) {
+      if (IsStaged(e.frame)) out.push_back(e.pid);
+    });
   }
   return out;
 }
@@ -113,21 +116,20 @@ void BufferPool::DropStagedPages() {
   // Unmap under the bucket latches; wait out in-flight hint reads and
   // recycle outside them (a hint thread may be claiming pages in the same
   // shard before issuing its read — waiting under the latch would deadlock).
-  std::vector<uint32_t> dropped;
+  std::vector<std::pair<PageId, uint32_t>> dropped;  // (pid, slot)
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> l(shard.mu);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      if (it->second >= capacity_) {
-        dropped.push_back(it->second - capacity_);
-        it = shard.map.erase(it);
-      } else {
-        ++it;
-      }
+    const size_t first = dropped.size();
+    shard.table.ForEach([&](const PageTable::Entry& e) {
+      if (IsStaged(e.frame)) dropped.emplace_back(e.pid, e.frame);
+    });
+    for (size_t j = first; j < dropped.size(); ++j) {
+      shard.table.Unmap(dropped[j].first, dropped[j].second);
     }
   }
-  for (uint32_t st : dropped) {
-    WaitStagingReady(st);
-    ReleaseStagingFrame(st);
+  for (const auto& [pid, slot] : dropped) {
+    WaitStagingReady(slot - capacity_);
+    ReleaseStagingFrame(slot - capacity_);
   }
   prefetch_wasted_.fetch_add(dropped.size(), std::memory_order_relaxed);
   Metrics().wasted->Add(dropped.size());
@@ -213,10 +215,7 @@ Status BufferPool::ReclaimFrame(std::unique_lock<std::mutex>& lk,
   {
     Shard& shard = ShardFor(f.pid);
     std::lock_guard<std::mutex> l(shard.mu);
-    auto it = shard.map.find(f.pid);
-    if (it != shard.map.end() && it->second == frame) {
-      shard.map.erase(it);
-    }
+    shard.table.Unmap(f.pid, frame);
   }
   f.in_use = false;
   f.pid = kInvalidPageId;
@@ -337,11 +336,7 @@ Status BufferPool::PromoteStaged(std::unique_lock<std::mutex>& lk,
   f.pin_count.store(1, std::memory_order_relaxed);
   f.dirty.store(false, std::memory_order_relaxed);
   f.in_use = true;
-  {
-    Shard& shard = ShardFor(pid);
-    std::lock_guard<std::mutex> l(shard.mu);
-    shard.map[pid] = frame;  // overwrites the staged mapping
-  }
+  PublishClaimed(pid, frame);  // replaces the staged mapping
   ReleaseStagingFrame(st_idx);
   prefetch_promoted_.fetch_add(1, std::memory_order_relaxed);
   Metrics().promoted->Add(1);
@@ -349,93 +344,88 @@ Status BufferPool::PromoteStaged(std::unique_lock<std::mutex>& lk,
   return Status::OK();
 }
 
-void BufferPool::EraseInflight(PageId pid,
-                               const std::shared_ptr<InflightRead>& entry) {
+uint32_t BufferPool::PublishClaimed(PageId pid, uint32_t frame) {
   Shard& shard = ShardFor(pid);
-  std::lock_guard<std::mutex> l(shard.mu);
-  auto it = shard.inflight.find(pid);
-  if (it != shard.inflight.end() && it->second == entry) {
-    shard.inflight.erase(it);
+  uint32_t replaced = PageTable::kNoFrame;
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> l(shard.mu);
+    replaced = shard.table.Publish(pid, frame);
+    wake = shard.waiters != 0;
   }
+  // A misser that went to sleep on this claim did so under shard.mu, so it
+  // was counted in `waiters` before the publication above.
+  if (wake) shard.cv.notify_all();
+  return IsStaged(replaced) ? replaced - capacity_ : UINT32_MAX;
 }
 
-void BufferPool::FinishInflight(const std::shared_ptr<InflightRead>& entry) {
+void BufferPool::RetireClaim(PageId pid) {
+  Shard& shard = ShardFor(pid);
+  bool wake = false;
   {
-    // Taking entry->mu closes the race with a waiter that checked `done`
-    // under the lock but has not yet blocked on the condvar.
-    std::lock_guard<std::mutex> l(entry->mu);
-    entry->done = true;
+    std::lock_guard<std::mutex> l(shard.mu);
+    shard.table.Unclaim(pid);
+    wake = shard.waiters != 0;
   }
-  entry->cv.notify_all();
+  if (wake) shard.cv.notify_all();
 }
 
 Status BufferPool::LoadPageMiss(PageId pid, PageGuard* out) {
+  Shard& shard = ShardFor(pid);
+  uint32_t staged_hint = UINT32_MAX;
   for (;;) {
-    std::shared_ptr<InflightRead> theirs;
-    std::shared_ptr<InflightRead> mine;
-    uint32_t staged_hint = UINT32_MAX;
-    bool evicting = false;
-    {
-      Shard& shard = ShardFor(pid);
-      std::lock_guard<std::mutex> l(shard.mu);
-      auto it = shard.map.find(pid);
-      if (it != shard.map.end() && it->second < capacity_) {
-        Frame& f = frames_[it->second];
-        int c = f.pin_count.load(std::memory_order_relaxed);
-        while (c >= 0) {
-          if (f.pin_count.compare_exchange_weak(c, c + 1,
-                                                std::memory_order_acquire)) {
-            // A concurrent loader won the race after our hit probe missed:
-            // the miss is already counted, but the physical read was
-            // theirs — a coalesced miss, not a second read.
-            coalesced_misses_.fetch_add(1, std::memory_order_relaxed);
-            Metrics().coalesced->Add(1);
-            *out = PageGuard(this, it->second, pid);
-            return Status::OK();
-          }
-        }
-        evicting = true;  // claimed mid-eviction; re-probe once it resolves
-      } else {
-        if (it != shard.map.end()) staged_hint = it->second - capacity_;
-        auto in = shard.inflight.find(pid);
-        if (in != shard.inflight.end()) {
-          theirs = in->second;
-        } else {
-          mine = std::make_shared<InflightRead>();
-          shard.inflight.emplace(pid, mine);
-        }
-      }
+    std::unique_lock<std::mutex> l(shard.mu);
+    const PageTable::Entry* e = shard.table.Find(pid);
+    if (e != nullptr && e->claim != 0) {
+      // Another thread's read is in flight: sleep until that claim
+      // resolves instead of issuing a duplicate read. On success the
+      // re-probe pins the published frame (a coalesced miss); on failure
+      // it finds neither mapping nor claim, so exactly one waiter becomes
+      // the new loader and the rest coalesce on *its* claim.
+      inflight_waits_.fetch_add(1, std::memory_order_relaxed);
+      Metrics().inflight_waits->Add(1);
+      const uint32_t theirs = e->claim;
+      ++shard.waiters;
+      shard.cv.wait(l, [&] {
+        const PageTable::Entry* c = shard.table.Find(pid);
+        return c == nullptr || c->claim != theirs;
+      });
+      --shard.waiters;
+      continue;
     }
-    if (evicting) {
+    if (e != nullptr && e->frame < capacity_) {
+      const uint32_t frame = e->frame;
+      if (TryPin(frame)) {
+        // A concurrent loader won the race after our hit probe missed:
+        // the miss is already counted, but the physical read was theirs —
+        // a coalesced miss, not a second read.
+        coalesced_misses_.fetch_add(1, std::memory_order_relaxed);
+        Metrics().coalesced->Add(1);
+        *out = PageGuard(this, frame, pid);
+        return Status::OK();
+      }
+      // Claimed mid-eviction; re-probe once the evictor unmaps it.
+      l.unlock();
       std::this_thread::yield();
       continue;
     }
-    if (theirs != nullptr) {
-      // Another thread's read is in flight: sleep on its claim instead of
-      // issuing a duplicate. On success the re-probe pins the published
-      // frame (a coalesced miss); on failure the re-probe finds neither
-      // mapping nor claim, so exactly one waiter becomes the new loader
-      // and the rest coalesce on *its* claim.
-      inflight_waits_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().inflight_waits->Add(1);
-      std::unique_lock<std::mutex> l(theirs->mu);
-      theirs->cv.wait(l, [&] { return theirs->done; });
-      continue;
-    }
-    // We own pid's claim. A staged copy seen at claim time may still have
-    // its hint read in flight — wait it out *before* taking evict_mu_, so
-    // the rest of the pool keeps evicting while that read lands. (The
-    // fresh staging index is re-probed under the latch: the hint may have
-    // failed and its frame been retired, recycled, even re-staged.)
-    if (staged_hint != UINT32_MAX) WaitStagingReady(staged_hint);
-    Status s = LoadClaimedPage(pid, out);
-    // Publication (on success) happened before the claim retires, so a
-    // prober always sees the mapping, the claim, or — only once the read
-    // truly failed — neither.
-    EraseInflight(pid, mine);
-    FinishInflight(mine);
-    return s;
+    // Absent or staged: the miss is ours to load.
+    if (e != nullptr) staged_hint = e->frame - capacity_;
+    shard.table.Claim(pid);
+    break;
   }
+  // We own pid's claim. A staged copy seen at claim time may still have
+  // its hint read in flight — wait it out *before* taking evict_mu_, so
+  // the rest of the pool keeps evicting while that read lands. (The
+  // staging index is re-probed under the latch: the hint may have failed
+  // and its frame been retired meanwhile.)
+  if (staged_hint != UINT32_MAX) WaitStagingReady(staged_hint);
+  Status s = LoadClaimedPage(pid, out);
+  // On success the publication retired the claim; a failed load leaves
+  // neither mapping nor claim, so a prober sees the mapping, the claim,
+  // or — only once the read truly failed — neither.
+  if (!s.ok()) RetireClaim(pid);
+  return s;
 }
 
 Status BufferPool::LoadClaimedPage(PageId pid, PageGuard* out) {
@@ -445,12 +435,10 @@ Status BufferPool::LoadClaimedPage(PageId pid, PageGuard* out) {
   {
     Shard& shard = ShardFor(pid);
     std::lock_guard<std::mutex> l(shard.mu);
-    auto it = shard.map.find(pid);
-    if (it != shard.map.end()) {
-      OBJREP_CHECK_MSG(it->second >= capacity_,
-                       "page resident while its miss claim is held");
-      staged = it->second - capacity_;
-    }
+    const PageTable::Entry* e = shard.table.Find(pid);
+    OBJREP_CHECK_MSG(e != nullptr && e->claim != 0 && e->frame >= capacity_,
+                     "page resident while its miss claim is held");
+    if (IsStaged(e->frame)) staged = e->frame - capacity_;
   }
   if (staged != UINT32_MAX) {
     bool stale = false;
@@ -477,28 +465,12 @@ Status BufferPool::LoadClaimedPage(PageId pid, PageGuard* out) {
     AbandonFrameLocked(frame);
     return s;
   }
-  uint32_t redundant_staged = UINT32_MAX;
-  {
-    Shard& shard = ShardFor(pid);
-    std::lock_guard<std::mutex> l(shard.mu);
-    auto it = shard.map.find(pid);
-    if (it != shard.map.end() && it->second >= capacity_) {
-      // An async hint staged `pid` while we read it: the staged copy is
-      // redundant now.
-      redundant_staged = it->second - capacity_;
-    }
-    shard.map[pid] = frame;
-  }
+  const uint32_t replaced_staging = PublishClaimed(pid, frame);
+  // Read-ahead skips claimed pages, so no staged copy can have appeared
+  // while we read.
+  OBJREP_CHECK_MSG(replaced_staging == UINT32_MAX,
+                   "page staged while its miss claim is held");
   if (big.owns_lock()) big.unlock();
-  if (redundant_staged != UINT32_MAX) {
-    // Recycle outside the bucket latch: the hint's read may still be in
-    // flight, and the hint thread may need this shard's latch to finish
-    // claiming its batch before it issues that read.
-    WaitStagingReady(redundant_staged);
-    ReleaseStagingFrame(redundant_staged);
-    prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().wasted->Add(1);
-  }
   *out = PageGuard(this, frame, pid);
   return Status::OK();
 }
@@ -518,13 +490,12 @@ Status BufferPool::PinNewFrame(PageId pid, PageGuard* out) {
   {
     Shard& shard = ShardFor(pid);
     std::lock_guard<std::mutex> l(shard.mu);
-    auto it = shard.map.find(pid);
-    if (it != shard.map.end() && it->second >= capacity_) {
+    const uint32_t old = shard.table.Map(pid, frame);
+    if (IsStaged(old)) {
       // An async hint staged a stale image of this recycled page id; the
       // fresh zeroed frame supersedes it.
-      redundant_staged = it->second - capacity_;
+      redundant_staged = old - capacity_;
     }
-    shard.map[pid] = frame;
   }
   big.unlock();
   if (redundant_staged != UINT32_MAX) {
@@ -540,32 +511,21 @@ Status BufferPool::PinNewFrame(PageId pid, PageGuard* out) {
 bool BufferPool::TryPinResident(PageId pid, PageGuard* out) {
   Shard& shard = ShardFor(pid);
   for (;;) {
-    bool claimed = false;
     {
       std::lock_guard<std::mutex> l(shard.mu);
-      auto it = shard.map.find(pid);
-      if (it == shard.map.end()) return false;  // miss
-      if (it->second >= capacity_) {
-        // Staged copy: not a hit. The miss path promotes it, charging the
-        // miss the demand-paged run would take here.
-        return false;
-      }
-      Frame& f = frames_[it->second];
-      int c = f.pin_count.load(std::memory_order_relaxed);
-      while (c >= 0) {
-        if (f.pin_count.compare_exchange_weak(c, c + 1,
-                                              std::memory_order_acquire)) {
-          *out = PageGuard(this, it->second, pid);
-          return true;
-        }
+      const PageTable::Entry* e = shard.table.Find(pid);
+      // Absent, claimed by a loader, or a staged copy: not a hit. The
+      // miss path promotes a staged copy, charging the miss the
+      // demand-paged run would take here.
+      if (e == nullptr || e->frame >= capacity_) return false;
+      if (TryPin(e->frame)) {
+        *out = PageGuard(this, e->frame, pid);
+        return true;
       }
       // pin_count == kEvicting: an evictor claimed the frame and is about
       // to erase this mapping (it needs our bucket latch to do so).
-      claimed = true;
     }
-    if (claimed) {
-      std::this_thread::yield();  // let the evictor finish, then re-probe
-    }
+    std::this_thread::yield();  // let the evictor finish, then re-probe
   }
 }
 
@@ -603,75 +563,74 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
   Metrics().misses->Add(missing.size());
 
   // Claim pass (no evict_mu_): sort the batch's misses into pages this
-  // call will load (`need`, each with our in-flight claim), duplicates of
-  // those (`alias`), pages that became resident since the hit probe
-  // (pinned here — the racing loader's read serves our miss, a coalesced
-  // miss), and pages another loader or evictor currently owns (`deferred`,
-  // resolved one-by-one after the batch: sleeping on a foreign claim while
-  // holding our own batch's claims could deadlock two interleaved batches).
+  // call will load (`need`, each claimed by us in the page table),
+  // duplicates of those (`alias`), pages that became resident since the
+  // hit probe (pinned here — the racing loader's read serves our miss, a
+  // coalesced miss), and pages another loader or evictor currently owns
+  // (`deferred`, resolved one-by-one after the batch: sleeping on a
+  // foreign claim while holding our own batch's claims could deadlock two
+  // interleaved batches).
   struct Need {
     size_t pos;
-    std::shared_ptr<InflightRead> claim;
+    uint32_t frame;
   };
   std::vector<Need> need;
   std::vector<size_t> alias;     // positions duplicating a `need` pid
   std::vector<size_t> deferred;  // positions racing a foreign claim
-  std::unordered_map<PageId, uint32_t> loading;  // pid -> frame (ours)
   std::vector<uint32_t> staged_hints;  // possibly-pending hint reads
+  auto needed = [&](PageId pid) {
+    return std::find_if(need.begin(), need.end(), [&](const Need& nd) {
+      return pids[nd.pos] == pid;
+    });
+  };
   for (size_t i : missing) {
     PageId pid = pids[i];
-    if (loading.count(pid) != 0) {
-      alias.push_back(i);
-      continue;
-    }
     bool resolved = false;
+    bool dup = false;
     bool defer = false;
     uint32_t staged = UINT32_MAX;
-    std::shared_ptr<InflightRead> mine;
     {
       Shard& shard = ShardFor(pid);
       std::lock_guard<std::mutex> l(shard.mu);
-      auto it = shard.map.find(pid);
-      if (it != shard.map.end() && it->second < capacity_) {
-        Frame& f = frames_[it->second];
-        int c = f.pin_count.load(std::memory_order_relaxed);
-        while (c >= 0) {
-          if (f.pin_count.compare_exchange_weak(c, c + 1,
-                                                std::memory_order_acquire)) {
-            coalesced_misses_.fetch_add(1, std::memory_order_relaxed);
-            Metrics().coalesced->Add(1);
-            (*out)[i] = PageGuard(this, it->second, pid);
-            resolved = true;
-            break;
-          }
-        }
-        if (!resolved) defer = true;  // claimed mid-eviction
-      } else {
-        if (it != shard.map.end()) staged = it->second - capacity_;
-        if (shard.inflight.count(pid) != 0) {
-          defer = true;
+      const PageTable::Entry* e = shard.table.Find(pid);
+      if (e != nullptr && e->claim != 0) {
+        // Our own claim (an earlier occurrence in this batch) or a
+        // foreign loader's.
+        dup = needed(pid) != need.end();
+        defer = !dup;
+      } else if (e != nullptr && e->frame < capacity_) {
+        if (TryPin(e->frame)) {
+          coalesced_misses_.fetch_add(1, std::memory_order_relaxed);
+          Metrics().coalesced->Add(1);
+          (*out)[i] = PageGuard(this, e->frame, pid);
+          resolved = true;
         } else {
-          mine = std::make_shared<InflightRead>();
-          shard.inflight.emplace(pid, mine);
+          defer = true;  // claimed mid-eviction
         }
+      } else {
+        if (e != nullptr) staged = e->frame - capacity_;
+        shard.table.Claim(pid);
       }
     }
     if (resolved) continue;
+    if (dup) {
+      alias.push_back(i);
+      continue;
+    }
     if (defer) {
       deferred.push_back(i);
       continue;
     }
-    loading.emplace(pid, 0);
     if (staged != UINT32_MAX) staged_hints.push_back(staged);
-    need.push_back(Need{i, std::move(mine)});
+    need.push_back(Need{i, 0});
   }
 
   Status s = Status::OK();
   if (!need.empty()) {
     // Wait out possibly-pending hint reads before taking evict_mu_ — our
-    // claims make the staged copies stable, and the fresh staging index is
+    // claims make the staged copies stable, and the staging index is
     // re-probed under the latch below (the hint may have failed and its
-    // frame been retired, recycled, even re-staged meanwhile).
+    // frame been retired meanwhile).
     for (uint32_t st : staged_hints) WaitStagingReady(st);
 
     // Frames for all owned misses are allocated in batch-position order —
@@ -690,27 +649,23 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
       load_pids.reserve(need.size());
       ptrs.reserve(need.size());
       for (size_t j = 0; j < need.size(); ++j) {
-        size_t i = need[j].pos;
-        PageId pid = pids[i];
+        PageId pid = pids[need[j].pos];
+        need[j].frame = frames[j];
         Frame& f = frames_[frames[j]];
         f.pid = pid;
         f.pin_count.store(1, std::memory_order_relaxed);
         f.dirty.store(false, std::memory_order_relaxed);
         f.in_use = true;
-        loading[pid] = frames[j];
         uint32_t st = UINT32_MAX;
         {
           Shard& shard = ShardFor(pid);
           std::lock_guard<std::mutex> l(shard.mu);
-          auto it = shard.map.find(pid);
-          if (it != shard.map.end() && it->second >= capacity_) {
-            st = it->second - capacity_;
-          }
+          const PageTable::Entry* e = shard.table.Find(pid);
+          if (IsStaged(e->frame)) st = e->frame - capacity_;
         }
         if (st != UINT32_MAX) {
-          // Usually instant (pre-waited above); a hint that landed after
-          // the claim pass waits here. A retired frame (failed hint read)
-          // falls back to our own load.
+          // Usually instant (pre-waited above). A retired frame (failed
+          // hint read) falls back to our own load.
           WaitStagingReady(st);
           if (staging_[st].pid == pid) {
             f.page = staging_[st].page;
@@ -727,28 +682,18 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
         s = disk_->ReadPages(load_pids.data(), load_pids.size(), ptrs.data());
       }
       if (s.ok()) {
+        // Publishing retires each claim in the same latch hold.
         std::vector<uint32_t> consumed_staging;
-        for (size_t j = 0; j < need.size(); ++j) {
-          size_t i = need[j].pos;
-          PageId pid = pids[i];
-          Shard& shard = ShardFor(pid);
-          std::lock_guard<std::mutex> l(shard.mu);
-          auto it = shard.map.find(pid);
-          if (it != shard.map.end() && it->second >= capacity_) {
-            // The staged copy we promoted, or one a racing async hint
-            // published mid-load; either way it is spent now.
-            consumed_staging.push_back(it->second - capacity_);
-          }
-          shard.map[pid] = loading[pid];
-          (*out)[i] = PageGuard(this, loading[pid], pid);
+        for (const Need& nd : need) {
+          PageId pid = pids[nd.pos];
+          uint32_t st = PublishClaimed(pid, nd.frame);
+          if (st != UINT32_MAX) consumed_staging.push_back(st);  // promoted
+          (*out)[nd.pos] = PageGuard(this, nd.frame, pid);
         }
         if (big.owns_lock()) big.unlock();
-        for (uint32_t st : consumed_staging) {
-          WaitStagingReady(st);  // a racing hint's read may be in flight
-          ReleaseStagingFrame(st);
-        }
+        for (uint32_t st : consumed_staging) ReleaseStagingFrame(st);
         for (size_t i : alias) {
-          uint32_t fr = loading[pids[i]];
+          uint32_t fr = needed(pids[i])->frame;
           frames_[fr].pin_count.fetch_add(1, std::memory_order_relaxed);
           // A duplicate id shares the first occurrence's read: a miss with
           // no physical read of its own, same as losing a cross-thread
@@ -763,12 +708,10 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
       }
     }
     if (big.owns_lock()) big.unlock();
-    // Retire the batch's claims. On success every mapping is already
-    // published, so probers never see a gap; on failure the claims simply
-    // vanish and the first retrying waiter becomes the new loader.
-    for (const Need& nd : need) {
-      EraseInflight(pids[nd.pos], nd.claim);
-      FinishInflight(nd.claim);
+    // A failed batch published nothing: its claims simply vanish and the
+    // first retrying waiter becomes the new loader.
+    if (!s.ok()) {
+      for (const Need& nd : need) RetireClaim(pids[nd.pos]);
     }
   }
   if (s.ok()) {
@@ -787,7 +730,8 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
 Status BufferPool::Prefetch(const PageId* pids, size_t n) {
   if (n == 0 || staging_count_ == 0) return Status::OK();
   // Claim-and-publish pass (order-preserving, duplicates dropped): ids
-  // already resident or staged are skipped; the rest get a staging frame
+  // already resident, staged or claimed by a demand loader are skipped
+  // (the loader's read is underway); the rest get a staging frame
   // and a *pending* mapping (ready == false) before the read is issued.
   // Publishing first means a concurrent demand fetch of an in-flight page
   // waits for this one read instead of paying a redundant one of its own.
@@ -804,7 +748,7 @@ Status BufferPool::Prefetch(const PageId* pids, size_t n) {
     {
       Shard& shard = ShardFor(pid);
       std::lock_guard<std::mutex> l(shard.mu);
-      if (shard.map.count(pid) != 0) continue;
+      if (shard.table.Find(pid) != nullptr) continue;
       uint32_t st_idx = 0;
       {
         std::lock_guard<std::mutex> ls(staging_mu_);
@@ -819,7 +763,7 @@ Status BufferPool::Prefetch(const PageId* pids, size_t n) {
         StagingFrame& st = staging_[st_idx];
         st.pid = pid;
         st.ready.store(false, std::memory_order_relaxed);
-        shard.map[pid] = capacity_ + st_idx;
+        shard.table.Map(pid, capacity_ + st_idx);
         want.push_back(pid);
         claimed.push_back(st_idx);
       }
@@ -852,10 +796,7 @@ Status BufferPool::Prefetch(const PageId* pids, size_t n) {
       {
         Shard& shard = ShardFor(want[j]);
         std::lock_guard<std::mutex> l(shard.mu);
-        auto it = shard.map.find(want[j]);
-        if (it != shard.map.end() && it->second == capacity_ + claimed[j]) {
-          shard.map.erase(it);
-        }
+        shard.table.Unmap(want[j], capacity_ + claimed[j]);
       }
       staging_[claimed[j]].pid = kInvalidPageId;
       MarkStagingReady(claimed[j]);
@@ -927,17 +868,16 @@ bool BufferPool::DoFreePage(PageId pid) {
   {
     Shard& shard = ShardFor(pid);
     std::lock_guard<std::mutex> l(shard.mu);
-    auto it = shard.map.find(pid);
-    if (it != shard.map.end()) {
-      if (it->second >= capacity_) {
-        // Unconsumed staged copy: never dirty, just drop it. Unmap here;
-        // recycle below, after evict_mu_ is released (the hint's read may
-        // still be in flight, and the unmapped frame is exclusively ours).
-        staged = it->second - capacity_;
-        shard.map.erase(it);
-      } else {
-        frame = it->second;
-      }
+    const PageTable::Entry* e = shard.table.Find(pid);
+    const uint32_t slot = e != nullptr ? e->frame : PageTable::kNoFrame;
+    if (IsStaged(slot)) {
+      // Unconsumed staged copy: never dirty, just drop it. Unmap here;
+      // recycle below, after evict_mu_ is released (the hint's read may
+      // still be in flight, and the unmapped frame is exclusively ours).
+      staged = slot - capacity_;
+      shard.table.Unmap(pid, slot);
+    } else if (slot < capacity_) {
+      frame = slot;
     }
   }
   if (frame != UINT32_MAX) {

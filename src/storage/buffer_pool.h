@@ -9,6 +9,9 @@
 // Concurrency design (DESIGN.md §8, §17):
 //   * The page table is sharded into kNumShards hash buckets, each behind
 //     its own latch, so concurrent hits on different pages do not contend.
+//     Each bucket is one open-addressing PageTable (storage/page_table.h)
+//     holding resident, staged *and* claimed pages, with no heap node per
+//     entry: a warm pool serves a miss without allocating.
 //   * Pins are per-frame atomics (a pin is taken by CAS under the bucket
 //     latch; releases are latch-free). A frame with pin_count == kEvicting
 //     is claimed by an evictor; the hit path retries around the claim.
@@ -23,17 +26,19 @@
 //     figures are unchanged; buffer_pool_lru_test drives the pool and a
 //     list-LRU reference model through the same seeded traces to prove it.
 //   * Demand-miss I/O runs *outside* evict_mu_ (DESIGN.md §17). A misser
-//     claims the page in its bucket's in-flight table (probe-or-claim is
-//     atomic under the bucket latch), holds evict_mu_ only long enough to
-//     pick a victim frame, reads from disk with no pool latch held, and
-//     publishes the mapping under the bucket latch (atomically retiring
-//     the claim). Concurrent missers of the same page block on the claim
-//     instead of issuing duplicate reads — miss coalescing: one physical
-//     read serves every storm thread, and the latecomers count a
-//     coalesced miss (see coalesced_misses()). A failed read wakes all
-//     waiters with no mapping published; each retries from the top, so
-//     exactly one of them re-issues the read and the rest coalesce on the
-//     new claim, while the failing loader propagates its error.
+//     claims the page in its page-table entry (probe-or-claim is atomic
+//     under the bucket latch), holds evict_mu_ only long enough to pick a
+//     victim frame, reads from disk with no pool latch held, and publishes
+//     the frame and retires the claim in one bucket-latch hold.
+//     Concurrent missers of the same page sleep on the bucket's condvar,
+//     under the bucket latch, until the claim they saw resolves, instead
+//     of issuing duplicate reads — miss coalescing: one physical read
+//     serves every storm thread, and the latecomers count a coalesced miss
+//     (see coalesced_misses()). Publication notifies only when the bucket
+//     has sleepers. A failed read retires the claim with no mapping
+//     published; each waiter retries from the top, so exactly one of them
+//     re-issues the read and the rest coalesce on the new claim, while the
+//     failing loader propagates its error.
 //   * Dirty-victim write-back also runs outside evict_mu_: the kEvicting
 //     claim keeps the frame invisible to other evictors and un-pinnable,
 //     and the page-table mapping stays in place until after the write, so
@@ -52,8 +57,8 @@
 // evict_mu_ hold — victims for all missing pages are selected oldest first,
 // one pass each (the same victims the one-at-a-time path would pick) —
 // and reads the missing pages with a single vectored DiskManager::
-// ReadPages issued after evict_mu_ is released (the batch's in-flight
-// claims keep the unpublished frames private).
+// ReadPages issued after evict_mu_ is released (the batch's claims keep
+// the unpublished frames private).
 //
 // Read-ahead runs through dedicated *staging frames*, never the pool
 // proper: Prefetch vector-reads absent pages into staging frames (map
@@ -72,9 +77,8 @@
 // threads and overlap with query execution (throughput mode). Hints
 // publish their staged mappings *before* reading, so a demand fetch racing
 // an in-flight hint waits for that one read rather than issuing its own;
-// the only residual count drift is a hint racing a demand load already
-// mid-read (the demand path publishes after its read, so the hint's read
-// is redundant).
+// a hint skips a page whose demand miss is claimed, whose own read is
+// already underway.
 //
 // Transactions (DESIGN.md §10): with a Wal attached, Begin/Commit/Abort
 // bracket multi-page mutations. The pool runs a no-steal policy — every
@@ -89,10 +93,14 @@
 // Latch order: wal_mu_ -> evict_mu_ -> bucket latch -> staging_mu_. The
 // hit path takes only a bucket latch; no path takes two bucket latches at
 // once. Prefetch itself takes no evict_mu_ at all, so background
-// read-ahead never blocks the demand path. The in-flight and staging
-// condvar mutexes are leaves, locked with no pool latch held (waiting on
-// either is forbidden under a bucket latch; waiting on a *hint* read under
-// evict_mu_ is allowed — hints complete without evict_mu_).
+// read-ahead never blocks the demand path. Claims live in the page table,
+// and a misser waits for another loader's claim on the bucket's condvar,
+// which releases the bucket latch while it sleeps; it never waits that way
+// while holding evict_mu_ or its own claims (the loader may need either).
+// The staging condvar mutexes are leaves, locked with no pool latch held
+// (waiting on a staging frame is forbidden under a bucket latch; waiting
+// on a *hint* read under evict_mu_ is allowed — hints complete without
+// evict_mu_).
 #ifndef OBJREP_STORAGE_BUFFER_POOL_H_
 #define OBJREP_STORAGE_BUFFER_POOL_H_
 
@@ -102,11 +110,11 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/disk_manager.h"
 #include "storage/page.h"
+#include "storage/page_table.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -409,28 +417,19 @@ class BufferPool {
   /// Staging frames provisioned per readahead_pages (see PrefetchOptions).
   static constexpr uint32_t kStagingPerWindow = 4;
 
-  /// One demand-miss read in flight (DESIGN.md §17). The loader creates
-  /// the entry under its bucket latch, performs the read with no pool
-  /// latch held, and resolves the entry when the frame is published (or
-  /// the read failed). Concurrent missers of the same page sleep on `cv`
-  /// instead of issuing duplicate reads.
-  struct InflightRead {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;  // guarded by mu
-  };
-
+  /// One page-table shard (DESIGN.md §17). `table` holds resident,
+  /// staged and claimed pages alike; sharing `mu` between the mapping and
+  /// the claim makes probe-or-claim atomic, so at most one loader per page
+  /// exists and a misser that finds neither a mapping nor a claim knows
+  /// the read is not underway. Missers of a claimed page sleep on `cv`
+  /// under `mu`; `waiters` counts them, so retiring a claim notifies only
+  /// when someone is asleep.
   struct Shard {
     std::mutex mu;
-    std::unordered_map<PageId, uint32_t> map;  // >= capacity_: staged
-    /// Demand-miss reads in flight, keyed by page id. An entry exists
-    /// from claim to publication; sharing `mu` with the page table makes
-    /// probe-or-claim atomic, so at most one loader per page exists and a
-    /// waiter that finds neither a mapping nor a claim is guaranteed the
-    /// read is not underway.
-    std::unordered_map<PageId, std::shared_ptr<InflightRead>> inflight;
+    PageTable table;
+    std::condition_variable cv;
+    uint32_t waiters = 0;  // guarded by mu
   };
-
   Shard& ShardFor(PageId pid) {
     // Pages ids are sequential; spread neighbors across shards.
     return shards_[(pid * 0x9e3779b1u >> 16) & (kNumShards - 1)];
@@ -466,24 +465,41 @@ class BufferPool {
   /// consumer inspects frames inside an evict_mu_ section, so a recycle
   /// at the top of a later section can never interleave with one.
   void RecycleRetiredStagingLocked();
+  /// True when page-table slot value `slot` names a staging frame.
+  bool IsStaged(uint32_t slot) const {
+    return slot >= capacity_ && slot != PageTable::kNoFrame;
+  }
+  /// Adds a pin to `frame` unless an evictor has claimed it (kEvicting).
+  bool TryPin(uint32_t frame) {
+    std::atomic<int>& pins = frames_[frame].pin_count;
+    int c = pins.load(std::memory_order_relaxed);
+    while (c >= 0) {
+      if (pins.compare_exchange_weak(c, c + 1, std::memory_order_acquire)) {
+        return true;
+      }
+    }
+    return false;
+  }
   /// Hit path of FetchPage without the miss fallback: pins `pid` if it is
   /// mapped (retrying around in-flight evictions). Returns false on miss.
   bool TryPinResident(PageId pid, PageGuard* out);
   /// The demand-miss path (DESIGN.md §17); the miss is already counted.
-  /// Loops: pin if resident (a coalesced miss), wait if another loader's
+  /// Loops: pin if resident (a coalesced miss), sleep if another loader's
   /// claim is in flight, else claim the page, load it with the disk read
   /// outside every pool latch, and publish.
   Status LoadPageMiss(PageId pid, PageGuard* out);
-  /// Loads `pid` while owning its in-flight claim: promotes a staged copy
-  /// if one exists, else allocates a victim under evict_mu_ and reads the
-  /// page with the latch released. Publishes the mapping on success; the
-  /// caller retires the claim afterwards.
+  /// Loads `pid` while owning its claim: promotes a staged copy if one
+  /// exists, else allocates a victim under evict_mu_ and reads the page
+  /// with the latch released. On success the claim is retired by the
+  /// publication itself; on failure the caller retires it.
   Status LoadClaimedPage(PageId pid, PageGuard* out);
-  /// Removes `pid`'s in-flight claim if it is `entry` (the caller's own).
-  void EraseInflight(PageId pid, const std::shared_ptr<InflightRead>& entry);
-  /// Marks `entry` resolved and wakes every waiter. Call *after* the
-  /// mapping is published (success) or the claim erased (failure).
-  static void FinishInflight(const std::shared_ptr<InflightRead>& entry);
+  /// Publishes `frame` as the mapping of the caller-claimed `pid` and
+  /// retires the claim in one bucket-latch hold, waking sleeping missers.
+  /// Returns the staging index the mapping replaced, or UINT32_MAX.
+  uint32_t PublishClaimed(PageId pid, uint32_t frame);
+  /// Retires the caller's claim on `pid` without publishing (failed
+  /// load), waking sleeping missers so one of them becomes the loader.
+  void RetireClaim(PageId pid);
   /// Takes a free frame or evicts the strict-LRU victim. `lk` holds
   /// evict_mu_ on entry and exit but may be released around a dirty
   /// victim's write-back (see ReclaimFrame).

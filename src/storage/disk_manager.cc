@@ -61,33 +61,49 @@ uint64_t DiskManager::AccountReadRun(PageId first, uint64_t n) {
   st.last_read = static_cast<uint64_t>(first) + n - 1;
   bool head_seq = prev != UINT64_MAX && static_cast<uint64_t>(first) == prev + 1;
   uint64_t seeks = head_seq ? 0 : 1;
-  st.seq_reads += n - seeks;
-  seq_reads_.fetch_add(n - seeks, std::memory_order_relaxed);
-  rand_reads_.fetch_add(seeks, std::memory_order_relaxed);
-  Metrics().seq_reads->Add(n - seeks);
-  Metrics().rand_reads->Add(seeks);
+  uint64_t seq = n - seeks;
+  // Only nonzero adds: a lone random read touches no seq counter, a
+  // sequential one no rand counter.
+  if (seq != 0) {
+    st.seq_reads += seq;
+    seq_reads_.fetch_add(seq, std::memory_order_relaxed);
+    Metrics().seq_reads->Add(seq);
+  }
+  if (seeks != 0) {
+    rand_reads_.fetch_add(seeks, std::memory_order_relaxed);
+    Metrics().rand_reads->Add(seeks);
+  }
   return seeks;
 }
 
 PageId DiskManager::AllocatePage() {
-  std::unique_lock<std::shared_mutex> l(mu_);
+  std::lock_guard<std::mutex> l(mu_);
   if (!free_list_.empty()) {
     PageId pid = free_list_.back();
     free_list_.pop_back();
     page_is_free_[pid] = 0;
-    pages_[pid]->Zero();
+    PageAt(pid)->Zero();
     return pid;
+  }
+  const uint64_t n = num_pages_.load(std::memory_order_relaxed);
+  OBJREP_CHECK_MSG(n < uint64_t{kMaxLeaves} * kPagesPerLeaf, "volume full");
+  std::unique_ptr<std::unique_ptr<Page>[]>& leaf = dir_[n >> kLeafBits];
+  if (leaf == nullptr) {
+    leaf = std::make_unique<std::unique_ptr<Page>[]>(kPagesPerLeaf);
   }
   auto page = std::make_unique<Page>();
   page->Zero();
-  pages_.push_back(std::move(page));
+  leaf[n & (kPagesPerLeaf - 1)] = std::move(page);
   page_is_free_.push_back(0);
-  return static_cast<PageId>(pages_.size() - 1);
+  // Publish: the leaf and the page above happen-before any reader that
+  // acquire-loads a count covering this id.
+  num_pages_.store(n + 1, std::memory_order_release);
+  return static_cast<PageId>(n);
 }
 
 void DiskManager::FreePage(PageId page_id) {
-  std::unique_lock<std::shared_mutex> l(mu_);
-  OBJREP_CHECK_MSG(page_id < pages_.size(), "free of unallocated page");
+  std::lock_guard<std::mutex> l(mu_);
+  OBJREP_CHECK_MSG(page_id < num_pages(), "free of unallocated page");
   OBJREP_CHECK_MSG(!page_is_free_[page_id], "double free of page");
   page_is_free_[page_id] = 1;
   free_list_.push_back(page_id);
@@ -97,13 +113,9 @@ Status DiskManager::ReadPage(PageId page_id, Page* out) {
   if (injector_.enabled()) {
     OBJREP_RETURN_NOT_OK(injector_.OnRead(1));
   }
-  {
-    std::shared_lock<std::shared_mutex> l(mu_);
-    if (page_id >= pages_.size()) {
-      return Status::IOError("read of unallocated page");
-    }
-    std::memcpy(out->data, pages_[page_id]->data, kPageSize);
-  }
+  const Page* page = PageAt(page_id);
+  if (page == nullptr) return Status::IOError("read of unallocated page");
+  std::memcpy(out->data, page->data, kPageSize);
   reads_.fetch_add(1, std::memory_order_relaxed);
   AttributeReads(1);
   Metrics().reads->Add(1);
@@ -121,16 +133,14 @@ Status DiskManager::ReadPages(const PageId* page_ids, size_t n,
   if (injector_.enabled()) {
     OBJREP_RETURN_NOT_OK(injector_.OnRead(n));
   }
-  {
-    std::shared_lock<std::shared_mutex> l(mu_);
-    for (size_t i = 0; i < n; ++i) {
-      if (page_ids[i] >= pages_.size()) {
-        return Status::IOError("read of unallocated page");
-      }
+  const uint64_t end = num_pages();
+  for (size_t i = 0; i < n; ++i) {
+    if (page_ids[i] >= end) {
+      return Status::IOError("read of unallocated page");
     }
-    for (size_t i = 0; i < n; ++i) {
-      std::memcpy(outs[i]->data, pages_[page_ids[i]]->data, kPageSize);
-    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    std::memcpy(outs[i]->data, PageAt(page_ids[i])->data, kPageSize);
   }
   reads_.fetch_add(n, std::memory_order_relaxed);
   AttributeReads(n);
@@ -151,6 +161,7 @@ Status DiskManager::ReadPages(const PageId* page_ids, size_t n,
 }
 
 Status DiskManager::WritePage(PageId page_id, const Page& in) {
+  Page* page = PageAt(page_id);
   if (injector_.enabled()) {
     OBJREP_RETURN_NOT_OK(injector_.OnWrite());
     Status torn = injector_.MaybeCrash("disk.write.torn");
@@ -158,20 +169,12 @@ Status DiskManager::WritePage(PageId page_id, const Page& in) {
       // Torn sector: half the page lands on the platter, then the crash.
       // The partial transfer below makes the damage real; recovery must
       // restore the page from a durable WAL image, never trust it.
-      std::shared_lock<std::shared_mutex> l(mu_);
-      if (page_id < pages_.size()) {
-        std::memcpy(pages_[page_id]->data, in.data, kPageSize / 2);
-      }
+      if (page != nullptr) std::memcpy(page->data, in.data, kPageSize / 2);
       return torn;
     }
   }
-  {
-    std::shared_lock<std::shared_mutex> l(mu_);
-    if (page_id >= pages_.size()) {
-      return Status::IOError("write of unallocated page");
-    }
-    std::memcpy(pages_[page_id]->data, in.data, kPageSize);
-  }
+  if (page == nullptr) return Status::IOError("write of unallocated page");
+  std::memcpy(page->data, in.data, kPageSize);
   writes_.fetch_add(1, std::memory_order_relaxed);
   AttributeWrite();
   Metrics().writes->Add(1);
@@ -187,28 +190,26 @@ Status DiskManager::WritePage(PageId page_id, const Page& in) {
 }
 
 Status DiskManager::ReadPageRaw(PageId page_id, Page* out) const {
-  std::shared_lock<std::shared_mutex> l(mu_);
-  if (page_id >= pages_.size()) {
-    return Status::IOError("raw read of unallocated page");
-  }
-  std::memcpy(out->data, pages_[page_id]->data, kPageSize);
+  const Page* page = PageAt(page_id);
+  if (page == nullptr) return Status::IOError("raw read of unallocated page");
+  std::memcpy(out->data, page->data, kPageSize);
   return Status::OK();
 }
 
 void DiskManager::WritePageRaw(PageId page_id, const Page& in) {
-  std::shared_lock<std::shared_mutex> l(mu_);
-  OBJREP_CHECK_MSG(page_id < pages_.size(), "raw write of unallocated page");
-  std::memcpy(pages_[page_id]->data, in.data, kPageSize);
+  Page* page = PageAt(page_id);
+  OBJREP_CHECK_MSG(page != nullptr, "raw write of unallocated page");
+  std::memcpy(page->data, in.data, kPageSize);
 }
 
 bool DiskManager::PageIsAllocated(PageId page_id) const {
-  std::shared_lock<std::shared_mutex> l(mu_);
-  return page_id < pages_.size() && !page_is_free_[page_id];
+  std::lock_guard<std::mutex> l(mu_);
+  return page_id < num_pages() && !page_is_free_[page_id];
 }
 
 bool DiskManager::TryFreePage(PageId page_id) {
-  std::unique_lock<std::shared_mutex> l(mu_);
-  OBJREP_CHECK_MSG(page_id < pages_.size(), "try-free of unallocated page");
+  std::lock_guard<std::mutex> l(mu_);
+  OBJREP_CHECK_MSG(page_id < num_pages(), "try-free of unallocated page");
   if (page_is_free_[page_id]) return false;
   page_is_free_[page_id] = 1;
   free_list_.push_back(page_id);

@@ -8,23 +8,28 @@
 // pure counter, bit-identical to the seed. When `io_latency_us` (seek) or
 // `transfer_us` (per-page transfer) is nonzero, each I/O sleeps
 //   seek * (1 if discontiguous else 0) + transfer
-// outside the latch; a vectored ReadPages charges one seek per
-// discontiguity in the batch, which is how physical contiguity becomes
-// wall-clock throughput without ever changing an I/O count.
+// in the calling thread, holding no lock; a vectored ReadPages charges one
+// seek per discontiguity in the batch, which is how physical contiguity
+// becomes wall-clock throughput without ever changing an I/O count.
 //
-// Thread safety: page reads/writes take a shared lock (the volume only
-// grows; distinct pages are distinct buffers) and AllocatePage/FreePage
-// take an exclusive lock. The I/O counters are relaxed atomics — monotonic
-// and exact in total, but a mid-run snapshot may interleave with concurrent
-// increments. Writers of the *same* page must be serialized by the
-// exec-layer LockManager, exactly as with a real device.
+// Thread safety: page reads and writes (counted and raw) take no lock. The
+// volume is a two-level directory — a fixed top array of lazily allocated
+// leaves of page pointers — that only grows: AllocatePage fills a slot
+// (and, at a leaf boundary, the leaf) before publishing the new page count
+// with a release store, and a reader that acquire-loads the count and
+// finds its id below it sees a fully built page. Pages are never moved or
+// deleted before the volume is. Allocation, freeing and the free list
+// share one plain mutex. The I/O counters are relaxed atomics — monotonic
+// and exact in total, but a mid-run snapshot may interleave with
+// concurrent increments. Writers of the *same* page must be serialized by
+// the exec-layer LockManager, exactly as with a real device.
 #ifndef OBJREP_STORAGE_DISK_MANAGER_H_
 #define OBJREP_STORAGE_DISK_MANAGER_H_
 
 #include <atomic>
 #include <cstddef>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <vector>
 
 #include "obs/io_context.h"
@@ -38,6 +43,12 @@ namespace objrep {
 /// Owns all pages of one simulated database volume and counts physical I/O.
 class DiskManager {
  public:
+  /// Pages per directory leaf, and leaves in the top array: a volume holds
+  /// at most kMaxLeaves * kPagesPerLeaf pages (32 GiB of 2 KiB pages).
+  static constexpr uint32_t kLeafBits = 12;
+  static constexpr uint32_t kPagesPerLeaf = 1u << kLeafBits;
+  static constexpr uint32_t kMaxLeaves = 4096;
+
   DiskManager() = default;
 
   DiskManager(const DiskManager&) = delete;
@@ -92,12 +103,11 @@ class DiskManager {
   /// Allocated address space in pages (free-listed pages included — the
   /// high-water footprint of the volume).
   uint64_t num_pages() const {
-    std::shared_lock<std::shared_mutex> l(mu_);
-    return pages_.size();
+    return num_pages_.load(std::memory_order_acquire);
   }
   /// Pages currently on the free list.
   uint64_t num_free_pages() const {
-    std::shared_lock<std::shared_mutex> l(mu_);
+    std::lock_guard<std::mutex> l(mu_);
     return free_list_.size();
   }
 
@@ -133,9 +143,9 @@ class DiskManager {
   }
 
   /// Simulated seek latency (default 0: the seed's pure counting model).
-  /// When nonzero, every discontiguous physical I/O sleeps this long
-  /// *outside* the DiskManager latch — lets the throughput bench show I/O
-  /// overlap across worker threads the way a real spindle/SSD queue would.
+  /// When nonzero, every discontiguous physical I/O sleeps this long,
+  /// holding no lock — lets the throughput bench show I/O overlap across
+  /// worker threads the way a real spindle/SSD queue would.
   /// Reads whose page id follows the previous read (sequentially, or
   /// within a ReadPages batch) skip the seek.
   void set_io_latency_us(uint32_t us) {
@@ -156,7 +166,7 @@ class DiskManager {
 
  private:
   /// Sleeps `seeks` seek latencies plus `pages` transfer times (no-op when
-  /// both knobs are 0). Called after the latch is released.
+  /// both knobs are 0). Called after the page copy, holding no lock.
   void SimulateLatency(uint64_t seeks, uint64_t pages) const;
   /// Classifies a read run starting at `first` for `n` contiguous pages
   /// against the calling thread's arm position and updates seq/rand
@@ -182,10 +192,20 @@ class DiskManager {
         1, std::memory_order_relaxed);
   }
 
-  mutable std::shared_mutex mu_;  // guards pages_ / free_list_ growth
-  std::vector<std::unique_ptr<Page>> pages_;
-  std::vector<PageId> free_list_;        // guarded by mu_
-  std::vector<uint8_t> page_is_free_;    // guarded by mu_; double-free check
+  /// The page `page_id`, or nullptr when it lies past the published end
+  /// of the volume. Lock-free (see the thread-safety note above).
+  Page* PageAt(PageId page_id) const {
+    if (page_id >= num_pages_.load(std::memory_order_acquire)) return nullptr;
+    return dir_[page_id >> kLeafBits][page_id & (kPagesPerLeaf - 1)].get();
+  }
+
+  /// Leaves of page slots; a leaf and its slots are written once, under
+  /// mu_, before num_pages_ publishes them.
+  std::unique_ptr<std::unique_ptr<Page>[]> dir_[kMaxLeaves];
+  std::atomic<uint64_t> num_pages_{0};
+  mutable std::mutex mu_;              // allocation, free list
+  std::vector<PageId> free_list_;      // guarded by mu_
+  std::vector<uint8_t> page_is_free_;  // guarded by mu_; double-free check
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> writes_{0};
   std::atomic<uint64_t> seq_reads_{0};

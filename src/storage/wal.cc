@@ -33,10 +33,10 @@ WalMetrics& Metrics() {
   return *m;
 }
 
-// Record framing:  [u8 type][u64 txn][u32 payload_len] payload [u64 fnv]
-// The checksum covers header + payload; a record whose framing runs past
-// the durable watermark or whose checksum mismatches is a torn tail and
-// ends the recoverable log.
+// Record framing:  [u8 type][u64 txn][u32 payload_len] payload [u64 sum]
+// The checksum (Checksum64, util/hash.h) covers header + payload; a record
+// whose framing runs past the durable watermark or whose checksum
+// mismatches is a torn tail and ends the recoverable log.
 constexpr size_t kHeaderBytes = 1 + 8 + 4;
 constexpr size_t kTrailerBytes = 8;
 
@@ -60,34 +60,33 @@ uint64_t Wal::Begin() {
   return next_txn_++;
 }
 
-void Wal::AppendRecord(RecordType type, uint64_t txn, const uint8_t* payload,
-                       uint32_t payload_len) {
+void Wal::AppendRecord(RecordType type, uint64_t txn, const void* head,
+                       uint32_t head_len, const void* body,
+                       uint32_t body_len) {
+  const uint32_t payload_len = head_len + body_len;
   size_t start = log_.size();
   log_.push_back(static_cast<uint8_t>(type));
   StoreLE<uint64_t>(&log_, txn);
   StoreLE<uint32_t>(&log_, payload_len);
-  if (payload_len != 0) {
-    log_.insert(log_.end(), payload, payload + payload_len);
-  }
-  uint64_t crc = Fnv1a64(log_.data() + start, kHeaderBytes + payload_len);
+  const auto* h = static_cast<const uint8_t*>(head);
+  const auto* b = static_cast<const uint8_t*>(body);
+  log_.insert(log_.end(), h, h + head_len);
+  log_.insert(log_.end(), b, b + body_len);
+  uint64_t crc = Checksum64(log_.data() + start, kHeaderBytes + payload_len);
   StoreLE<uint64_t>(&log_, crc);
   Metrics().records->Add(1);
   Metrics().bytes->Add(log_.size() - start);
 }
 
 void Wal::AppendPageImage(uint64_t txn, PageId pid, const Page& image) {
-  uint8_t payload[4 + kPageSize];
-  std::memcpy(payload, &pid, 4);
-  std::memcpy(payload + 4, image.data, kPageSize);
+  // The image goes straight from the frame into the log: one copy.
   std::lock_guard<std::mutex> guard(mu_);
-  AppendRecord(kPageImage, txn, payload, sizeof(payload));
+  AppendRecord(kPageImage, txn, &pid, sizeof(pid), image.data, kPageSize);
 }
 
 void Wal::AppendFreePage(uint64_t txn, PageId pid) {
-  uint8_t payload[4];
-  std::memcpy(payload, &pid, 4);
   std::lock_guard<std::mutex> guard(mu_);
-  AppendRecord(kFreePage, txn, payload, sizeof(payload));
+  AppendRecord(kFreePage, txn, &pid, sizeof(pid));
 }
 
 void Wal::AppendMvccUpdate(uint64_t txn, uint64_t commit_ts,
@@ -196,7 +195,7 @@ Status Wal::Recover(WalRecoveryStats* stats,
     size_t rec_end = pos + kHeaderBytes + len + kTrailerBytes;
     if (rec_end > durable_) break;  // framing runs past the watermark: torn
     uint64_t crc = LoadLE<uint64_t>(log_.data() + pos + kHeaderBytes + len);
-    if (Fnv1a64(log_.data() + pos, kHeaderBytes + len) != crc) break;
+    if (Checksum64(log_.data() + pos, kHeaderBytes + len) != crc) break;
     const uint8_t* payload = log_.data() + pos + kHeaderBytes;
     switch (static_cast<RecordType>(type)) {
       case kPageImage: {

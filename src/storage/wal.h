@@ -146,8 +146,11 @@ class Wal {
     kMvccUpdate = 5,
   };
 
-  void AppendRecord(RecordType type, uint64_t txn, const uint8_t* payload,
-                    uint32_t payload_len);
+  /// Appends one framed record whose payload is `head` then `body` (either
+  /// may be empty), each copied once, straight into log_.
+  void AppendRecord(RecordType type, uint64_t txn, const void* head,
+                    uint32_t head_len, const void* body = nullptr,
+                    uint32_t body_len = 0);
   /// Advances the durable watermark to the log end (crash points apply).
   Status Sync();
 

@@ -3,6 +3,11 @@
 // cost number in the reproduction.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <thread>
+#include <vector>
+
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 
@@ -43,6 +48,99 @@ TEST(DiskManagerTest, RejectsUnallocatedPage) {
   Page p;
   EXPECT_TRUE(disk.ReadPage(99, &p).IsIOError());
   EXPECT_TRUE(disk.WritePage(99, p).IsIOError());
+}
+
+// Reads and writes take no lock, so they must stay correct while another
+// thread grows the volume's directory underneath them: four workers each
+// own a quarter of a set of stamped pages and rewrite + re-read them, and
+// also read the newest page the moment it is published (it must already
+// be the zeroed page AllocatePage built), while one thread allocates pages
+// across several new directory leaves.
+TEST(DiskManagerTest, ReadsAndWritesRaceGrowth) {
+  constexpr uint32_t kWorkers = 4;
+  constexpr uint32_t kStamped = 64;
+  constexpr uint32_t kNewLeaves = 3;
+  DiskManager disk;
+  auto stamp = [](Page* p, PageId pid, uint32_t version) {
+    p->Zero();
+    std::memcpy(p->data, &pid, sizeof(pid));
+    std::memcpy(p->data + kPageSize - sizeof(version), &version,
+                sizeof(version));
+  };
+  auto stamp_of = [](const Page& p, PageId* pid, uint32_t* version) {
+    std::memcpy(pid, p.data, sizeof(*pid));
+    std::memcpy(version, p.data + kPageSize - sizeof(*version),
+                sizeof(*version));
+  };
+  for (uint32_t i = 0; i < kStamped; ++i) {
+    PageId pid = disk.AllocatePage();
+    Page p;
+    stamp(&p, pid, 0);
+    ASSERT_TRUE(disk.WritePage(pid, p).ok());
+  }
+  const uint64_t first_leaf = (disk.num_pages() - 1) / DiskManager::kPagesPerLeaf;
+
+  std::atomic<bool> growing{true};
+  std::atomic<uint32_t> started{0};
+  std::atomic<uint64_t> bad{0};
+  std::atomic<uint64_t> racing_ops{0};
+  std::vector<std::thread> workers;
+  for (uint32_t t = 0; t < kWorkers; ++t) {
+    workers.emplace_back([&, t] {
+      uint32_t version = 0;
+      while (growing.load(std::memory_order_acquire)) {
+        ++version;
+        for (PageId pid = t; pid < kStamped; pid += kWorkers) {
+          Page p;
+          stamp(&p, pid, version);
+          if (!disk.WritePage(pid, p).ok()) ++bad;
+          Page r;
+          if (!disk.ReadPage(pid, &r).ok()) ++bad;
+          PageId got_pid = kInvalidPageId;
+          uint32_t got_version = 0;
+          stamp_of(r, &got_pid, &got_version);
+          if (got_pid != pid || got_version != version) ++bad;
+        }
+        // The freshest page: published only after it was zeroed.
+        PageId newest = static_cast<PageId>(disk.num_pages() - 1);
+        Page fresh;
+        if (!disk.ReadPageRaw(newest, &fresh).ok()) ++bad;
+        if (newest >= kStamped) {
+          static const Page kZero{};
+          if (std::memcmp(fresh.data, kZero.data, kPageSize) != 0) ++bad;
+        }
+        racing_ops.fetch_add(1, std::memory_order_relaxed);
+        if (version == 1) started.fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  std::thread grower([&] {
+    // Start growing only once every worker is inside its loop.
+    while (started.load(std::memory_order_acquire) < kWorkers) {
+      std::this_thread::yield();
+    }
+    const uint64_t target = (first_leaf + 1 + kNewLeaves) *
+                            uint64_t{DiskManager::kPagesPerLeaf};
+    while (disk.num_pages() < target) disk.AllocatePage();
+    growing.store(false, std::memory_order_release);
+  });
+  grower.join();
+  for (std::thread& w : workers) w.join();
+
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(racing_ops.load(), 0u);
+  // Coverage: the race really spanned directory-leaf allocations.
+  const uint64_t last_leaf = (disk.num_pages() - 1) / DiskManager::kPagesPerLeaf;
+  EXPECT_GE(last_leaf - first_leaf, 2u);
+  // Every stamped page still holds a complete stamp of its own id.
+  for (PageId pid = 0; pid < kStamped; ++pid) {
+    Page r;
+    ASSERT_TRUE(disk.ReadPageRaw(pid, &r).ok());
+    PageId got_pid = kInvalidPageId;
+    uint32_t got_version = 0;
+    stamp_of(r, &got_pid, &got_version);
+    EXPECT_EQ(got_pid, pid);
+  }
 }
 
 TEST(BufferPoolTest, HitCostsNoIo) {

@@ -1,6 +1,8 @@
 // Unit tests for the util layer: Status/Result, RNG, hashing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -146,6 +148,47 @@ TEST(HashTest, Fnv1aMatchesKnownVector) {
   // FNV-1a("") is the offset basis; FNV-1a("a") is a published constant.
   EXPECT_EQ(Fnv1a64("", 0), 0xcbf29ce484222325ULL);
   EXPECT_EQ(Fnv1a64("a", 1), 0xaf63dc4c8601ec8cULL);
+}
+
+// Pins the WAL record checksum: a change to Checksum64 changes what a log
+// written before it recovers to, so it must be deliberate.
+TEST(HashTest, Checksum64MatchesKnownVector) {
+  EXPECT_EQ(Checksum64("", 0), 0x2021a5fbf9ce1512ULL);
+  EXPECT_EQ(Checksum64("a", 1), 0x34bde51d96753e90ULL);
+  const char* rec = "objrep write-ahead log record";  // 3 words + 5 bytes
+  EXPECT_EQ(Checksum64(rec, std::strlen(rec)), 0x22ab600d7f853e06ULL);
+}
+
+// A 2061-byte record (257 whole words and a 5-byte tail): every single-bit
+// flip at the sampled offsets, including every tail byte, and every
+// truncation by 1 to 8 bytes must change the checksum — also when the
+// dropped bytes are zeros, which only the folded-in length can tell apart.
+TEST(HashTest, Checksum64DetectsBitFlipsAndTruncation) {
+  std::vector<uint8_t> rec(2061);
+  Rng rng(11);
+  for (uint8_t& b : rec) b = static_cast<uint8_t>(rng.Uniform(256));
+  const uint64_t base = Checksum64(rec.data(), rec.size());
+  std::vector<size_t> offsets;
+  for (size_t off = 0; off < rec.size(); off += 13) offsets.push_back(off);
+  for (size_t off = rec.size() - 9; off < rec.size(); ++off) {
+    offsets.push_back(off);
+  }
+  for (size_t off : offsets) {
+    for (int bit = 0; bit < 8; ++bit) {
+      rec[off] ^= static_cast<uint8_t>(1u << bit);
+      EXPECT_NE(Checksum64(rec.data(), rec.size()), base)
+          << "offset " << off << " bit " << bit;
+      rec[off] ^= static_cast<uint8_t>(1u << bit);
+    }
+  }
+  for (size_t cut = 1; cut <= 8; ++cut) {
+    EXPECT_NE(Checksum64(rec.data(), rec.size() - cut), base) << cut;
+  }
+  std::fill(rec.end() - 8, rec.end(), 0);
+  const uint64_t zero_tail = Checksum64(rec.data(), rec.size());
+  for (size_t cut = 1; cut <= 8; ++cut) {
+    EXPECT_NE(Checksum64(rec.data(), rec.size() - cut), zero_tail) << cut;
+  }
 }
 
 TEST(HashTest, Mix64SeparatesSequentialKeys) {
