@@ -30,20 +30,12 @@ struct PoolMetrics {
       MetricsRegistry::Global().GetCounter("pool.miss.coalesced");
   Counter* inflight_waits =
       MetricsRegistry::Global().GetCounter("pool.miss.inflight_waits");
-  Counter* staging_cv_waits =
-      MetricsRegistry::Global().GetCounter("pool.staging.cv_waits");
 };
 
 PoolMetrics& Metrics() {
   static PoolMetrics* m = new PoolMetrics();
   return *m;
 }
-
-// Spin budget before WaitStagingReady falls back to a condvar sleep. Hint
-// reads usually land within microseconds; a fault-stalled or heavily
-// delayed one must not burn a core at 100% (the seed's unbounded yield()
-// loop did exactly that).
-constexpr uint32_t kStagingSpinIters = 64;
 
 }  // namespace
 
@@ -72,10 +64,8 @@ void BufferPool::SetPrefetchOptions(const PrefetchOptions& options) {
       prefetch_.enabled ? prefetch_.readahead_pages * kStagingPerWindow : 0;
   staging_.reset();
   free_staging_.clear();
-  retired_staging_.clear();
-  retired_count_.store(0, std::memory_order_relaxed);
   if (staging_count_ > 0) {
-    staging_ = std::make_unique<StagingFrame[]>(staging_count_);
+    staging_ = std::make_unique<Page[]>(staging_count_);
     free_staging_.reserve(staging_count_);
     for (uint32_t i = 0; i < staging_count_; ++i) {
       free_staging_.push_back(staging_count_ - 1 - i);
@@ -88,17 +78,8 @@ void BufferPool::SetPrefetchOptions(const PrefetchOptions& options) {
 }
 
 void BufferPool::ReleaseStagingFrame(uint32_t st_idx) {
-  staging_[st_idx].pid = kInvalidPageId;
   std::lock_guard<std::mutex> l(staging_mu_);
   free_staging_.push_back(st_idx);
-}
-
-void BufferPool::RecycleRetiredStagingLocked() {
-  if (retired_count_.load(std::memory_order_acquire) == 0) return;
-  std::lock_guard<std::mutex> l(staging_mu_);
-  for (uint32_t st : retired_staging_) free_staging_.push_back(st);
-  retired_staging_.clear();
-  retired_count_.store(0, std::memory_order_release);
 }
 
 std::vector<PageId> BufferPool::StagedPageIds() {
@@ -113,9 +94,8 @@ std::vector<PageId> BufferPool::StagedPageIds() {
 }
 
 void BufferPool::DropStagedPages() {
-  // Unmap under the bucket latches; wait out in-flight hint reads and
-  // recycle outside them (a hint thread may be claiming pages in the same
-  // shard before issuing its read — waiting under the latch would deadlock).
+  // Quiescent: no hint holds a claim, and a staged mapping is published
+  // only after its bytes land, so every staging frame is free to reuse.
   std::vector<std::pair<PageId, uint32_t>> dropped;  // (pid, slot)
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> l(shard.mu);
@@ -127,36 +107,9 @@ void BufferPool::DropStagedPages() {
       shard.table.Unmap(dropped[j].first, dropped[j].second);
     }
   }
-  for (const auto& [pid, slot] : dropped) {
-    WaitStagingReady(slot - capacity_);
-    ReleaseStagingFrame(slot - capacity_);
-  }
+  for (const auto& [pid, slot] : dropped) ReleaseStagingFrame(slot - capacity_);
   prefetch_wasted_.fetch_add(dropped.size(), std::memory_order_relaxed);
   Metrics().wasted->Add(dropped.size());
-}
-
-void BufferPool::WaitStagingReady(uint32_t st_idx) {
-  StagingFrame& st = staging_[st_idx];
-  for (uint32_t spin = 0; spin < kStagingSpinIters; ++spin) {
-    if (st.ready.load(std::memory_order_acquire)) return;
-    std::this_thread::yield();
-  }
-  std::unique_lock<std::mutex> l(st.mu);
-  if (st.ready.load(std::memory_order_acquire)) return;
-  staging_cv_waits_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().staging_cv_waits->Add(1);
-  st.cv.wait(l, [&] { return st.ready.load(std::memory_order_acquire); });
-}
-
-void BufferPool::MarkStagingReady(uint32_t st_idx) {
-  StagingFrame& st = staging_[st_idx];
-  {
-    // Taking st.mu here closes the race with a waiter that checked `ready`
-    // under the lock but has not yet blocked on the condvar.
-    std::lock_guard<std::mutex> l(st.mu);
-    st.ready.store(true, std::memory_order_release);
-  }
-  st.cv.notify_all();
 }
 
 void BufferPool::Unpin(uint32_t frame, bool restamp) {
@@ -308,21 +261,7 @@ void BufferPool::AbandonFrameLocked(uint32_t frame) {
 }
 
 Status BufferPool::PromoteStaged(std::unique_lock<std::mutex>& lk,
-                                 uint32_t st_idx, PageId pid, bool* stale,
-                                 PageGuard* out) {
-  // The mapping may be *pending*: an async hint publishes before its
-  // vectored read lands. Wait it out (we hold evict_mu_ but no bucket
-  // latch, so the hint thread can finish claiming and read). If the read
-  // failed, the hint retired the frame (pid reset, mapping erased) — report
-  // stale so the caller demand-loads instead. The caller owns `pid`'s
-  // in-flight claim, so nobody else can consume the staged frame across
-  // this wait or the allocation's transient evict_mu_ release.
-  *stale = false;
-  WaitStagingReady(st_idx);
-  if (staging_[st_idx].pid != pid) {
-    *stale = true;
-    return Status::OK();
-  }
+                                 uint32_t st_idx, PageId pid, PageGuard* out) {
   // The victim is chosen here, at first demand access — the same frame, at
   // the same moment, that the demand-paged run's miss would evict. The
   // staged bytes substitute for the disk read, which already happened (and
@@ -331,7 +270,7 @@ Status BufferPool::PromoteStaged(std::unique_lock<std::mutex>& lk,
   uint32_t frame;
   OBJREP_RETURN_NOT_OK(AllocateFrame(lk, &frame));
   Frame& f = frames_[frame];
-  f.page = staging_[st_idx].page;
+  f.page = staging_[st_idx];
   f.pid = pid;
   f.pin_count.store(1, std::memory_order_relaxed);
   f.dirty.store(false, std::memory_order_relaxed);
@@ -370,29 +309,37 @@ void BufferPool::RetireClaim(PageId pid) {
   if (wake) shard.cv.notify_all();
 }
 
+const PageTable::Entry* BufferPool::AwaitUnclaimed(
+    Shard& shard, std::unique_lock<std::mutex>& l, PageId pid) {
+  for (;;) {
+    const PageTable::Entry* e = shard.table.Find(pid);
+    if (e == nullptr || e->claim == 0) return e;
+    // Another thread's read of `pid` (a demand miss or a read-ahead hint)
+    // is in flight: sleep until that claim resolves instead of issuing a
+    // duplicate read. The wait tests the claim's token, so a claim taken
+    // again before we wake is waited out as a new one.
+    inflight_waits_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().inflight_waits->Add(1);
+    const uint32_t theirs = e->claim;
+    ++shard.waiters;
+    shard.cv.wait(l, [&] {
+      const PageTable::Entry* c = shard.table.Find(pid);
+      return c == nullptr || c->claim != theirs;
+    });
+    --shard.waiters;
+  }
+}
+
 Status BufferPool::LoadPageMiss(PageId pid, PageGuard* out) {
   Shard& shard = ShardFor(pid);
-  uint32_t staged_hint = UINT32_MAX;
+  uint32_t staged = UINT32_MAX;
   for (;;) {
     std::unique_lock<std::mutex> l(shard.mu);
-    const PageTable::Entry* e = shard.table.Find(pid);
-    if (e != nullptr && e->claim != 0) {
-      // Another thread's read is in flight: sleep until that claim
-      // resolves instead of issuing a duplicate read. On success the
-      // re-probe pins the published frame (a coalesced miss); on failure
-      // it finds neither mapping nor claim, so exactly one waiter becomes
-      // the new loader and the rest coalesce on *its* claim.
-      inflight_waits_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().inflight_waits->Add(1);
-      const uint32_t theirs = e->claim;
-      ++shard.waiters;
-      shard.cv.wait(l, [&] {
-        const PageTable::Entry* c = shard.table.Find(pid);
-        return c == nullptr || c->claim != theirs;
-      });
-      --shard.waiters;
-      continue;
-    }
+    // A claim that resolved successfully left a mapping: a frame pinned
+    // below (a coalesced miss) or a hint's staged copy to promote. A failed
+    // one left neither, so exactly one waiter becomes the new loader and
+    // the rest coalesce on *its* claim.
+    const PageTable::Entry* e = AwaitUnclaimed(shard, l, pid);
     if (e != nullptr && e->frame < capacity_) {
       const uint32_t frame = e->frame;
       if (TryPin(frame)) {
@@ -410,17 +357,11 @@ Status BufferPool::LoadPageMiss(PageId pid, PageGuard* out) {
       continue;
     }
     // Absent or staged: the miss is ours to load.
-    if (e != nullptr) staged_hint = e->frame - capacity_;
+    if (e != nullptr) staged = e->frame - capacity_;
     shard.table.Claim(pid);
     break;
   }
-  // We own pid's claim. A staged copy seen at claim time may still have
-  // its hint read in flight — wait it out *before* taking evict_mu_, so
-  // the rest of the pool keeps evicting while that read lands. (The
-  // staging index is re-probed under the latch: the hint may have failed
-  // and its frame been retired meanwhile.)
-  if (staged_hint != UINT32_MAX) WaitStagingReady(staged_hint);
-  Status s = LoadClaimedPage(pid, out);
+  Status s = LoadClaimedPage(pid, staged, out);
   // On success the publication retired the claim; a failed load leaves
   // neither mapping nor claim, so a prober sees the mapping, the claim,
   // or — only once the read truly failed — neither.
@@ -428,25 +369,12 @@ Status BufferPool::LoadPageMiss(PageId pid, PageGuard* out) {
   return s;
 }
 
-Status BufferPool::LoadClaimedPage(PageId pid, PageGuard* out) {
+Status BufferPool::LoadClaimedPage(PageId pid, uint32_t staged,
+                                   PageGuard* out) {
   std::unique_lock<std::mutex> big(evict_mu_);
-  RecycleRetiredStagingLocked();
-  uint32_t staged = UINT32_MAX;
-  {
-    Shard& shard = ShardFor(pid);
-    std::lock_guard<std::mutex> l(shard.mu);
-    const PageTable::Entry* e = shard.table.Find(pid);
-    OBJREP_CHECK_MSG(e != nullptr && e->claim != 0 && e->frame >= capacity_,
-                     "page resident while its miss claim is held");
-    if (IsStaged(e->frame)) staged = e->frame - capacity_;
-  }
-  if (staged != UINT32_MAX) {
-    bool stale = false;
-    OBJREP_RETURN_NOT_OK(PromoteStaged(big, staged, pid, &stale, out));
-    if (!stale) return Status::OK();
-    // The hint's read failed and its frame was retired; fall through to
-    // a demand load of our own.
-  }
+  // Our claim keeps a staged copy mapped, and its bytes landed before it
+  // was published: promote it.
+  if (staged != UINT32_MAX) return PromoteStaged(big, staged, pid, out);
   uint32_t frame;
   OBJREP_RETURN_NOT_OK(AllocateFrame(big, &frame));
   Frame& f = frames_[frame];
@@ -476,31 +404,32 @@ Status BufferPool::LoadClaimedPage(PageId pid, PageGuard* out) {
 }
 
 Status BufferPool::PinNewFrame(PageId pid, PageGuard* out) {
+  // A recycled id may still have a hint reading its old image. Wait that
+  // read out, then claim the id, so no later hint can stage it before the
+  // zeroed frame is published over whatever copy the hint left.
+  {
+    Shard& shard = ShardFor(pid);
+    std::unique_lock<std::mutex> l(shard.mu);
+    AwaitUnclaimed(shard, l, pid);
+    shard.table.Claim(pid);
+  }
   std::unique_lock<std::mutex> big(evict_mu_);
-  RecycleRetiredStagingLocked();
   uint32_t frame;
-  OBJREP_RETURN_NOT_OK(AllocateFrame(big, &frame));
+  Status s = AllocateFrame(big, &frame);
+  if (!s.ok()) {
+    RetireClaim(pid);
+    return s;
+  }
   Frame& f = frames_[frame];
   f.pid = pid;
   f.pin_count.store(1, std::memory_order_relaxed);
   f.dirty.store(true, std::memory_order_relaxed);
   f.in_use = true;
   f.page.Zero();
-  uint32_t redundant_staged = UINT32_MAX;
-  {
-    Shard& shard = ShardFor(pid);
-    std::lock_guard<std::mutex> l(shard.mu);
-    const uint32_t old = shard.table.Map(pid, frame);
-    if (IsStaged(old)) {
-      // An async hint staged a stale image of this recycled page id; the
-      // fresh zeroed frame supersedes it.
-      redundant_staged = old - capacity_;
-    }
-  }
+  const uint32_t superseded = PublishClaimed(pid, frame);
   big.unlock();
-  if (redundant_staged != UINT32_MAX) {
-    WaitStagingReady(redundant_staged);
-    ReleaseStagingFrame(redundant_staged);
+  if (superseded != UINT32_MAX) {
+    ReleaseStagingFrame(superseded);
     prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
     Metrics().wasted->Add(1);
   }
@@ -568,16 +497,16 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
   // hit probe (pinned here — the racing loader's read serves our miss, a
   // coalesced miss), and pages another loader or evictor currently owns
   // (`deferred`, resolved one-by-one after the batch: sleeping on a
-  // foreign claim while holding our own batch's claims could deadlock two
-  // interleaved batches).
+  // foreign claim — a demand loader's or an in-flight hint's — while
+  // holding our own batch's claims could deadlock two interleaved batches).
   struct Need {
     size_t pos;
+    uint32_t staged;  // staging index of a hint's copy, or UINT32_MAX
     uint32_t frame;
   };
   std::vector<Need> need;
   std::vector<size_t> alias;     // positions duplicating a `need` pid
   std::vector<size_t> deferred;  // positions racing a foreign claim
-  std::vector<uint32_t> staged_hints;  // possibly-pending hint reads
   auto needed = [&](PageId pid) {
     return std::find_if(need.begin(), need.end(), [&](const Need& nd) {
       return pids[nd.pos] == pid;
@@ -621,18 +550,11 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
       deferred.push_back(i);
       continue;
     }
-    if (staged != UINT32_MAX) staged_hints.push_back(staged);
-    need.push_back(Need{i, 0});
+    need.push_back(Need{i, staged, 0});
   }
 
   Status s = Status::OK();
   if (!need.empty()) {
-    // Wait out possibly-pending hint reads before taking evict_mu_ — our
-    // claims make the staged copies stable, and the staging index is
-    // re-probed under the latch below (the hint may have failed and its
-    // frame been retired meanwhile).
-    for (uint32_t st : staged_hints) WaitStagingReady(st);
-
     // Frames for all owned misses are allocated in batch-position order —
     // the same frames, in the same order, n sequential FetchPage calls
     // would take. Staged pages are promoted (copy in place of a read);
@@ -641,7 +563,6 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
     // frame private until publication.
     std::vector<uint32_t> frames(need.size());
     std::unique_lock<std::mutex> big(evict_mu_);
-    RecycleRetiredStagingLocked();
     s = AllocateFrames(big, need.size(), frames.data());
     if (s.ok()) {
       std::vector<PageId> load_pids;
@@ -656,23 +577,12 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
         f.pin_count.store(1, std::memory_order_relaxed);
         f.dirty.store(false, std::memory_order_relaxed);
         f.in_use = true;
-        uint32_t st = UINT32_MAX;
-        {
-          Shard& shard = ShardFor(pid);
-          std::lock_guard<std::mutex> l(shard.mu);
-          const PageTable::Entry* e = shard.table.Find(pid);
-          if (IsStaged(e->frame)) st = e->frame - capacity_;
-        }
-        if (st != UINT32_MAX) {
-          // Usually instant (pre-waited above). A retired frame (failed
-          // hint read) falls back to our own load.
-          WaitStagingReady(st);
-          if (staging_[st].pid == pid) {
-            f.page = staging_[st].page;
-            prefetch_promoted_.fetch_add(1, std::memory_order_relaxed);
-            Metrics().promoted->Add(1);
-            continue;
-          }
+        if (need[j].staged != UINT32_MAX) {
+          // Our claim keeps the staged copy mapped and intact.
+          f.page = staging_[need[j].staged];
+          prefetch_promoted_.fetch_add(1, std::memory_order_relaxed);
+          Metrics().promoted->Add(1);
+          continue;
         }
         load_pids.push_back(pid);
         ptrs.push_back(&f.page);
@@ -682,16 +592,17 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
         s = disk_->ReadPages(load_pids.data(), load_pids.size(), ptrs.data());
       }
       if (s.ok()) {
-        // Publishing retires each claim in the same latch hold.
-        std::vector<uint32_t> consumed_staging;
+        // Publishing retires each claim in the same latch hold, and
+        // replaces a promoted page's staged mapping.
         for (const Need& nd : need) {
           PageId pid = pids[nd.pos];
-          uint32_t st = PublishClaimed(pid, nd.frame);
-          if (st != UINT32_MAX) consumed_staging.push_back(st);  // promoted
+          PublishClaimed(pid, nd.frame);
           (*out)[nd.pos] = PageGuard(this, nd.frame, pid);
         }
         if (big.owns_lock()) big.unlock();
-        for (uint32_t st : consumed_staging) ReleaseStagingFrame(st);
+        for (const Need& nd : need) {
+          if (nd.staged != UINT32_MAX) ReleaseStagingFrame(nd.staged);
+        }
         for (size_t i : alias) {
           uint32_t fr = needed(pids[i])->frame;
           frames_[fr].pin_count.fetch_add(1, std::memory_order_relaxed);
@@ -729,52 +640,36 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
 
 Status BufferPool::Prefetch(const PageId* pids, size_t n) {
   if (n == 0 || staging_count_ == 0) return Status::OK();
-  // Claim-and-publish pass (order-preserving, duplicates dropped): ids
-  // already resident, staged or claimed by a demand loader are skipped
-  // (the loader's read is underway); the rest get a staging frame
-  // and a *pending* mapping (ready == false) before the read is issued.
-  // Publishing first means a concurrent demand fetch of an in-flight page
-  // waits for this one read instead of paying a redundant one of its own.
-  // If staging runs short the batch's tail is dropped — the earliest pages
-  // are the ones consumed soonest. No pool frame is touched: read-ahead
-  // never evicts.
+  // Claim pass (order-preserving, duplicates dropped): ids already
+  // resident, staged or claimed by another loader are skipped (a claimed
+  // page's read is underway); the rest get a staging frame and a claim in
+  // the page table, exactly as a demand miss would. A demand fetch of a
+  // page whose hint read is in flight sleeps on that claim instead of
+  // paying a redundant read, and the staged mapping is published only once
+  // its bytes have landed. If staging runs short the batch's tail is
+  // dropped — the earliest pages are the ones consumed soonest. No pool
+  // frame is touched: read-ahead never evicts.
   std::vector<PageId> want;
-  std::vector<uint32_t> claimed;
+  std::vector<uint32_t> slots;  // staging index per `want` page
   want.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     PageId pid = pids[i];
     if (std::find(want.begin(), want.end(), pid) != want.end()) continue;
-    bool exhausted = false;
+    Shard& shard = ShardFor(pid);
+    std::lock_guard<std::mutex> l(shard.mu);
+    if (shard.table.Find(pid) != nullptr) continue;
     {
-      Shard& shard = ShardFor(pid);
-      std::lock_guard<std::mutex> l(shard.mu);
-      if (shard.table.Find(pid) != nullptr) continue;
-      uint32_t st_idx = 0;
-      {
-        std::lock_guard<std::mutex> ls(staging_mu_);
-        if (free_staging_.empty()) {
-          exhausted = true;
-        } else {
-          st_idx = free_staging_.back();
-          free_staging_.pop_back();
-        }
-      }
-      if (!exhausted) {
-        StagingFrame& st = staging_[st_idx];
-        st.pid = pid;
-        st.ready.store(false, std::memory_order_relaxed);
-        shard.table.Map(pid, capacity_ + st_idx);
-        want.push_back(pid);
-        claimed.push_back(st_idx);
-      }
+      std::lock_guard<std::mutex> ls(staging_mu_);
+      if (free_staging_.empty()) break;
+      slots.push_back(free_staging_.back());
+      free_staging_.pop_back();
     }
-    if (exhausted) break;
+    shard.table.Claim(pid);
+    want.push_back(pid);
   }
   if (want.empty()) return Status::OK();
-  std::vector<Page*> ptrs(claimed.size());
-  for (size_t j = 0; j < claimed.size(); ++j) {
-    ptrs[j] = &staging_[claimed[j]].page;
-  }
+  std::vector<Page*> ptrs(slots.size());
+  for (size_t j = 0; j < slots.size(); ++j) ptrs[j] = &staging_[slots[j]];
   Status s;
   {
     // Read-ahead reads are their own traffic class, whatever the hinting
@@ -782,40 +677,25 @@ Status BufferPool::Prefetch(const PageId* pids, size_t n) {
     ScopedIoTag tag(IoTag::kPrefetch);
     s = disk_->ReadPages(want.data(), want.size(), ptrs.data());
   }
+  // Counted before the claims resolve: a thread that sees the outcome sees
+  // it through the bucket latch, and with it the count.
   if (!s.ok()) {
-    // Unpublish and *retire*. The frames cannot go straight back to
-    // free_staging_: a waiter that read the pending mapping before the
-    // erase may still inspect the frame, and a reuse could hand it fresh
-    // bytes under a matching pid (ABA). Retired frames are recycled at the
-    // top of a later evict_mu_ section — every staged-frame consumer
-    // inspects frames only inside evict_mu_, so the recycle can never
-    // interleave with an inspection. Without the recycle, every injected
-    // hint-read fault would permanently leak a staging frame and
-    // eventually disable read-ahead altogether.
-    for (size_t j = 0; j < claimed.size(); ++j) {
-      {
-        Shard& shard = ShardFor(want[j]);
-        std::lock_guard<std::mutex> l(shard.mu);
-        shard.table.Unmap(want[j], capacity_ + claimed[j]);
-      }
-      staging_[claimed[j]].pid = kInvalidPageId;
-      MarkStagingReady(claimed[j]);
+    // Nothing was published, so the staging frames go straight back to
+    // the free list. Each retired claim wakes its sleepers, and one of
+    // them becomes the page's demand loader.
+    prefetch_wasted_.fetch_add(want.size(), std::memory_order_relaxed);
+    Metrics().wasted->Add(want.size());
+    for (size_t j = 0; j < want.size(); ++j) {
+      ReleaseStagingFrame(slots[j]);
+      RetireClaim(want[j]);
     }
-    {
-      std::lock_guard<std::mutex> ls(staging_mu_);
-      for (uint32_t st : claimed) retired_staging_.push_back(st);
-      retired_count_.store(static_cast<uint32_t>(retired_staging_.size()),
-                           std::memory_order_release);
-    }
-    prefetch_wasted_.fetch_add(claimed.size(), std::memory_order_relaxed);
-    Metrics().wasted->Add(claimed.size());
     return s;
-  }
-  for (size_t j = 0; j < claimed.size(); ++j) {
-    MarkStagingReady(claimed[j]);
   }
   prefetched_.fetch_add(want.size(), std::memory_order_relaxed);
   Metrics().prefetched->Add(want.size());
+  for (size_t j = 0; j < want.size(); ++j) {
+    PublishClaimed(want[j], capacity_ + slots[j]);
+  }
   return Status::OK();
 }
 
@@ -861,44 +741,47 @@ bool BufferPool::FreePage(PageId pid) {
 }
 
 bool BufferPool::DoFreePage(PageId pid) {
-  std::unique_lock<std::mutex> big(evict_mu_);
-  RecycleRetiredStagingLocked();
-  uint32_t frame = UINT32_MAX;
+  Shard& shard = ShardFor(pid);
   uint32_t staged = UINT32_MAX;
   {
-    Shard& shard = ShardFor(pid);
-    std::lock_guard<std::mutex> l(shard.mu);
-    const PageTable::Entry* e = shard.table.Find(pid);
-    const uint32_t slot = e != nullptr ? e->frame : PageTable::kNoFrame;
-    if (IsStaged(slot)) {
-      // Unconsumed staged copy: never dirty, just drop it. Unmap here;
-      // recycle below, after evict_mu_ is released (the hint's read may
-      // still be in flight, and the unmapped frame is exclusively ours).
+    // A hint still reading `pid` would stage a copy that outlives the
+    // free: wait its claim out (before evict_mu_, which a demand loader's
+    // claim may need), then drop whatever copy it published.
+    std::unique_lock<std::mutex> l(shard.mu);
+    const PageTable::Entry* e = AwaitUnclaimed(shard, l, pid);
+    if (e != nullptr && IsStaged(e->frame)) {
+      const uint32_t slot = e->frame;
       staged = slot - capacity_;
       shard.table.Unmap(pid, slot);
-    } else if (slot < capacity_) {
-      frame = slot;
     }
   }
-  if (frame != UINT32_MAX) {
-    int expected = 0;
-    if (!frames_[frame].pin_count.compare_exchange_strong(
-            expected, kEvicting, std::memory_order_acquire)) {
-      return false;  // pinned: the caller keeps the page
-    }
-    // Write-back if dirty: the same write that eviction or the end-of-run
-    // flush would charge, so freeing never hides an I/O. If the device
-    // fails the write the frame is restored intact and the page stays
-    // allocated — the caller keeps it, same contract as the pinned case.
-    if (!ReclaimFrame(big, frame).ok()) return false;
-    free_frames_.push_back(frame);
-  }
-  big.unlock();
   if (staged != UINT32_MAX) {
-    WaitStagingReady(staged);  // the hint's read may still be in flight
+    // Unconsumed staged copy: never dirty, just drop it.
     ReleaseStagingFrame(staged);
     prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
     Metrics().wasted->Add(1);
+  } else {
+    std::unique_lock<std::mutex> big(evict_mu_);
+    uint32_t frame = UINT32_MAX;
+    {
+      std::lock_guard<std::mutex> l(shard.mu);
+      const PageTable::Entry* e = shard.table.Find(pid);
+      if (e != nullptr && e->frame < capacity_) frame = e->frame;
+    }
+    if (frame != UINT32_MAX) {
+      int expected = 0;
+      if (!frames_[frame].pin_count.compare_exchange_strong(
+              expected, kEvicting, std::memory_order_acquire)) {
+        return false;  // pinned: the caller keeps the page
+      }
+      // Write-back if dirty: the same write that eviction or the
+      // end-of-run flush would charge, so freeing never hides an I/O. If
+      // the device fails the write the frame is restored intact and the
+      // page stays allocated — the caller keeps it, same contract as the
+      // pinned case.
+      if (!ReclaimFrame(big, frame).ok()) return false;
+      free_frames_.push_back(frame);
+    }
   }
   disk_->FreePage(pid);
   return true;
@@ -946,7 +829,6 @@ void BufferPool::ResetStats() {
   prefetch_wasted_.store(0, std::memory_order_relaxed);
   coalesced_misses_.store(0, std::memory_order_relaxed);
   inflight_waits_.store(0, std::memory_order_relaxed);
-  staging_cv_waits_.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -1122,7 +1004,6 @@ uint64_t BufferPool::DropAllFrames() {
   // committed-but-unapplied transaction.
   needs_recovery_.store(false, std::memory_order_release);
   if (staging_count_ > 0) DropStagedPages();
-  RecycleRetiredStagingLocked();
   uint64_t dropped = 0;
   for (uint32_t i = 0; i < frames_.size(); ++i) {
     Frame& f = frames_[i];

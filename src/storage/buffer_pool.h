@@ -74,11 +74,14 @@
 // segments. PrefetchHint is the gated entry point consumers use: a no-op
 // until SetPrefetchOptions enables it, so the default pool behaves
 // bit-identically to the seed. With io_workers > 0 hints run on background
-// threads and overlap with query execution (throughput mode). Hints
-// publish their staged mappings *before* reading, so a demand fetch racing
-// an in-flight hint waits for that one read rather than issuing its own;
-// a hint skips a page whose demand miss is claimed, whose own read is
-// already underway.
+// threads and overlap with query execution (throughput mode). A hint
+// claims each page in the page table exactly as a demand miss does, reads,
+// and publishes the staged mapping only once the bytes have landed: a
+// demand fetch racing an in-flight hint sleeps on that claim rather than
+// issuing its own read, then promotes the published copy, and a hint skips
+// any page that is already mapped or claimed. Every in-flight read, demand
+// or read-ahead, is one page-table claim, and there is one way to wait for
+// it.
 //
 // Transactions (DESIGN.md §10): with a Wal attached, Begin/Commit/Abort
 // bracket multi-page mutations. The pool runs a no-steal policy — every
@@ -94,13 +97,10 @@
 // hit path takes only a bucket latch; no path takes two bucket latches at
 // once. Prefetch itself takes no evict_mu_ at all, so background
 // read-ahead never blocks the demand path. Claims live in the page table,
-// and a misser waits for another loader's claim on the bucket's condvar,
-// which releases the bucket latch while it sleeps; it never waits that way
-// while holding evict_mu_ or its own claims (the loader may need either).
-// The staging condvar mutexes are leaves, locked with no pool latch held
-// (waiting on a staging frame is forbidden under a bucket latch; waiting
-// on a *hint* read under evict_mu_ is allowed — hints complete without
-// evict_mu_).
+// and a thread waits for another loader's claim (a miss, NewPage of a
+// recycled id, FreePage) on the bucket's condvar, which releases the
+// bucket latch while it sleeps; it never waits that way while holding
+// evict_mu_ or its own claims (the loader may need either).
 #ifndef OBJREP_STORAGE_BUFFER_POOL_H_
 #define OBJREP_STORAGE_BUFFER_POOL_H_
 
@@ -330,8 +330,8 @@ class BufferPool {
   uint64_t prefetch_promoted() const {
     return prefetch_promoted_.load(std::memory_order_relaxed);
   }
-  /// Staged pages dropped, freed, failed, or made redundant by a racing
-  /// demand load — read-ahead work that saved nothing.
+  /// Staged pages dropped, freed, superseded by NewPage of a recycled id,
+  /// or whose hint read failed — read-ahead work that saved nothing.
   uint64_t prefetch_wasted() const {
     return prefetch_wasted_.load(std::memory_order_relaxed);
   }
@@ -345,16 +345,12 @@ class BufferPool {
   uint64_t coalesced_misses() const {
     return coalesced_misses_.load(std::memory_order_relaxed);
   }
-  /// Times a misser blocked on another thread's in-flight read (a subset
-  /// of the coalesced misses: a lost race detected before the read landed
-  /// rather than after).
+  /// Times a thread slept on another thread's in-flight read: a demand
+  /// loader's (the misser then coalesces on its frame) or a read-ahead
+  /// hint's (the misser then promotes the staged copy), or — for NewPage
+  /// and FreePage — a hint still reading a recycled or freed id.
   uint64_t inflight_waits() const {
     return inflight_waits_.load(std::memory_order_relaxed);
-  }
-  /// Times WaitStagingReady exhausted its bounded spin and slept on the
-  /// staging frame's condvar (a hint read stalled or slow).
-  uint64_t staging_cv_waits() const {
-    return staging_cv_waits_.load(std::memory_order_relaxed);
   }
   /// Benchmark/test knob reproducing the pre-§17 serialized miss path:
   /// demand-miss reads and dirty-victim write-backs run while holding
@@ -389,29 +385,6 @@ class BufferPool {
     /// Global clock stamp of the last unpin; eviction takes the minimum
     /// over unpinned frames — exactly the old intrusive-list LRU order.
     std::atomic<uint64_t> last_unpin{0};
-  };
-
-  /// A read-ahead buffer outside the pool. Liveness is defined by the page
-  /// table: a staged copy is mapped as capacity_ + index. Staged pages are
-  /// never pinned, never dirty, and never eviction candidates.
-  ///
-  /// Hints publish the mapping *before* the disk read (`ready` false until
-  /// the bytes land), so a concurrent demand fetch of an in-flight page
-  /// waits for the one read already underway instead of issuing its own —
-  /// the promotion then still counts the same single read the demand run
-  /// would have. `pid` is rechecked after the ready wait: a mismatch means
-  /// the hint failed or the frame was recycled, and the waiter falls back
-  /// to a plain demand read.
-  struct StagingFrame {
-    Page page;
-    PageId pid = kInvalidPageId;
-    std::atomic<bool> ready{false};
-    /// Backs WaitStagingReady's slow path: `ready` transitions to true
-    /// under `mu` with a notify, so a waiter that exhausted its bounded
-    /// spin sleeps instead of burning a core on yield() (the seed's spin
-    /// was unbounded — a fault-stalled hint read pinned a CPU forever).
-    std::mutex mu;
-    std::condition_variable cv;
   };
 
   /// Staging frames provisioned per readahead_pages (see PrefetchOptions).
@@ -460,11 +433,6 @@ class BufferPool {
   Status DoCommit();
   /// FreePage without transactional deferral (also the commit-apply path).
   bool DoFreePage(PageId pid);
-  /// Under evict_mu_: returns staging frames retired by failed hint reads
-  /// to the free list. Safe only under evict_mu_ — every staged-frame
-  /// consumer inspects frames inside an evict_mu_ section, so a recycle
-  /// at the top of a later section can never interleave with one.
-  void RecycleRetiredStagingLocked();
   /// True when page-table slot value `slot` names a staging frame.
   bool IsStaged(uint32_t slot) const {
     return slot >= capacity_ && slot != PageTable::kNoFrame;
@@ -483,16 +451,23 @@ class BufferPool {
   /// Hit path of FetchPage without the miss fallback: pins `pid` if it is
   /// mapped (retrying around in-flight evictions). Returns false on miss.
   bool TryPinResident(PageId pid, PageGuard* out);
+  /// With `shard`'s latch held in `l`: sleeps on the bucket condvar until
+  /// `pid` carries no claim, and returns its entry (nullptr if none).
+  /// Every wait for an in-flight read — demand or read-ahead — is this one.
+  const PageTable::Entry* AwaitUnclaimed(Shard& shard,
+                                         std::unique_lock<std::mutex>& l,
+                                         PageId pid);
   /// The demand-miss path (DESIGN.md §17); the miss is already counted.
-  /// Loops: pin if resident (a coalesced miss), sleep if another loader's
-  /// claim is in flight, else claim the page, load it with the disk read
-  /// outside every pool latch, and publish.
+  /// Loops: sleep while another loader's claim is in flight, pin if
+  /// resident (a coalesced miss), else claim the page, load it with the
+  /// disk read outside every pool latch, and publish.
   Status LoadPageMiss(PageId pid, PageGuard* out);
-  /// Loads `pid` while owning its claim: promotes a staged copy if one
-  /// exists, else allocates a victim under evict_mu_ and reads the page
-  /// with the latch released. On success the claim is retired by the
-  /// publication itself; on failure the caller retires it.
-  Status LoadClaimedPage(PageId pid, PageGuard* out);
+  /// Loads `pid` while owning its claim: promotes the staged copy at
+  /// staging index `staged` (UINT32_MAX: none), else allocates a victim
+  /// under evict_mu_ and reads the page with the latch released. On
+  /// success the claim is retired by the publication itself; on failure
+  /// the caller retires it.
+  Status LoadClaimedPage(PageId pid, uint32_t staged, PageGuard* out);
   /// Publishes `frame` as the mapping of the caller-claimed `pid` and
   /// retires the claim in one bucket-latch hold, waking sleeping missers.
   /// Returns the staging index the mapping replaced, or UINT32_MAX.
@@ -520,8 +495,9 @@ class BufferPool {
   /// invisible to other evictors, and the still-present mapping keeps
   /// readers of the victim page off the disk until the write lands.
   Status ReclaimFrame(std::unique_lock<std::mutex>& lk, uint32_t frame);
-  /// NewPage's pin path: allocates a frame for freshly-allocated page
-  /// `pid` (no disk read — the page is zeroed in place).
+  /// NewPage's pin path: claims freshly-allocated page `pid` (waiting out
+  /// a hint still reading a recycled id) and publishes a zeroed frame for
+  /// it (no disk read), superseding any staged copy.
   Status PinNewFrame(PageId pid, PageGuard* out);
   /// Under evict_mu_: resets a frame that was allocated but whose disk
   /// read failed, returning it to the free list.
@@ -529,23 +505,14 @@ class BufferPool {
   /// Moves staged page `pid` (staging index `st_idx`) into a pool frame —
   /// allocating the victim now, exactly as the demand miss would — and
   /// returns the pinned guard. `lk` holds evict_mu_ (released transiently
-  /// by AllocateFrame). Waits for an in-flight hint read to land first;
-  /// if the staged copy turns out stale (failed or recycled hint), sets
-  /// *stale and allocates nothing. Caller must own `pid`'s in-flight
-  /// claim, which is what makes the staged frame stable across the waits.
+  /// by AllocateFrame). Caller must own `pid`'s claim, which keeps the
+  /// staged copy mapped and intact until the publication replaces it.
   Status PromoteStaged(std::unique_lock<std::mutex>& lk, uint32_t st_idx,
-                       PageId pid, bool* stale, PageGuard* out);
-  /// Blocks until staging frame `st_idx` finishes its in-flight read:
-  /// bounded spin first (hint reads are usually microseconds away), then
-  /// a condvar sleep — a stalled read never burns a core. Never called
-  /// while holding a bucket latch — the hint thread needs bucket latches
-  /// to make progress.
-  void WaitStagingReady(uint32_t st_idx);
-  /// Publishes `ready` on staging frame `st_idx` and wakes its waiters.
-  void MarkStagingReady(uint32_t st_idx);
+                       PageId pid, PageGuard* out);
   /// Returns a staging frame to the free list.
   void ReleaseStagingFrame(uint32_t st_idx);
   /// Drops every staged mapping (requires quiescence: no in-flight hints).
+  /// Never waits: a staged mapping is published only after its read.
   void DropStagedPages();
 
   DiskManager* disk_;
@@ -566,18 +533,17 @@ class BufferPool {
   std::atomic<uint64_t> prefetch_wasted_{0};
   std::atomic<uint64_t> coalesced_misses_{0};
   std::atomic<uint64_t> inflight_waits_{0};
-  std::atomic<uint64_t> staging_cv_waits_{0};
   /// See SetSerializeMissIo.
   std::atomic<bool> serialize_miss_io_{false};
 
   PrefetchOptions prefetch_;  // written only by SetPrefetchOptions
   uint32_t staging_count_ = 0;
-  std::unique_ptr<StagingFrame[]> staging_;
-  std::mutex staging_mu_;               // guards free_staging_/retired_
+  /// Read-ahead buffers outside the pool; a staged copy is mapped in the
+  /// page table as capacity_ + index. Staged pages are never pinned, never
+  /// dirty, and never eviction candidates.
+  std::unique_ptr<Page[]> staging_;
+  std::mutex staging_mu_;               // guards free_staging_
   std::vector<uint32_t> free_staging_;  // claimable staging frames
-  /// Staging frames whose hint read failed; recycled under evict_mu_.
-  std::vector<uint32_t> retired_staging_;
-  std::atomic<uint32_t> retired_count_{0};
 
   // Transaction state. wal_mu_ is held from BeginTxn to Commit/AbortTxn;
   // the vectors and txn_id_/txn_depth_/txn_failed_ are touched only by

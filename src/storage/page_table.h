@@ -2,9 +2,11 @@
 //
 // Maps a page id to the slot that holds it — a pool frame (resident), a
 // staging frame (staged read-ahead copy), or nothing yet — and records
-// whether a loader has *claimed* the page's demand miss. Claims live in
-// the same entry as the mapping, so one probe under the bucket latch
-// answers "resident, staged, claimed, or mine to load".
+// whether a loader has *claimed* the page: a demand miss, a read-ahead
+// hint or NewPage whose read (or zeroing) is in flight. Claims live in the
+// same entry as the mapping, so one probe under the bucket latch answers
+// "resident, staged, claimed, or mine to load". Every mapping is installed
+// by publishing a claim, so a mapped slot always holds its page's bytes.
 //
 // Open addressing with linear probing and backward-shift deletion: no
 // per-entry heap node and no tombstones, so a steady stream of misses
@@ -55,15 +57,6 @@ class PageTable {
       if (e.pid == pid) return &e;
       if (e.pid == kInvalidPageId) return nullptr;
     }
-  }
-
-  /// Maps `pid` to `frame`, inserting the entry if absent; a claim on it
-  /// is kept. Returns the frame replaced (kNoFrame if none).
-  uint32_t Map(PageId pid, uint32_t frame) {
-    Entry& e = FindOrInsert(pid);
-    uint32_t old = e.frame;
-    e.frame = frame;
-    return old;
   }
 
   /// Removes `pid`'s mapping if it is `frame`: the entry goes, unless it

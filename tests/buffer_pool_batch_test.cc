@@ -131,6 +131,38 @@ TEST(PrefetchTest, StagesWithoutEvictionAndPromotesWithoutRereading) {
   EXPECT_EQ(pool.StagedPageIds().size(), 1u);  // one staged page consumed
 }
 
+// Staged pages the consumer never read are dropped, not leaked: when the
+// prefetch policy is re-provisioned (the staging frames go with it) and
+// when recovery empties the pool. Each drop counts as wasted read-ahead.
+TEST(PrefetchTest, ReprovisioningAndDropAllFramesDropStagedPages) {
+  DiskManager disk;
+  std::vector<PageId> pids = MakePages(&disk, 8);
+  BufferPool pool(&disk, 4);
+  const PrefetchOptions opts{true, 4, 0};
+  pool.SetPrefetchOptions(opts);
+  pool.PrefetchHint(pids.data(), 4);
+  ASSERT_EQ(pool.StagedPageIds().size(), 4u);
+  pool.SetPrefetchOptions(opts);
+  EXPECT_TRUE(pool.StagedPageIds().empty());
+  EXPECT_EQ(pool.prefetch_wasted(), 4u);
+  pool.PrefetchHint(pids.data(), 4);  // every staging frame is free again
+  EXPECT_EQ(pool.prefetched_pages(), 8u);
+  EXPECT_EQ(pool.StagedPageIds().size(), 4u);
+
+  {
+    PageGuard g;
+    ASSERT_TRUE(pool.FetchPage(pids[5], &g).ok());
+  }
+  EXPECT_EQ(pool.DropAllFrames(), 1u);
+  EXPECT_TRUE(pool.StagedPageIds().empty());
+  EXPECT_EQ(pool.prefetch_wasted(), 8u);
+  disk.ResetCounters();
+  PageGuard g;
+  ASSERT_TRUE(pool.FetchPage(pids[0], &g).ok());
+  EXPECT_EQ(g.page()->data[0], 'a');
+  EXPECT_EQ(disk.counters().reads, 1u);  // the dropped copy is not served
+}
+
 TEST(DiskManagerTest, FreedPagesAreReused) {
   DiskManager disk;
   PageId a = disk.AllocatePage();

@@ -1,8 +1,9 @@
 // Concurrent demand-miss tests (DESIGN.md §17): miss coalescing via the
 // per-shard in-flight table, clean failure propagation to coalesced
-// waiters, pool-stats-vs-disk-counters accounting under races, the bounded
-// staging spin's condvar fallback, and stale-read protection during
-// out-of-latch dirty write-back. The CI TSan job runs this binary directly.
+// waiters, pool-stats-vs-disk-counters accounting under races, demand
+// misses and recycled page ids waiting out an async hint's page-table
+// claim, and stale-read protection during out-of-latch dirty write-back.
+// The CI TSan job runs this binary directly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -196,11 +197,11 @@ TEST(MissCoalescingTest, PoolStatsPinnedToIoCounters) {
   EXPECT_EQ(pool.misses(), disk.counters().reads + pool.coalesced_misses());
 }
 
-// Satellite regression (unbounded staging spin): a demand fetch of a page
-// whose async hint read is stalled in the device exhausts the bounded spin
-// and sleeps on the staging condvar instead of burning a core, then wakes
-// when the read lands and promotes the staged copy — one physical read.
-TEST(StagingWaitTest, StalledHintReadSleepsOnCondvar) {
+// A demand fetch of a page whose async hint read is stalled in the device
+// sleeps on the hint's page-table claim — the same wait as on a demand
+// loader's claim — then wakes when the staged copy is published and
+// promotes it: one physical read.
+TEST(StagingWaitTest, DemandMissSleepsOnInFlightHintClaim) {
   DiskManager disk;
   std::vector<PageId> pids = MakePages(&disk, 2);
   BufferPool pool(&disk, 4);
@@ -208,19 +209,19 @@ TEST(StagingWaitTest, StalledHintReadSleepsOnCondvar) {
   disk.ResetCounters();
   disk.set_transfer_us(30000);  // stall the hint read in the device
   pool.PrefetchHint(&pids[0], 1);
-  // The staged mapping appears when the worker claims the frame and stays
-  // until a consumer takes it, so this poll terminates; the 30ms device
-  // stall then dwarfs the bounded spin, forcing the condvar path below.
-  while (pool.StagedPageIds().empty()) std::this_thread::yield();
+  // ReadPages counts the read before its device sleep, while the hint
+  // still holds its claim; the staged mapping only appears after the 30ms
+  // stall, so the fetch below finds the claim and sleeps on it.
+  while (disk.counters().reads == 0) std::this_thread::yield();
   PageGuard g;
   ASSERT_TRUE(pool.FetchPage(pids[0], &g).ok());
   EXPECT_EQ(g.page()->data[0], 'a');
-  EXPECT_GE(pool.staging_cv_waits(), 1u);  // spin bounded; slept instead
-  EXPECT_EQ(disk.counters().reads, 1u);    // the hint's read, promoted
+  EXPECT_GE(pool.inflight_waits(), 1u);
+  EXPECT_EQ(disk.counters().reads, 1u);  // the hint's read, promoted
   EXPECT_EQ(pool.prefetch_promoted(), 1u);
 }
 
-// A hint read that *fails* under the injector retires its staging frame
+// A hint read that *fails* under the injector returns its staging frame
 // (counted as wasted) and leaves no mapping behind; the next demand fetch
 // of that page recovers with its own clean read.
 TEST(StagingWaitTest, FailedHintReadRetiresStagingAndDemandRecovers) {
@@ -233,21 +234,53 @@ TEST(StagingWaitTest, FailedHintReadRetiresStagingAndDemandRecovers) {
   disk.fault_injector()->Configure(seed, 0.5, 0.0);
   disk.ResetCounters();
   pool.PrefetchHint(&pids[0], 1);
-  // Both signals are monotone: the worker's read must roll (and lose) the
-  // injector's first trial, and the failure retirement then erases the
-  // staged mapping for good. Waiting on them orders the demand fetch
-  // strictly after the failed hint, so its own read rolls the second,
+  // The worker's read must roll (and lose) the injector's first trial.
+  // Waiting on that orders the demand fetch strictly after the failed
+  // hint read: the fetch either sleeps on the hint's claim until it is
+  // retired or finds the page absent, and its own read rolls the second,
   // passing trial.
   while (disk.fault_injector()->injected_read_faults() == 0) {
     std::this_thread::yield();
   }
-  while (!pool.StagedPageIds().empty()) std::this_thread::yield();
   PageGuard g;
   ASSERT_TRUE(pool.FetchPage(pids[0], &g).ok());
   EXPECT_EQ(g.page()->data[0], 'a');
   EXPECT_EQ(disk.fault_injector()->injected_read_faults(), 1u);
   EXPECT_EQ(disk.counters().reads, 1u);  // the demand fallback's read
   EXPECT_EQ(pool.prefetch_wasted(), 1u);
+  EXPECT_TRUE(pool.StagedPageIds().empty());
+}
+
+// A freed page id that an async hint is still reading must not serve the
+// hint's stale image once NewPage recycles the id: NewPage waits out the
+// hint's claim and publishes its zeroed frame over the staged copy.
+TEST(StagingWaitTest, RecycledPageIdNeverServesStaleHintImage) {
+  DiskManager disk;
+  BufferPool pool(&disk, 4);
+  pool.SetPrefetchOptions(PrefetchOptions{true, 4, /*io_workers=*/1});
+  PageId pid;
+  {
+    PageGuard g;
+    ASSERT_TRUE(pool.NewPage(&g).ok());
+    g.page()->data[0] = 'O';
+    pid = g.page_id();
+  }
+  ASSERT_TRUE(pool.FreePage(pid));  // writes 'O' back, frees the id
+  disk.ResetCounters();
+  disk.set_transfer_us(30000);  // the hint's read of 'O' stalls
+  pool.PrefetchHint(&pid, 1);
+  while (disk.counters().reads == 0) std::this_thread::yield();
+  {
+    PageGuard g;
+    ASSERT_TRUE(pool.NewPage(&g).ok());
+    ASSERT_EQ(g.page_id(), pid);  // recycled
+    g.page()->data[0] = 'N';
+  }
+  while (pool.prefetched_pages() == 0) std::this_thread::yield();
+  disk.set_transfer_us(0);
+  PageGuard g;
+  ASSERT_TRUE(pool.FetchPage(pid, &g).ok());
+  EXPECT_EQ(g.page()->data[0], 'N');
 }
 
 // Stale-read protection: while a dirty victim's write-back is in flight

@@ -1,6 +1,6 @@
 // Regression tests for resource handling on injected-fault error paths
-// (DESIGN.md §10): staging frames retired by failed hint reads must be
-// recycled, NewPage must return the disk page when it cannot pin a frame,
+// (DESIGN.md §10): staging frames taken by failed hint reads must return
+// to the free list at once, NewPage must return the disk page when it cannot pin a frame,
 // a failed eviction write-back must leave the victim resident and dirty,
 // and a FetchPages batch that fails mid-way must release every pin it
 // took. Each of these once leaked quietly — the pool kept working until
@@ -39,10 +39,11 @@ TEST(FaultPathsTest, FailedHintReadsRecycleStagingFrames) {
   pool.SetPrefetchOptions(opts);
   std::vector<PageId> pids = MakePages(&disk, 64);
 
-  // Fail every read: each 4-page hint retires 4 staging frames. Without
-  // recycling, 4 failed hints would exhaust all 16 staging frames and
-  // read-ahead would be dead for the rest of the run. A demand fetch
-  // between hints (any evict_mu_ section) performs the recycle.
+  // Fail every read: each 4-page hint takes 4 staging frames, and a failed
+  // hint returns them itself before it returns. Without that, 4 failed
+  // hints would exhaust all 16 staging frames and read-ahead would be dead
+  // for the rest of the run. The demand fetch between hints shows the
+  // pool still serves misses cleanly after each failure.
   FaultInjector* fi = disk.fault_injector();
   fi->Configure(/*seed=*/5, /*read_fault_rate=*/1.0, /*write_fault_rate=*/0);
   for (size_t round = 0; round < 8; ++round) {
@@ -67,6 +68,30 @@ TEST(FaultPathsTest, FailedHintReadsRecycleStagingFrames) {
     ASSERT_TRUE(pool.FetchPage(pids[i], &g).ok());
     EXPECT_EQ(g.page()->data[0], static_cast<char>(0x40 + i));
   }
+}
+
+// Failed hints free their staging frames at once, with no demand fetch
+// (or any other evict_mu_ section) in between: eight failed 4-page hints
+// back to back would otherwise take twice the 16 staging frames.
+TEST(FaultPathsTest, FailedHintsReturnStagingFramesAtOnce) {
+  DiskManager disk;
+  BufferPool pool(&disk, /*capacity=*/8);
+  PrefetchOptions opts;
+  opts.enabled = true;
+  opts.readahead_pages = 4;  // 16 staging frames total
+  pool.SetPrefetchOptions(opts);
+  std::vector<PageId> pids = MakePages(&disk, 36);
+
+  FaultInjector* fi = disk.fault_injector();
+  fi->Configure(/*seed=*/5, /*read_fault_rate=*/1.0, /*write_fault_rate=*/0);
+  for (size_t round = 0; round < 8; ++round) {
+    pool.PrefetchHint(&pids[round * 4], 4);
+  }
+  fi->Reset();
+  EXPECT_EQ(pool.prefetch_wasted(), 32u);
+  pool.PrefetchHint(&pids[32], 4);
+  EXPECT_EQ(pool.prefetched_pages(), 4u);
+  EXPECT_EQ(pool.StagedPageIds().size(), 4u);
 }
 
 TEST(FaultPathsTest, NewPageReturnsDiskPageWhenPoolExhausted) {

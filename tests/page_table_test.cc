@@ -97,12 +97,15 @@ void ExpectSame(const PageTable& table, const Model& model) {
 TEST(PageTableTest, ClaimOnStagedEntryKeepsTheMapping) {
   PageTable t;
   constexpr uint32_t kStaged = 1000;  // any slot value: the table is agnostic
-  EXPECT_EQ(t.Map(7, kStaged), PageTable::kNoFrame);
+  // A hint claims the page, reads it, and publishes the staged copy.
+  const uint32_t hint = t.Claim(7);
+  EXPECT_EQ(t.Publish(7, kStaged), PageTable::kNoFrame);
   const uint32_t token = t.Claim(7);
   EXPECT_NE(token, 0u);
+  EXPECT_NE(token, hint);
   EXPECT_EQ(t.Find(7)->frame, kStaged);
   EXPECT_EQ(t.Find(7)->claim, token);
-  // A failed hint read unmaps the staged copy under the claim.
+  // Unmapping the staged copy under the claim keeps the claim.
   EXPECT_TRUE(t.Unmap(7, kStaged));
   ASSERT_NE(t.Find(7), nullptr);
   EXPECT_EQ(t.Find(7)->frame, PageTable::kNoFrame);
@@ -119,7 +122,7 @@ TEST(PageTableTest, ClaimOnStagedEntryKeepsTheMapping) {
   EXPECT_EQ(t.size(), 0u);
 }
 
-// Random insert / claim / publish / unclaim / unmap traffic against an
+// Random claim / publish / unclaim / unmap traffic against an
 // unordered_map model. Phase 1 keeps ~40 live ids in a small id space
 // (long probe runs, many backward shifts, wrap-around); phase 2 churns a
 // sliding window of 400 ids, which forces the table to grow.
@@ -135,14 +138,8 @@ TEST(PageTableTest, MatchesUnorderedMapModel) {
     auto step = [&](PageId pid) {
       ModelEntry* m = model.count(pid) ? &model[pid] : nullptr;
       const uint32_t frame = static_cast<uint32_t>(rng.Uniform(200));
-      switch (rng.Uniform(5)) {
-        case 0: {  // map (resident or staged)
-          uint32_t old = table.Map(pid, frame);
-          EXPECT_EQ(old, m ? m->frame : PageTable::kNoFrame);
-          model[pid].frame = frame;
-          break;
-        }
-        case 1:  // claim
+      switch (rng.Uniform(4)) {
+        case 0:  // claim
           if (m != nullptr && m->claimed) break;
           if (m != nullptr && m->frame != PageTable::kNoFrame) {
             ++claims_on_staged;
@@ -150,18 +147,18 @@ TEST(PageTableTest, MatchesUnorderedMapModel) {
           EXPECT_TRUE(tokens.insert(table.Claim(pid)).second);
           model[pid].claimed = true;
           break;
-        case 2:  // publish
+        case 1:  // publish
           if (m == nullptr || !m->claimed) break;
           EXPECT_EQ(table.Publish(pid, frame), m->frame);
           *m = ModelEntry{frame, false};
           break;
-        case 3:  // unclaim (failed load)
+        case 2:  // unclaim (failed load)
           if (m == nullptr || !m->claimed) break;
           table.Unclaim(pid);
           m->claimed = false;
           if (m->frame == PageTable::kNoFrame) model.erase(pid);
           break;
-        case 4: {  // unmap: the current frame, or a stale one
+        case 3: {  // unmap: the current frame, or a stale one
           const uint32_t victim =
               (m != nullptr && rng.Uniform(4) != 0) ? m->frame : frame;
           const bool hit = m != nullptr && m->frame == victim &&
