@@ -5,13 +5,13 @@
 // (tests/prefetch_equivalence_test.cc asserts it); what changes is the
 // shape of the reads. Sorted hint batches over bulk-loaded leaves form
 // contiguous page runs, so the vectored read pays one seek where demand
-// paging pays one per page — and with background I/O workers the staging
-// reads overlap query compute on top of that. This harness makes the win
-// visible: a disk-bound database (every child probed, tiny buffer pool),
-// a nonzero --io-latency-us, and a sweep of prefetch configurations.
+// paging pays one per page. Read-ahead runs on the query's own thread, so
+// the win is fewer seeks, not overlapped ones. This harness makes it
+// visible: a disk-bound database (every child probed, tiny buffer pool), a
+// nonzero --io-latency-us, and each strategy with prefetch off and on.
 //
-//   $ ./build/bench/io_pipeline                  # full sweep, 100us seeks
-//   $ ./build/bench/io_pipeline --quick          # CI smoke (seconds)
+//   $ ./build/bench/io_pipeline                  # full run, 100us seeks
+//   $ ./build/bench/io_pipeline --quick          # CI smoke: 1 run a point
 //   $ ./build/bench/io_pipeline --io-latency-us=250
 //   $ ./build/bench/io_pipeline --json           # also BENCH_io_pipeline.json
 //   $ ./build/bench/io_pipeline --json=out.json
@@ -33,7 +33,6 @@ namespace {
 
 struct RunPoint {
   bool prefetch = false;
-  uint32_t workers = 0;  // meaningful only when prefetch is on
   double seconds = 0;
   double qps = 0;
   double avg_io = 0;
@@ -59,10 +58,9 @@ DatabaseSpec DiskBoundSpec(uint32_t io_latency_us,
 
 RunPoint MeasurePoint(StrategyKind kind, const WorkloadSpec& wl,
                       uint32_t io_latency_us, uint32_t io_transfer_us,
-                      bool prefetch, uint32_t workers) {
+                      bool prefetch) {
   DatabaseSpec spec = DiskBoundSpec(io_latency_us, io_transfer_us);
   spec.prefetch = prefetch;
-  spec.prefetch_workers = workers;
   std::unique_ptr<ComplexDatabase> db;
   Status s = BuildDatabase(spec, &db);
   OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
@@ -79,7 +77,6 @@ RunPoint MeasurePoint(StrategyKind kind, const WorkloadSpec& wl,
   OBJREP_CHECK_MSG(s.ok(), s.ToString().c_str());
   RunPoint p;
   p.prefetch = prefetch;
-  p.workers = workers;
   p.seconds = std::chrono::duration<double>(t1 - t0).count();
   p.qps = p.seconds > 0 ? r.num_queries / p.seconds : 0;
   p.avg_io = r.AvgIoPerQuery();
@@ -98,11 +95,11 @@ constexpr int kRunsPerPoint = 5;
 
 RunPoint MeasurePointStable(StrategyKind kind, const WorkloadSpec& wl,
                             uint32_t io_latency_us, uint32_t io_transfer_us,
-                            bool prefetch, uint32_t workers) {
+                            bool prefetch, int runs) {
   RunPoint best;
-  for (int i = 0; i < kRunsPerPoint; ++i) {
-    RunPoint p = MeasurePoint(kind, wl, io_latency_us, io_transfer_us,
-                              prefetch, workers);
+  for (int i = 0; i < runs; ++i) {
+    RunPoint p =
+        MeasurePoint(kind, wl, io_latency_us, io_transfer_us, prefetch);
     if (i == 0 || p.qps > best.qps) best = p;
   }
   return best;
@@ -111,12 +108,10 @@ RunPoint MeasurePointStable(StrategyKind kind, const WorkloadSpec& wl,
 void RunBench(uint32_t io_transfer_us, const BenchArgs& args) {
   const std::vector<StrategyKind> kinds = {
       StrategyKind::kBfs, StrategyKind::kDfs, StrategyKind::kDfsClust};
-  const std::vector<uint32_t> worker_counts =
-      args.quick ? std::vector<uint32_t>{0, 8}
-                 : std::vector<uint32_t>{0, 1, 2, 4, 8, 16};
-  // Quick mode trims the worker sweep, not the query stream: the stream
-  // must match the full run's so a --quick measurement is comparable,
-  // cell for cell, against a committed full-sweep baseline.
+  // Quick mode trims the repeats, not the points or the query stream: a
+  // --quick measurement has the full run's coordinates and I/O counts, so
+  // it is comparable, cell for cell, against the committed baseline.
+  const int runs = args.quick ? 1 : kRunsPerPoint;
   WorkloadSpec wl;
   wl.num_queries = 40;
   wl.num_top = 50;
@@ -125,38 +120,28 @@ void RunBench(uint32_t io_transfer_us, const BenchArgs& args) {
 
   Envelope env = MakeEnvelope("io_pipeline", args);
   env.io_transfer_us = io_transfer_us;
-  env.config.Int("runs_per_point", kRunsPerPoint)
+  env.config.Int("runs_per_point", runs)
       .Raw("db", SpecJson(DiskBoundSpec(args.io_latency_us, io_transfer_us)))
       .Raw("workload", WorkloadJson(wl));
 
-  std::printf("%-10s %-14s %9s %11s %9s %11s %7s\n", "strategy", "prefetch",
+  std::printf("%-10s %-9s %9s %11s %9s %11s %7s\n", "strategy", "prefetch",
               "seconds", "queries/s", "speedup", "avg I/O", "seq%");
   for (StrategyKind kind : kinds) {
-    // [0] is the prefetch-off baseline the speedups are relative to.
-    std::vector<RunPoint> points = {MeasurePointStable(
-        kind, wl, args.io_latency_us, io_transfer_us, /*prefetch=*/false, 0)};
-    for (uint32_t w : worker_counts) {
-      points.push_back(MeasurePointStable(kind, wl, args.io_latency_us,
-                                          io_transfer_us, /*prefetch=*/true,
-                                          w));
-    }
+    // [0] is the prefetch-off baseline the speedup is relative to.
+    const RunPoint points[] = {
+        MeasurePointStable(kind, wl, args.io_latency_us, io_transfer_us,
+                           /*prefetch=*/false, runs),
+        MeasurePointStable(kind, wl, args.io_latency_us, io_transfer_us,
+                           /*prefetch=*/true, runs)};
     const double base_qps = points[0].qps;
     for (const RunPoint& p : points) {
-      char mode[32];
-      if (!p.prefetch) {
-        std::snprintf(mode, sizeof mode, "off");
-      } else if (p.workers == 0) {
-        std::snprintf(mode, sizeof mode, "on (sync)");
-      } else {
-        std::snprintf(mode, sizeof mode, "on (%uw)", p.workers);
-      }
-      std::printf("%-10s %-14s %9.3f %11.0f %8.2fx %11.1f %6.1f%%\n",
-                  StrategyKindName(kind), mode, p.seconds, p.qps,
-                  base_qps > 0 ? p.qps / base_qps : 0.0, p.avg_io, p.seq_pct);
+      std::printf("%-10s %-9s %9.3f %11.0f %8.2fx %11.1f %6.1f%%\n",
+                  StrategyKindName(kind), p.prefetch ? "on" : "off",
+                  p.seconds, p.qps, base_qps > 0 ? p.qps / base_qps : 0.0,
+                  p.avg_io, p.seq_pct);
       env.points.push_back(JsonObject()
                                .Str("strategy", StrategyKindName(kind))
                                .Bool("prefetch", p.prefetch)
-                               .Int("workers", p.workers)
                                .Num("seconds", p.seconds, 4)
                                .Num("queries_per_sec", p.qps)
                                .Num("avg_io_per_query", p.avg_io)
@@ -186,7 +171,7 @@ int main(int argc, char** argv) {
   }
   objrep::bench::PrintTitle(
       "I/O pipeline: vectored reads + read-ahead on a seek-charging disk",
-      "identical I/O counts; seeks coalesce and overlap query compute");
+      "identical I/O counts; hinted reads coalesce into fewer seeks");
   objrep::bench::RunBench(io_transfer_us, args);
   return 0;
 }

@@ -4,10 +4,11 @@
 // holds the whole working set, so after a warm-up window every fetch is a
 // hit and the hot path is the sharded page-table latch), then sweeps
 // 1..16 worker threads in timed mode and reports queries/sec, speedup
-// over 1 thread, and latency percentiles. On a multicore host the
-// read-only sweep should scale near-linearly to the core count (>= 4x at
-// 8 threads); on a single core it degenerates to ~1x, which is a property
-// of the machine, not the engine.
+// over 1 thread, and latency percentiles. It does not scale today: on a
+// 4-vCPU host DFS, DFSCACHE, SMART and DFSCLUST get 0.45-0.67x of their
+// 1-thread rate at 2-16 threads, although four independent 1-thread
+// processes reach 3.3x, so the limit is shared state on the hit path, not
+// the machine (ROADMAP.md tracks the fix). No gate checks the speedup.
 //
 //   $ ./build/bench/throughput_scaling
 //   $ ./build/bench/throughput_scaling --duration=1.0

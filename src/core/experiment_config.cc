@@ -179,9 +179,6 @@ Status ParseExperimentConfig(std::string_view text, ExperimentConfig* out) {
     } else if (key == "READAHEAD_PAGES") {
       OBJREP_RETURN_NOT_OK(
           ParseU32(value, line_no, &out->db.readahead_pages));
-    } else if (key == "PREFETCH_WORKERS") {
-      OBJREP_RETURN_NOT_OK(
-          ParseU32(value, line_no, &out->db.prefetch_workers));
     } else if (key == "RECLAIM_TEMPS") {
       OBJREP_RETURN_NOT_OK(
           ParseOnOff(value, line_no, &out->db.reclaim_temp_pages));

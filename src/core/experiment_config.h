@@ -28,7 +28,6 @@
 //     # I/O scheduling (DESIGN.md §9; all default to seed behaviour)
 //     prefetch = on
 //     readahead_pages = 8
-//     prefetch_workers = 0
 //     reclaim_temps = off
 //     io_latency_us = 0
 //     io_transfer_us = 0

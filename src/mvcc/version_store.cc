@@ -102,8 +102,7 @@ Status MvccManager::CommitUpdate(uint64_t begin_ts,
     updates.reserve(targets.size());
     for (uint64_t oid : targets) updates.emplace_back(oid, new_value);
     uint64_t txn = wal_->Begin();
-    wal_->AppendMvccUpdate(txn, cts, updates);
-    OBJREP_RETURN_NOT_OK(wal_->Commit(txn));
+    OBJREP_RETURN_NOT_OK(wal_->CommitMvccUpdate(txn, cts, updates));
     pending_wal_txns_.push_back(txn);
   }
 

@@ -21,9 +21,9 @@
 // one commit is in flight at a crash, bounding recovery ambiguity to the
 // committed set +- that one transaction.
 //
-// Durability: when a Wal is attached, commit = Begin + AppendMvccUpdate +
-// Commit(txn) — the log sync is the commit point, reusing the wal.commit.*
-// crash points. The matching kApplied is deferred until a fold
+// Durability: when a Wal is attached, commit = Begin + CommitMvccUpdate —
+// the log sync is the commit point, reusing the wal.commit.* crash
+// points. The matching kApplied is deferred until a fold
 // (mvcc/apply.h) writes the newest versions onto base pages at a quiescent
 // point and hands the WAL txn ids back via TakeCommittedForFold.
 //

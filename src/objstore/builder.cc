@@ -310,8 +310,8 @@ Status BuildDatabase(const DatabaseSpec& spec,
   // counters are independent of the prefetch configuration.
   db->disk->set_io_latency_us(spec.io_latency_us);
   db->disk->set_transfer_us(spec.io_transfer_us);
-  db->pool->SetPrefetchOptions(PrefetchOptions{
-      spec.prefetch, spec.readahead_pages, spec.prefetch_workers});
+  db->pool->SetPrefetchOptions(
+      PrefetchOptions{spec.prefetch, spec.readahead_pages});
 
   // Start measurements from a flushed, zeroed state.
   OBJREP_RETURN_NOT_OK(db->pool->FlushAll());

@@ -68,10 +68,6 @@ struct DatabaseSpec {
   bool prefetch = false;
   /// Max pages per read-ahead batch.
   uint32_t readahead_pages = 8;
-  /// Background I/O workers servicing read-ahead hints. 0 == synchronous
-  /// (deterministic; required for count comparisons). Nonzero overlaps
-  /// read-ahead with execution — throughput runs only.
-  uint32_t prefetch_workers = 0;
   /// Return the pages of consumed temporaries (BFS temps, sort runs) to
   /// the disk free list so long workloads have bounded footprint. Changes
   /// which dirty pages remain for end-of-run flushes, hence off for the

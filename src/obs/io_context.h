@@ -36,7 +36,7 @@ enum class IoTag : uint8_t {
   kCacheFetch,   // object-cache hit lookup
   kCacheMaint,   // object-cache install / invalidation / recovery reset
   kUpdate,       // in-place child update
-  kPrefetch,     // staging-frame read-ahead (sync or async worker)
+  kPrefetch,     // staging-frame read-ahead, on the hinting thread
   kWal,          // commit write-through of logged pages
   kMvccCommit,   // MVCC commit path (FCW validation + version install)
   kMvccFold,     // MVCC fold of committed versions onto base pages
@@ -71,23 +71,20 @@ inline const char* IoTagName(IoTag tag) {
 /// by a per-DiskManager serial so a thread touching two volumes does not
 /// splice their runs together (a stale serial reads as "arm unknown").
 ///
-/// The reads/seq_reads/writes fields count this thread's own physical I/O,
-/// monotonic for the thread's life. DiskManager bumps them at the same
-/// sites as its global counters, so a strategy can delta-snapshot around a
-/// query and observe exactly its own I/O even while other workers run —
-/// the observation feed of the adaptive engine (DESIGN.md §12). Async
-/// prefetch workers bill their own thread, so with prefetch_workers > 0 a
-/// query's staged read-ahead is invisible to the issuing thread's counts
-/// (synchronous prefetch, the deterministic default, is fully visible).
+/// The tag_reads/tag_writes/seq_reads fields count this thread's own
+/// physical I/O, monotonic for the thread's life. DiskManager bumps them at
+/// the same sites as its global counters, so a strategy can delta-snapshot
+/// around a query and observe exactly its own I/O even while other workers
+/// run — the observation feed of the adaptive engine (DESIGN.md §12).
+/// Read-ahead runs on the hinting thread, so a query's staged reads land
+/// here too (under IoTag::kPrefetch).
 struct IoThreadState {
   IoTag tag = IoTag::kNone;
   uint64_t arm_serial = 0;            // DiskManager serial the arm belongs to
   uint64_t last_read = UINT64_MAX;    // page id of this thread's last read
-  uint64_t reads = 0;                 // this thread's physical reads
-  uint64_t seq_reads = 0;             // ... classified sequential
-  uint64_t writes = 0;                // this thread's physical writes
-  uint64_t tag_reads[kNumIoTags] = {};   // reads, split by active tag
-  uint64_t tag_writes[kNumIoTags] = {};  // writes, split by active tag
+  uint64_t tag_reads[kNumIoTags] = {};   // physical reads, by active tag
+  uint64_t tag_writes[kNumIoTags] = {};  // physical writes, by active tag
+  uint64_t seq_reads = 0;             // reads classified sequential
   uint64_t cache_hits = 0;            // object-cache lookup hits
   uint64_t cache_misses = 0;          // object-cache lookup misses
 };
@@ -115,11 +112,6 @@ struct ThreadIoSnapshot {
                             writes - rhs.writes};
   }
 };
-
-inline ThreadIoSnapshot CurrentThreadIo() {
-  const IoThreadState& st = CurrentIoThreadState();
-  return ThreadIoSnapshot{st.reads, st.seq_reads, st.writes};
-}
 
 /// RAII tag scope. Nested scopes stack; the innermost wins.
 class ScopedIoTag {
@@ -185,8 +177,7 @@ struct IoTagBreakdown {
 /// (monotonic for the thread's life; DiskManager bumps them at the same
 /// sites as its global per-tag slots). Delta two snapshots to get the
 /// exact per-tag I/O a bracketed piece of single-threaded work performed —
-/// the per-shard attribution feed of RetrieveProfile. Async prefetch
-/// workers bill their own thread, exactly as with the flat thread counts.
+/// the per-shard attribution feed of RetrieveProfile.
 inline IoTagBreakdown CurrentThreadIoTags() {
   const IoThreadState& st = CurrentIoThreadState();
   IoTagBreakdown b;
@@ -195,6 +186,14 @@ inline IoTagBreakdown CurrentThreadIoTags() {
     b.writes[i] = st.tag_writes[i];
   }
   return b;
+}
+
+/// The calling thread's ThreadIoSnapshot: its per-tag totals plus its
+/// sequential-read count.
+inline ThreadIoSnapshot CurrentThreadIo() {
+  const IoTagBreakdown io = CurrentThreadIoTags();
+  return ThreadIoSnapshot{io.total_reads(), CurrentIoThreadState().seq_reads,
+                          io.total_writes()};
 }
 
 }  // namespace objrep

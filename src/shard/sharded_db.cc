@@ -232,8 +232,8 @@ Status BuildOneShard(const ComplexDatabase& ref,
 
   db->disk->set_io_latency_us(spec.io_latency_us);
   db->disk->set_transfer_us(spec.io_transfer_us);
-  db->pool->SetPrefetchOptions(PrefetchOptions{
-      spec.prefetch, spec.readahead_pages, spec.prefetch_workers});
+  db->pool->SetPrefetchOptions(
+      PrefetchOptions{spec.prefetch, spec.readahead_pages});
 
   OBJREP_RETURN_NOT_OK(db->pool->FlushAll());
   db->disk->ResetCounters();

@@ -51,13 +51,7 @@ BufferPool::BufferPool(DiskManager* disk, uint32_t capacity)
   for (Shard& shard : shards_) shard.table.Reserve(capacity / kNumShards + 8);
 }
 
-BufferPool::~BufferPool() {
-  // Join prefetch workers before frames_ tears down.
-  prefetch_workers_.reset();
-}
-
 void BufferPool::SetPrefetchOptions(const PrefetchOptions& options) {
-  prefetch_workers_.reset();  // join in-flight hints before reprovisioning
   if (staging_count_ > 0) DropStagedPages();
   prefetch_ = options;
   staging_count_ =
@@ -70,10 +64,6 @@ void BufferPool::SetPrefetchOptions(const PrefetchOptions& options) {
     for (uint32_t i = 0; i < staging_count_; ++i) {
       free_staging_.push_back(staging_count_ - 1 - i);
     }
-  }
-  if (prefetch_.enabled && prefetch_.io_workers > 0) {
-    prefetch_workers_ = std::make_unique<ThreadPool>(prefetch_.io_workers,
-                                                     "storage.prefetch_pool");
   }
 }
 
@@ -638,17 +628,18 @@ Status BufferPool::FetchPages(const PageId* pids, size_t n,
   return s;
 }
 
-Status BufferPool::Prefetch(const PageId* pids, size_t n) {
-  if (n == 0 || staging_count_ == 0) return Status::OK();
+void BufferPool::PrefetchHint(const PageId* pids, size_t n) {
+  if (!prefetch_.enabled || n == 0) return;
+  n = std::min<size_t>(n, prefetch_.readahead_pages);
   // Claim pass (order-preserving, duplicates dropped): ids already
   // resident, staged or claimed by another loader are skipped (a claimed
   // page's read is underway); the rest get a staging frame and a claim in
-  // the page table, exactly as a demand miss would. A demand fetch of a
-  // page whose hint read is in flight sleeps on that claim instead of
-  // paying a redundant read, and the staged mapping is published only once
-  // its bytes have landed. If staging runs short the batch's tail is
-  // dropped — the earliest pages are the ones consumed soonest. No pool
-  // frame is touched: read-ahead never evicts.
+  // the page table, exactly as a demand miss would. A concurrent demand
+  // fetch of a page whose hint read is in flight sleeps on that claim
+  // instead of paying a redundant read, and the staged mapping is
+  // published only once its bytes have landed. If staging runs short the
+  // batch's tail is dropped — the earliest pages are the ones consumed
+  // soonest. No pool frame is touched: read-ahead never evicts.
   std::vector<PageId> want;
   std::vector<uint32_t> slots;  // staging index per `want` page
   want.reserve(n);
@@ -667,13 +658,13 @@ Status BufferPool::Prefetch(const PageId* pids, size_t n) {
     shard.table.Claim(pid);
     want.push_back(pid);
   }
-  if (want.empty()) return Status::OK();
+  if (want.empty()) return;
   std::vector<Page*> ptrs(slots.size());
   for (size_t j = 0; j < slots.size(); ++j) ptrs[j] = &staging_[slots[j]];
   Status s;
   {
     // Read-ahead reads are their own traffic class, whatever the hinting
-    // thread was doing (and async workers have no tag of their own).
+    // thread was doing; they land on that thread's I/O counters.
     ScopedIoTag tag(IoTag::kPrefetch);
     s = disk_->ReadPages(want.data(), want.size(), ptrs.data());
   }
@@ -682,34 +673,21 @@ Status BufferPool::Prefetch(const PageId* pids, size_t n) {
   if (!s.ok()) {
     // Nothing was published, so the staging frames go straight back to
     // the free list. Each retired claim wakes its sleepers, and one of
-    // them becomes the page's demand loader.
+    // them becomes the page's demand loader; the error itself is dropped
+    // (the page's next demand fetch reads it again).
     prefetch_wasted_.fetch_add(want.size(), std::memory_order_relaxed);
     Metrics().wasted->Add(want.size());
     for (size_t j = 0; j < want.size(); ++j) {
       ReleaseStagingFrame(slots[j]);
       RetireClaim(want[j]);
     }
-    return s;
+    return;
   }
   prefetched_.fetch_add(want.size(), std::memory_order_relaxed);
   Metrics().prefetched->Add(want.size());
   for (size_t j = 0; j < want.size(); ++j) {
     PublishClaimed(want[j], capacity_ + slots[j]);
   }
-  return Status::OK();
-}
-
-void BufferPool::PrefetchHint(const PageId* pids, size_t n) {
-  if (!prefetch_.enabled || n == 0) return;
-  n = std::min<size_t>(n, prefetch_.readahead_pages);
-  if (prefetch_workers_ != nullptr) {
-    std::vector<PageId> batch(pids, pids + n);
-    prefetch_workers_->Submit([this, batch = std::move(batch)] {
-      (void)Prefetch(batch.data(), batch.size());
-    });
-    return;
-  }
-  (void)Prefetch(pids, n);
 }
 
 Status BufferPool::NewPage(PageGuard* out) {

@@ -61,7 +61,7 @@
 // the unpublished frames private).
 //
 // Read-ahead runs through dedicated *staging frames*, never the pool
-// proper: Prefetch vector-reads absent pages into staging frames (map
+// proper: PrefetchHint vector-reads absent pages into staging frames (map
 // entries >= capacity_ denote staged copies), evicting nothing. The first
 // demand access of a staged page counts as a miss and *promotes* it —
 // allocating a pool frame through the very same free-list/LRU decision the
@@ -71,17 +71,16 @@
 // stamps, victims, and every hit/miss/read/write count are bit-identical
 // to running with prefetch off; only the *timing* of reads moves earlier,
 // which is what turns random single-page reads into sequential vectored
-// segments. PrefetchHint is the gated entry point consumers use: a no-op
-// until SetPrefetchOptions enables it, so the default pool behaves
-// bit-identically to the seed. With io_workers > 0 hints run on background
-// threads and overlap with query execution (throughput mode). A hint
-// claims each page in the page table exactly as a demand miss does, reads,
-// and publishes the staged mapping only once the bytes have landed: a
-// demand fetch racing an in-flight hint sleeps on that claim rather than
-// issuing its own read, then promotes the published copy, and a hint skips
-// any page that is already mapped or claimed. Every in-flight read, demand
-// or read-ahead, is one page-table claim, and there is one way to wait for
-// it.
+// segments. PrefetchHint is a no-op until SetPrefetchOptions enables it,
+// so the default pool behaves bit-identically to the seed. A hint runs on
+// the thread that issues it: it claims each page in the page table exactly
+// as a demand miss does, reads, and publishes the staged mapping only once
+// the bytes have landed, all before returning. Concurrent query threads
+// still hint, so a demand fetch racing another thread's in-flight hint
+// sleeps on that claim rather than issuing its own read, then promotes the
+// published copy, and a hint skips any page that is already mapped or
+// claimed. Every in-flight read, demand or read-ahead, is one page-table
+// claim, and there is one way to wait for it.
 //
 // Transactions (DESIGN.md §10): with a Wal attached, Begin/Commit/Abort
 // bracket multi-page mutations. The pool runs a no-steal policy — every
@@ -95,8 +94,8 @@
 //
 // Latch order: wal_mu_ -> evict_mu_ -> bucket latch -> staging_mu_. The
 // hit path takes only a bucket latch; no path takes two bucket latches at
-// once. Prefetch itself takes no evict_mu_ at all, so background
-// read-ahead never blocks the demand path. Claims live in the page table,
+// once. PrefetchHint takes no evict_mu_ at all, so one thread's read-ahead
+// never blocks another's demand path. Claims live in the page table,
 // and a thread waits for another loader's claim (a miss, NewPage of a
 // recycled id, FreePage) on the bucket's condvar, which releases the
 // bucket latch while it sleeps; it never waits that way while holding
@@ -116,7 +115,6 @@
 #include "storage/page.h"
 #include "storage/page_table.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace objrep {
 
@@ -179,12 +177,8 @@ struct PrefetchOptions {
   bool enabled = false;
   /// Cap on pages per hint (a consumer may offer more; the rest are
   /// dropped, not queued). The pool provisions 4x this many staging
-  /// frames, so a few consumers' windows can be in flight at once.
+  /// frames, so a few consumers' windows can be staged at once.
   uint32_t readahead_pages = 8;
-  /// Background I/O workers servicing hints. 0 == synchronous: the hint
-  /// loads its pages before returning, which keeps single-threaded runs
-  /// deterministic. Nonzero overlaps read-ahead with query execution.
-  uint32_t io_workers = 0;
 };
 
 /// Fixed-capacity page cache with strict LRU replacement among unpinned
@@ -195,7 +189,6 @@ struct PrefetchOptions {
 class BufferPool {
  public:
   BufferPool(DiskManager* disk, uint32_t capacity);
-  ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -223,28 +216,24 @@ class BufferPool {
   Status FetchPages(const PageId* pids, size_t n,
                     std::vector<PageGuard>* out);
 
-  /// Vector-reads the absent pages of `pids[0..n)` into staging frames.
-  /// Evicts nothing and does not touch hits()/misses(); the staged copy is
+  /// Read-ahead: vector-reads the absent pages among the first
+  /// readahead_pages of `pids[0..n)` into staging frames, on the calling
+  /// thread, before returning. No-op unless prefetch is enabled. Evicts
+  /// nothing and does not touch hits()/misses(); the staged copy is
   /// promoted into a pool frame (counting the miss the demand run would
   /// take) on first demand access. Pages that cannot get a staging frame
-  /// are silently skipped — prefetch is advisory.
-  Status Prefetch(const PageId* pids, size_t n);
-
-  /// Gated, capped, possibly-async Prefetch — the only entry point
-  /// consumers call. No-op unless prefetch is enabled; caps at
-  /// readahead_pages; with io_workers > 0 runs on a background worker.
-  /// Errors are swallowed (a failed read-ahead surfaces later as an
-  /// ordinary demand-fetch error).
+  /// are silently skipped, and a failed read is dropped (the page's next
+  /// demand fetch reads it again) — prefetch is advisory.
   void PrefetchHint(const PageId* pids, size_t n);
 
   /// Replaces the prefetch policy and (re)provisions the staging frames,
-  /// dropping any staged pages. Not thread-safe against in-flight hints:
-  /// call while the pool is quiescent (between runs).
+  /// dropping any staged pages. Not thread-safe against concurrent hints
+  /// or fetches: call while the pool is quiescent (between runs).
   void SetPrefetchOptions(const PrefetchOptions& options);
   const PrefetchOptions& prefetch_options() const { return prefetch_; }
   bool prefetch_enabled() const { return prefetch_.enabled; }
 
-  /// Pages actually loaded (not already resident) by Prefetch calls.
+  /// Pages actually loaded (not already resident) by PrefetchHint calls.
   uint64_t prefetched_pages() const {
     return prefetched_.load(std::memory_order_relaxed);
   }
@@ -561,9 +550,6 @@ class BufferPool {
   /// must run before the next transaction, or its redo could roll back
   /// pages a later commit also touched. Cleared by DropAllFrames.
   std::atomic<bool> needs_recovery_{false};
-  // Declared last: destroyed (joined) first, so no worker touches a frame
-  // after the pool starts tearing down.
-  std::unique_ptr<ThreadPool> prefetch_workers_;
 };
 
 inline Page* PageGuard::page() { return &pool_->frames_[frame_].page; }

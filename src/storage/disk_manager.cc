@@ -129,7 +129,8 @@ Status DiskManager::ReadPages(const PageId* page_ids, size_t n,
   if (n == 0) return Status::OK();
   // All-or-nothing like the unallocated-id check: a fault anywhere in the
   // batch fails the whole vectored read with no reads charged. This is the
-  // path async prefetch workers take, so injected faults reach them too.
+  // path read-ahead and batched fetches take, so injected faults reach
+  // them too.
   if (injector_.enabled()) {
     OBJREP_RETURN_NOT_OK(injector_.OnRead(n));
   }

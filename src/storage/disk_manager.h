@@ -172,21 +172,17 @@ class DiskManager {
   /// against the calling thread's arm position and updates seq/rand
   /// counters; returns seeks (0/1).
   uint64_t AccountReadRun(PageId first, uint64_t n);
-  /// Bumps the calling thread's IoTag slot (and its thread-local read
-  /// count, the adaptive engine's per-query observation feed) for `n`
-  /// reads.
+  /// Bumps the calling thread's IoTag slot (the profiles' and adaptive
+  /// engine's per-query observation feed) and the volume's for `n` reads.
   void AttributeReads(uint64_t n) {
     IoThreadState& st = CurrentIoThreadState();
-    st.reads += n;
     st.tag_reads[static_cast<size_t>(st.tag)] += n;
     tag_reads_[static_cast<size_t>(st.tag)].fetch_add(
         n, std::memory_order_relaxed);
   }
-  /// Bumps the calling thread's IoTag slot and thread-local write count
-  /// for one write.
+  /// Bumps the calling thread's and the volume's IoTag slot for one write.
   void AttributeWrite() {
     IoThreadState& st = CurrentIoThreadState();
-    st.writes += 1;
     st.tag_writes[static_cast<size_t>(st.tag)] += 1;
     tag_writes_[static_cast<size_t>(st.tag)].fetch_add(
         1, std::memory_order_relaxed);

@@ -89,9 +89,9 @@ void Wal::AppendFreePage(uint64_t txn, PageId pid) {
   AppendRecord(kFreePage, txn, &pid, sizeof(pid));
 }
 
-void Wal::AppendMvccUpdate(uint64_t txn, uint64_t commit_ts,
-                           const std::vector<std::pair<uint64_t, int32_t>>&
-                               updates) {
+Status Wal::CommitMvccUpdate(uint64_t txn, uint64_t commit_ts,
+                             const std::vector<std::pair<uint64_t, int32_t>>&
+                                 updates) {
   // Payload: [u64 commit_ts][u32 count] + count x [u64 packed_oid][i32 v].
   std::vector<uint8_t> payload;
   payload.reserve(12 + updates.size() * 12);
@@ -101,9 +101,15 @@ void Wal::AppendMvccUpdate(uint64_t txn, uint64_t commit_ts,
     StoreLE<uint64_t>(&payload, oid);
     StoreLE<int32_t>(&payload, value);
   }
+  TraceSpan span("wal_commit", "wal");
+  span.SetArg("txn", txn);
+  // Record and commit in one hold: a page transaction's AppendApplied may
+  // truncate the log between two holds, which would drop the record and
+  // leave a durable commit that redoes nothing.
   std::lock_guard<std::mutex> guard(mu_);
   AppendRecord(kMvccUpdate, txn, payload.data(),
                static_cast<uint32_t>(payload.size()));
+  return CommitLocked(txn);
 }
 
 Status Wal::Sync() {
@@ -128,6 +134,10 @@ Status Wal::Commit(uint64_t txn) {
   TraceSpan span("wal_commit", "wal");
   span.SetArg("txn", txn);
   std::lock_guard<std::mutex> guard(mu_);
+  return CommitLocked(txn);
+}
+
+Status Wal::CommitLocked(uint64_t txn) {
   FaultInjector* fi = disk_->fault_injector();
   AppendRecord(kCommit, txn, nullptr, 0);
   OBJREP_RETURN_NOT_OK(fi->MaybeCrash("wal.commit.before_sync"));

@@ -92,13 +92,14 @@ class Wal {
   /// Appends a deferred free of `pid` for `txn`. Not yet durable.
   void AppendFreePage(uint64_t txn, PageId pid);
 
-  /// Appends the logical MVCC-commit record for `txn`: the commit
-  /// timestamp and the absolute (packed OID, new ret1) pairs. Not yet
-  /// durable — follow with Commit(txn). The matching AppendApplied is
-  /// deferred to the fold that writes the versions onto base pages.
-  void AppendMvccUpdate(uint64_t txn, uint64_t commit_ts,
-                        const std::vector<std::pair<uint64_t, int32_t>>&
-                            updates);
+  /// Appends the logical MVCC-commit record for `txn` — the commit
+  /// timestamp and the absolute (packed OID, new ret1) pairs — and commits
+  /// it as Commit(txn) does, in one hold of the log. The matching
+  /// AppendApplied is deferred to the fold that writes the versions onto
+  /// base pages.
+  Status CommitMvccUpdate(uint64_t txn, uint64_t commit_ts,
+                          const std::vector<std::pair<uint64_t, int32_t>>&
+                              updates);
 
   /// Appends the commit record and makes the log durable — the commit
   /// point. Crash points: wal.commit.before_sync / wal.sync.torn /
@@ -146,6 +147,8 @@ class Wal {
     kMvccUpdate = 5,
   };
 
+  /// Commit with mu_ held: appends the commit record and syncs.
+  Status CommitLocked(uint64_t txn);
   /// Appends one framed record whose payload is `head` then `body` (either
   /// may be empty), each copied once, straight into log_.
   void AppendRecord(RecordType type, uint64_t txn, const void* head,

@@ -103,7 +103,7 @@ TEST(PrefetchTest, StagesWithoutEvictionAndPromotesWithoutRereading) {
   DiskManager disk;
   std::vector<PageId> pids = MakePages(&disk, 6);
   BufferPool pool(&disk, 2);
-  pool.SetPrefetchOptions(PrefetchOptions{true, 4, 0});
+  pool.SetPrefetchOptions(PrefetchOptions{true, 4});
   // Fill the pool; both residents stay resident across the prefetch.
   PageGuard a, b;
   ASSERT_TRUE(pool.FetchPage(pids[0], &a).ok());
@@ -138,7 +138,7 @@ TEST(PrefetchTest, ReprovisioningAndDropAllFramesDropStagedPages) {
   DiskManager disk;
   std::vector<PageId> pids = MakePages(&disk, 8);
   BufferPool pool(&disk, 4);
-  const PrefetchOptions opts{true, 4, 0};
+  const PrefetchOptions opts{true, 4};
   pool.SetPrefetchOptions(opts);
   pool.PrefetchHint(pids.data(), 4);
   ASSERT_EQ(pool.StagedPageIds().size(), 4u);
@@ -178,12 +178,14 @@ TEST(DiskManagerTest, FreedPagesAreReused) {
 }
 
 // Concurrency smoke for the TSan job: demand fetches (single and batched)
-// race background prefetch hints over a working set larger than the pool.
+// race prefetch hints — each hinting fetcher's own, and a dedicated hinter
+// thread's that nobody waits for — over a working set larger than the
+// pool.
 TEST(BufferPoolConcurrencyTest, FetchesRacePrefetchHints) {
   DiskManager disk;
   std::vector<PageId> pids = MakePages(&disk, 64);
   BufferPool pool(&disk, 16);
-  pool.SetPrefetchOptions(PrefetchOptions{true, 8, 2});
+  pool.SetPrefetchOptions(PrefetchOptions{true, 8});
   std::atomic<bool> failed{false};
   auto worker = [&](unsigned seed, bool batched) {
     for (int iter = 0; iter < 400 && !failed.load(); ++iter) {
@@ -215,6 +217,13 @@ TEST(BufferPoolConcurrencyTest, FetchesRacePrefetchHints) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back(worker, 17u * (t + 1), t % 2 == 0);
   }
+  threads.emplace_back([&] {
+    unsigned seed = 101u;
+    for (int iter = 0; iter < 400 && !failed.load(); ++iter) {
+      seed = seed * 1664525u + 1013904223u;
+      pool.PrefetchHint(pids.data() + seed % (pids.size() - 4), 4);
+    }
+  });
   for (auto& t : threads) t.join();
   EXPECT_FALSE(failed.load());
 }

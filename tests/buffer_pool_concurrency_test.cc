@@ -1,7 +1,7 @@
 // Concurrent demand-miss tests (DESIGN.md §17): miss coalescing via the
 // per-shard in-flight table, clean failure propagation to coalesced
 // waiters, pool-stats-vs-disk-counters accounting under races, demand
-// misses and recycled page ids waiting out an async hint's page-table
+// misses and recycled page ids waiting out another thread's read-ahead
 // claim, and stale-read protection during out-of-latch dirty write-back.
 // The CI TSan job runs this binary directly.
 #include <gtest/gtest.h>
@@ -197,24 +197,25 @@ TEST(MissCoalescingTest, PoolStatsPinnedToIoCounters) {
   EXPECT_EQ(pool.misses(), disk.counters().reads + pool.coalesced_misses());
 }
 
-// A demand fetch of a page whose async hint read is stalled in the device
-// sleeps on the hint's page-table claim — the same wait as on a demand
-// loader's claim — then wakes when the staged copy is published and
-// promotes it: one physical read.
+// A demand fetch of a page whose read-ahead, hinted by another thread, is
+// stalled in the device sleeps on the hint's page-table claim — the same
+// wait as on a demand loader's claim — then wakes when the staged copy is
+// published and promotes it: one physical read.
 TEST(StagingWaitTest, DemandMissSleepsOnInFlightHintClaim) {
   DiskManager disk;
   std::vector<PageId> pids = MakePages(&disk, 2);
   BufferPool pool(&disk, 4);
-  pool.SetPrefetchOptions(PrefetchOptions{true, 4, /*io_workers=*/1});
+  pool.SetPrefetchOptions(PrefetchOptions{true, 4});
   disk.ResetCounters();
   disk.set_transfer_us(30000);  // stall the hint read in the device
-  pool.PrefetchHint(&pids[0], 1);
+  std::jthread hinter([&] { pool.PrefetchHint(&pids[0], 1); });
   // ReadPages counts the read before its device sleep, while the hint
   // still holds its claim; the staged mapping only appears after the 30ms
   // stall, so the fetch below finds the claim and sleeps on it.
   while (disk.counters().reads == 0) std::this_thread::yield();
   PageGuard g;
   ASSERT_TRUE(pool.FetchPage(pids[0], &g).ok());
+  hinter.join();
   EXPECT_EQ(g.page()->data[0], 'a');
   EXPECT_GE(pool.inflight_waits(), 1u);
   EXPECT_EQ(disk.counters().reads, 1u);  // the hint's read, promoted
@@ -222,19 +223,19 @@ TEST(StagingWaitTest, DemandMissSleepsOnInFlightHintClaim) {
 }
 
 // A hint read that *fails* under the injector returns its staging frame
-// (counted as wasted) and leaves no mapping behind; the next demand fetch
-// of that page recovers with its own clean read.
+// (counted as wasted) and leaves no mapping behind; a concurrent demand
+// fetch of that page recovers with its own clean read.
 TEST(StagingWaitTest, FailedHintReadRetiresStagingAndDemandRecovers) {
   uint64_t seed = ProbeSeedFirstReadFails(0.5, /*ok_after=*/2);
   ASSERT_NE(seed, 0u);
   DiskManager disk;
   std::vector<PageId> pids = MakePages(&disk, 2);
   BufferPool pool(&disk, 4);
-  pool.SetPrefetchOptions(PrefetchOptions{true, 4, /*io_workers=*/1});
+  pool.SetPrefetchOptions(PrefetchOptions{true, 4});
   disk.fault_injector()->Configure(seed, 0.5, 0.0);
   disk.ResetCounters();
-  pool.PrefetchHint(&pids[0], 1);
-  // The worker's read must roll (and lose) the injector's first trial.
+  std::jthread hinter([&] { pool.PrefetchHint(&pids[0], 1); });
+  // The hinter's read must roll (and lose) the injector's first trial.
   // Waiting on that orders the demand fetch strictly after the failed
   // hint read: the fetch either sleeps on the hint's claim until it is
   // retired or finds the page absent, and its own read rolls the second,
@@ -244,6 +245,7 @@ TEST(StagingWaitTest, FailedHintReadRetiresStagingAndDemandRecovers) {
   }
   PageGuard g;
   ASSERT_TRUE(pool.FetchPage(pids[0], &g).ok());
+  hinter.join();
   EXPECT_EQ(g.page()->data[0], 'a');
   EXPECT_EQ(disk.fault_injector()->injected_read_faults(), 1u);
   EXPECT_EQ(disk.counters().reads, 1u);  // the demand fallback's read
@@ -251,13 +253,14 @@ TEST(StagingWaitTest, FailedHintReadRetiresStagingAndDemandRecovers) {
   EXPECT_TRUE(pool.StagedPageIds().empty());
 }
 
-// A freed page id that an async hint is still reading must not serve the
-// hint's stale image once NewPage recycles the id: NewPage waits out the
-// hint's claim and publishes its zeroed frame over the staged copy.
+// A freed page id that another thread's hint is still reading must not
+// serve the hint's stale image once NewPage recycles the id: NewPage waits
+// out the hint's claim and publishes its zeroed frame over the staged
+// copy.
 TEST(StagingWaitTest, RecycledPageIdNeverServesStaleHintImage) {
   DiskManager disk;
   BufferPool pool(&disk, 4);
-  pool.SetPrefetchOptions(PrefetchOptions{true, 4, /*io_workers=*/1});
+  pool.SetPrefetchOptions(PrefetchOptions{true, 4});
   PageId pid;
   {
     PageGuard g;
@@ -268,7 +271,7 @@ TEST(StagingWaitTest, RecycledPageIdNeverServesStaleHintImage) {
   ASSERT_TRUE(pool.FreePage(pid));  // writes 'O' back, frees the id
   disk.ResetCounters();
   disk.set_transfer_us(30000);  // the hint's read of 'O' stalls
-  pool.PrefetchHint(&pid, 1);
+  std::jthread hinter([&] { pool.PrefetchHint(&pid, 1); });
   while (disk.counters().reads == 0) std::this_thread::yield();
   {
     PageGuard g;
@@ -276,7 +279,8 @@ TEST(StagingWaitTest, RecycledPageIdNeverServesStaleHintImage) {
     ASSERT_EQ(g.page_id(), pid);  // recycled
     g.page()->data[0] = 'N';
   }
-  while (pool.prefetched_pages() == 0) std::this_thread::yield();
+  hinter.join();
+  EXPECT_EQ(pool.prefetched_pages(), 1u);
   disk.set_transfer_us(0);
   PageGuard g;
   ASSERT_TRUE(pool.FetchPage(pid, &g).ok());

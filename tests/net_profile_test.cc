@@ -6,7 +6,8 @@
 // for the concurrent scatter-gather paths whose sub-queries run on helper
 // threads. Also: a sharded 2PL sub-query's lock wait in the profile, the
 // PROFILE flag over a real socket, trace-id stamping, unknown-flag
-// rejection, and the slow-query ring surfacing through STATS.
+// rejection, the slow-query ring surfacing through STATS, and read-ahead
+// billed to the request that hinted it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include "net/server.h"
 #include "net/service.h"
 #include "obs/heat_map.h"
+#include "obs/io_context.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace_context.h"
@@ -171,6 +173,55 @@ TEST(NetProfileTest, ShardedMvccProfileSumsExactlyToEngineCounters) {
     EXPECT_EQ(IntAfter(p, "trace_id"), 0x1234) << p;
     EXPECT_EQ(IntAfter(p, "rows"),
               static_cast<int64_t>(resp.values.size())) << p;
+  }
+}
+
+// Read-ahead runs on the thread that hints it (DESIGN.md §9), so a
+// profiled retrieve on a prefetch-enabled database bills its staged reads
+// to the request: the calling thread's per-tag delta equals the volume's,
+// tag for tag, with the prefetch tag nonzero, and the profile reports it.
+TEST(NetProfileTest, PrefetchProfileBillsReadAheadToTheRequest) {
+  DatabaseSpec spec;
+  spec.num_parents = 200;
+  spec.size_unit = 5;
+  spec.use_factor = 1;  // DFSCLUST's extents then hold every child
+  spec.overlap_factor = 1;
+  spec.buffer_pages = 16;
+  spec.build_cluster = true;
+  spec.prefetch = true;
+  spec.seed = 67;
+  for (StrategyKind kind :
+       {StrategyKind::kDfs, StrategyKind::kBfs, StrategyKind::kDfsClust}) {
+    SCOPED_TRACE(StrategyKindName(kind));
+    std::unique_ptr<ComplexDatabase> db;
+    ASSERT_TRUE(BuildDatabase(spec, &db).ok());
+    ObjService service(db.get(), kind, StrategyOptions{});
+    Request req;
+    req.verb = Verb::kRetrieve;
+    req.flags = kReqFlagProfile;
+    req.lo_parent = 0;
+    req.num_top = spec.num_parents;
+    req.attr_index = 0;
+    const IoTagBreakdown volume_before = db->disk->breakdown();
+    const IoTagBreakdown thread_before = CurrentThreadIoTags();
+    Response resp = service.Execute(req);
+    const IoTagBreakdown thread = CurrentThreadIoTags() - thread_before;
+    const IoTagBreakdown volume = db->disk->breakdown() - volume_before;
+    ASSERT_EQ(resp.status, RespStatus::kOk) << resp.error;
+    for (size_t i = 0; i < kNumIoTags; ++i) {
+      SCOPED_TRACE(IoTagName(static_cast<IoTag>(i)));
+      EXPECT_EQ(thread.reads[i], volume.reads[i]);
+      EXPECT_EQ(thread.writes[i], volume.writes[i]);
+    }
+    EXPECT_GT(volume.reads_for(IoTag::kPrefetch), 0u);
+
+    const std::string& p = resp.profile_json;
+    EXPECT_EQ(IntAfter(p, "total_reads"),
+              static_cast<int64_t>(volume.total_reads())) << p;
+    size_t prefetch_at = p.find("\"prefetch\":{");
+    ASSERT_NE(prefetch_at, std::string::npos) << p;
+    EXPECT_EQ(IntAfter(p, "reads", prefetch_at),
+              static_cast<int64_t>(volume.reads_for(IoTag::kPrefetch))) << p;
   }
 }
 

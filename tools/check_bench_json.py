@@ -121,7 +121,8 @@ def check_point(p, ctx):
         fail(f"{ctx}: retrieves exceed total queries")
     if "p50_us" in p:
         check_latency(p, ctx)
-    nonneg(p, {"avg_io_per_query", "workers"} & set(p), NUM, ctx)
+    if "avg_io_per_query" in p:
+        nonneg(p, ("avg_io_per_query",), NUM, ctx)
     if p.get("threads", 1) <= 0 or p.get("seconds", 1) <= 0 or \
             not 0 <= p.get("pr_update", 0) <= 1 or \
             not 0 <= p.get("seq_read_pct", 0) <= 100:
@@ -283,7 +284,7 @@ def gates_net(doc):
 # bench -> (sweep coordinates, required measured fields, gates)
 BENCHES = {
     "io_pipeline": (
-        {"strategy": str, "prefetch": bool, "workers": int},
+        {"strategy": str, "prefetch": bool},
         {"seconds": NUM, "queries_per_sec": NUM, "avg_io_per_query": NUM,
          "seq_read_pct": NUM, "io_total": int, "io_by_tag": dict}, None),
     "adaptive_regret": (

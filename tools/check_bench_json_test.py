@@ -242,6 +242,14 @@ def main():
             err = check(doc, tmp)
             expect(err is not None and "--quick" in err,
                    f"quick {os.path.basename(path)} refused as a baseline")
+        # io_pipeline has one point per (strategy, prefetch): a second
+        # prefetch-on row, as the removed worker sweep wrote, is refused.
+        doc = load("io_pipeline")
+        doc["points"].append(
+            dict(point(doc, strategy="BFS", prefetch=True), workers=8))
+        err = check(doc, tmp)
+        expect(err is not None and "duplicate sweep point" in err,
+               "a repeated io_pipeline (strategy, prefetch) point is refused")
         doc = load("shard_scaling")
         err = check(doc, tmp, "BENCH_mvcc_contention.json")
         expect(err is not None and "must be BENCH_shard_scaling.json" in err,

@@ -22,7 +22,9 @@
 // tag (parent scan, index probes, temp/sort, cache, ...).
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +36,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -70,6 +73,7 @@ struct DriverFlags {
   uint64_t fault_seed = 0;      // --fault-seed=N (injector rng)
   double fault_rate = 0;        // --fault-rate=P (per-I/O failure prob.)
   std::string fault_crash_point;  // --fault-crash-point=NAME[:HIT]
+  uint32_t fault_crash_hit = 1;   // ... its HIT (0 reads as 1)
   // Observability (DESIGN.md §11).
   std::string metrics_json;     // --metrics-json=FILE (registry at exit)
   std::string trace_out;        // --trace-out=FILE (Chrome/Perfetto JSON)
@@ -418,6 +422,22 @@ bool ParseFlag(const char* arg, const char* name, const char** value) {
   return true;
 }
 
+/// Parses all of `v` as a U and stores it in `*out` — the config parser's
+/// whole-string rule: no blank, no trailing byte, no sign on an unsigned
+/// U, no overflow, and a finite value. False on a malformed value.
+template <typename U, typename T>
+bool ParseNumber(const char* v, T* out) {
+  U n{};
+  const char* end = v + std::strlen(v);
+  auto [ptr, ec] = std::from_chars(v, end, n);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<U>) {
+    if (!std::isfinite(n)) return false;
+  }
+  *out = static_cast<T>(n);
+  return true;
+}
+
 int Usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--threads=K] [--num-queries=N] [--duration=S]\n"
@@ -459,22 +479,30 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
     if (ParseFlag(argv[i], "--threads", &v)) {
-      flags.threads = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-      if (flags.threads == 0) return Usage(argv[0]);
+      if (!ParseNumber<uint32_t>(v, &flags.threads) || flags.threads == 0) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--num-queries", &v)) {
-      flags.num_queries = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumber<uint32_t>(v, &flags.num_queries)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--duration", &v)) {
-      flags.duration_seconds = std::strtod(v, nullptr);
+      if (!ParseNumber<double>(v, &flags.duration_seconds) ||
+          flags.duration_seconds < 0) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--prefetch", &v)) {
       if (std::strcmp(v, "on") == 0) flags.prefetch = 1;
       else if (std::strcmp(v, "off") == 0) flags.prefetch = 0;
       else return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--readahead-pages", &v)) {
-      flags.readahead_pages =
-          static_cast<int64_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumber<uint32_t>(v, &flags.readahead_pages)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--io-latency-us", &v)) {
-      flags.io_latency_us =
-          static_cast<int64_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumber<uint32_t>(v, &flags.io_latency_us)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--wal", &v)) {
       if (std::strcmp(v, "on") == 0) flags.wal = 1;
       else if (std::strcmp(v, "off") == 0) flags.wal = 0;
@@ -484,44 +512,61 @@ int main(int argc, char** argv) {
       else if (std::strcmp(v, "off") == 0) flags.mvcc = 0;
       else return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--fault-seed", &v)) {
-      flags.fault_seed = std::strtoull(v, nullptr, 10);
+      if (!ParseNumber<uint64_t>(v, &flags.fault_seed)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--fault-rate", &v)) {
-      flags.fault_rate = std::strtod(v, nullptr);
-      if (flags.fault_rate < 0 || flags.fault_rate > 1) return Usage(argv[0]);
+      if (!ParseNumber<double>(v, &flags.fault_rate) || flags.fault_rate < 0 ||
+          flags.fault_rate > 1) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--fault-crash-point", &v)) {
       flags.fault_crash_point = v;
+      const char* colon = std::strchr(v, ':');
+      if (colon != nullptr &&
+          !ParseNumber<uint32_t>(colon + 1, &flags.fault_crash_hit)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--metrics-json", &v)) {
       flags.metrics_json = v;
     } else if (ParseFlag(argv[i], "--trace-out", &v)) {
       flags.trace_out = v;
     } else if (ParseFlag(argv[i], "--metrics-interval", &v)) {
-      flags.metrics_interval_ms = std::strtoull(v, nullptr, 10);
+      if (!ParseNumber<uint64_t>(v, &flags.metrics_interval_ms)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--strategy", &v)) {
       flags.strategy = v;
     } else if (ParseFlag(argv[i], "--calibration-window", &v)) {
-      flags.calibration_window =
-          static_cast<int64_t>(std::strtoul(v, nullptr, 10));
-      if (flags.calibration_window <= 0) return Usage(argv[0]);
+      if (!ParseNumber<uint32_t>(v, &flags.calibration_window) ||
+          flags.calibration_window <= 0) {
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--serve") == 0) {
       flags.serve = true;
     } else if (std::strcmp(argv[i], "--profile") == 0) {
       flags.profile = true;
     } else if (ParseFlag(argv[i], "--slow-query-us", &v)) {
-      flags.slow_query_us = static_cast<int64_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumber<uint32_t>(v, &flags.slow_query_us)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--heat", &v)) {
       if (std::strcmp(v, "on") == 0) flags.heat = 1;
       else if (std::strcmp(v, "off") == 0) flags.heat = 0;
       else return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--port", &v)) {
-      flags.port = static_cast<int64_t>(std::strtoul(v, nullptr, 10));
-      if (flags.port > 65535) return Usage(argv[0]);
+      if (!ParseNumber<uint32_t>(v, &flags.port) || flags.port > 65535) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--max-inflight", &v)) {
-      flags.max_inflight =
-          static_cast<int64_t>(std::strtoul(v, nullptr, 10));
-      if (flags.max_inflight <= 0) return Usage(argv[0]);
+      if (!ParseNumber<uint32_t>(v, &flags.max_inflight) ||
+          flags.max_inflight <= 0) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--shards", &v)) {
-      flags.shards = static_cast<int64_t>(std::strtoul(v, nullptr, 10));
-      if (flags.shards <= 0) return Usage(argv[0]);
+      if (!ParseNumber<uint32_t>(v, &flags.shards) || flags.shards <= 0) {
+        return Usage(argv[0]);
+      }
     } else if (argv[i][0] == '-' && argv[i][1] == '-') {
       return Usage(argv[0]);
     } else if (flags.config_path.empty()) {
@@ -602,10 +647,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   std::string crash_point = flags.fault_crash_point;
-  uint64_t crash_hit = 1;
+  const uint32_t crash_hit = std::max<uint32_t>(flags.fault_crash_hit, 1);
   if (size_t colon = crash_point.find(':'); colon != std::string::npos) {
-    crash_hit = std::strtoull(crash_point.c_str() + colon + 1, nullptr, 10);
-    if (crash_hit == 0) crash_hit = 1;
     crash_point.resize(colon);
   }
   if (!crash_point.empty()) {
@@ -688,7 +731,7 @@ int main(int argc, char** argv) {
       FaultInjector* fi = db->disk->fault_injector();
       fi->Configure(flags.fault_seed, flags.fault_rate, flags.fault_rate);
       if (!crash_point.empty()) {
-        fi->ArmCrash(crash_point, static_cast<uint32_t>(crash_hit));
+        fi->ArmCrash(crash_point, crash_hit);
       }
     }
 
