@@ -166,30 +166,22 @@ Status BufferPool::ReclaimFrame(std::unique_lock<std::mutex>& lk,
   return Status::OK();
 }
 
-Status BufferPool::AllocateFrames(std::unique_lock<std::mutex>& lk, size_t k,
-                                  uint32_t* frames_out) {
-  // One pass per victim, no sort, no allocation: the victim is the smallest
-  // (last_unpin, frame) pair among the unpinned in-use frames, and a
-  // reclaimed frame leaves in_use, so successive passes walk the victims
-  // oldest-first. `floor` is the last pair tried: a frame whose kEvicting
-  // CAS fails (a racing pin) is skipped by the next pass, and once nothing
-  // above the floor remains the floor resets for a fresh pass. A dirty
-  // reclaim released evict_mu_ mid-write (§17), so it resets the floor
-  // too: the next pass never acts on a choice that went stale meanwhile.
+Status BufferPool::AllocateFrame(std::unique_lock<std::mutex>& lk,
+                                 uint32_t* frame_out) {
+  if (!free_frames_.empty()) {
+    *frame_out = free_frames_.back();
+    free_frames_.pop_back();
+    return Status::OK();
+  }
+  // One pass, no sort, no allocation: the victim is the smallest
+  // (last_unpin, frame) pair among the unpinned in-use frames. `floor` is
+  // the last pair tried: a frame whose kEvicting CAS fails (a racing pin)
+  // is skipped by the next pass, and once nothing above the floor remains
+  // the floor resets for a fresh pass.
   using Candidate = std::pair<uint64_t, uint32_t>;  // (last_unpin, frame)
   constexpr Candidate kNoFloor{0, UINT32_MAX};
   Candidate floor = kNoFloor;
-  size_t taken = 0;
-  auto roll_back = [&] {
-    // The batch is all-or-nothing: return what was taken to the free list.
-    for (size_t j = 0; j < taken; ++j) free_frames_.push_back(frames_out[j]);
-  };
-  while (taken < k) {
-    if (!free_frames_.empty()) {
-      frames_out[taken++] = free_frames_.back();
-      free_frames_.pop_back();
-      continue;
-    }
+  for (;;) {
     bool any = false;
     Candidate best{UINT64_MAX, UINT32_MAX};
     for (uint32_t i = 0; i < capacity_; ++i) {
@@ -203,7 +195,6 @@ Status BufferPool::AllocateFrames(std::unique_lock<std::mutex>& lk, size_t k,
       if (c < best) best = c;
     }
     if (!any) {
-      roll_back();
       return Status::NoSpace("buffer pool exhausted: all frames pinned");
     }
     if (best.second == UINT32_MAX) {
@@ -217,28 +208,13 @@ Status BufferPool::AllocateFrames(std::unique_lock<std::mutex>& lk, size_t k,
             expected, kEvicting, std::memory_order_acquire)) {
       continue;  // raced with a concurrent pin: try the next-oldest
     }
-    const bool was_dirty =
-        frames_[victim].dirty.load(std::memory_order_relaxed);
-    Status s = ReclaimFrame(lk, victim);
-    if (!s.ok()) {
-      // The victim's write-back failed: ReclaimFrame restored it (still
-      // resident, still dirty), so only the frames already taken roll back.
-      roll_back();
-      return s;
-    }
+    // A failed write-back leaves the victim resident and dirty.
+    OBJREP_RETURN_NOT_OK(ReclaimFrame(lk, victim));
     evictions_.fetch_add(1, std::memory_order_relaxed);
     Metrics().evictions->Add(1);
-    frames_out[taken++] = victim;
-    if (was_dirty && !serialize_miss_io_.load(std::memory_order_relaxed)) {
-      floor = kNoFloor;  // evict_mu_ was released mid-write: rescan
-    }
+    *frame_out = victim;
+    return Status::OK();
   }
-  return Status::OK();
-}
-
-Status BufferPool::AllocateFrame(std::unique_lock<std::mutex>& lk,
-                                 uint32_t* frame_out) {
-  return AllocateFrames(lk, 1, frame_out);
 }
 
 void BufferPool::AbandonFrameLocked(uint32_t frame) {
@@ -462,170 +438,6 @@ Status BufferPool::FetchPage(PageId pid, PageGuard* out) {
   misses_.fetch_add(1, std::memory_order_relaxed);
   Metrics().misses->Add(1);
   return LoadPageMiss(pid, out);
-}
-
-Status BufferPool::FetchPages(const PageId* pids, size_t n,
-                              std::vector<PageGuard>* out) {
-  out->clear();
-  out->resize(n);
-  std::vector<size_t> missing;
-  for (size_t i = 0; i < n; ++i) {
-    if (TryPinResident(pids[i], &(*out)[i])) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().hits->Add(1);
-    } else {
-      missing.push_back(i);
-    }
-  }
-  if (missing.empty()) return Status::OK();
-  misses_.fetch_add(missing.size(), std::memory_order_relaxed);
-  Metrics().misses->Add(missing.size());
-
-  // Claim pass (no evict_mu_): sort the batch's misses into pages this
-  // call will load (`need`, each claimed by us in the page table),
-  // duplicates of those (`alias`), pages that became resident since the
-  // hit probe (pinned here — the racing loader's read serves our miss, a
-  // coalesced miss), and pages another loader or evictor currently owns
-  // (`deferred`, resolved one-by-one after the batch: sleeping on a
-  // foreign claim — a demand loader's or an in-flight hint's — while
-  // holding our own batch's claims could deadlock two interleaved batches).
-  struct Need {
-    size_t pos;
-    uint32_t staged;  // staging index of a hint's copy, or UINT32_MAX
-    uint32_t frame;
-  };
-  std::vector<Need> need;
-  std::vector<size_t> alias;     // positions duplicating a `need` pid
-  std::vector<size_t> deferred;  // positions racing a foreign claim
-  auto needed = [&](PageId pid) {
-    return std::find_if(need.begin(), need.end(), [&](const Need& nd) {
-      return pids[nd.pos] == pid;
-    });
-  };
-  for (size_t i : missing) {
-    PageId pid = pids[i];
-    bool resolved = false;
-    bool dup = false;
-    bool defer = false;
-    uint32_t staged = UINT32_MAX;
-    {
-      Shard& shard = ShardFor(pid);
-      std::lock_guard<std::mutex> l(shard.mu);
-      const PageTable::Entry* e = shard.table.Find(pid);
-      if (e != nullptr && e->claim != 0) {
-        // Our own claim (an earlier occurrence in this batch) or a
-        // foreign loader's.
-        dup = needed(pid) != need.end();
-        defer = !dup;
-      } else if (e != nullptr && e->frame < capacity_) {
-        if (TryPin(e->frame)) {
-          coalesced_misses_.fetch_add(1, std::memory_order_relaxed);
-          Metrics().coalesced->Add(1);
-          (*out)[i] = PageGuard(this, e->frame, pid);
-          resolved = true;
-        } else {
-          defer = true;  // claimed mid-eviction
-        }
-      } else {
-        if (e != nullptr) staged = e->frame - capacity_;
-        shard.table.Claim(pid);
-      }
-    }
-    if (resolved) continue;
-    if (dup) {
-      alias.push_back(i);
-      continue;
-    }
-    if (defer) {
-      deferred.push_back(i);
-      continue;
-    }
-    need.push_back(Need{i, staged, 0});
-  }
-
-  Status s = Status::OK();
-  if (!need.empty()) {
-    // Frames for all owned misses are allocated in batch-position order —
-    // the same frames, in the same order, n sequential FetchPage calls
-    // would take. Staged pages are promoted (copy in place of a read);
-    // absent pages are vector-loaded with one ReadPages, issued after
-    // evict_mu_ is released (§17) since the claims keep every allocated
-    // frame private until publication.
-    std::vector<uint32_t> frames(need.size());
-    std::unique_lock<std::mutex> big(evict_mu_);
-    s = AllocateFrames(big, need.size(), frames.data());
-    if (s.ok()) {
-      std::vector<PageId> load_pids;
-      std::vector<Page*> ptrs;
-      load_pids.reserve(need.size());
-      ptrs.reserve(need.size());
-      for (size_t j = 0; j < need.size(); ++j) {
-        PageId pid = pids[need[j].pos];
-        need[j].frame = frames[j];
-        Frame& f = frames_[frames[j]];
-        f.pid = pid;
-        f.pin_count.store(1, std::memory_order_relaxed);
-        f.dirty.store(false, std::memory_order_relaxed);
-        f.in_use = true;
-        if (need[j].staged != UINT32_MAX) {
-          // Our claim keeps the staged copy mapped and intact.
-          f.page = staging_[need[j].staged];
-          prefetch_promoted_.fetch_add(1, std::memory_order_relaxed);
-          Metrics().promoted->Add(1);
-          continue;
-        }
-        load_pids.push_back(pid);
-        ptrs.push_back(&f.page);
-      }
-      if (!serialize_miss_io_.load(std::memory_order_relaxed)) big.unlock();
-      if (!load_pids.empty()) {
-        s = disk_->ReadPages(load_pids.data(), load_pids.size(), ptrs.data());
-      }
-      if (s.ok()) {
-        // Publishing retires each claim in the same latch hold, and
-        // replaces a promoted page's staged mapping.
-        for (const Need& nd : need) {
-          PageId pid = pids[nd.pos];
-          PublishClaimed(pid, nd.frame);
-          (*out)[nd.pos] = PageGuard(this, nd.frame, pid);
-        }
-        if (big.owns_lock()) big.unlock();
-        for (const Need& nd : need) {
-          if (nd.staged != UINT32_MAX) ReleaseStagingFrame(nd.staged);
-        }
-        for (size_t i : alias) {
-          uint32_t fr = needed(pids[i])->frame;
-          frames_[fr].pin_count.fetch_add(1, std::memory_order_relaxed);
-          // A duplicate id shares the first occurrence's read: a miss with
-          // no physical read of its own, same as losing a cross-thread
-          // load race.
-          coalesced_misses_.fetch_add(1, std::memory_order_relaxed);
-          Metrics().coalesced->Add(1);
-          (*out)[i] = PageGuard(this, fr, pids[i]);
-        }
-      } else {
-        if (!big.owns_lock()) big.lock();
-        for (uint32_t fr : frames) AbandonFrameLocked(fr);
-      }
-    }
-    if (big.owns_lock()) big.unlock();
-    // A failed batch published nothing: its claims simply vanish and the
-    // first retrying waiter becomes the new loader.
-    if (!s.ok()) {
-      for (const Need& nd : need) RetireClaim(pids[nd.pos]);
-    }
-  }
-  if (s.ok()) {
-    // Pages another loader or evictor owned at claim time: resolve each
-    // through the one-page miss path (usually a coalesced pin on the
-    // loader's published frame).
-    for (size_t i : deferred) {
-      s = LoadPageMiss(pids[i], &(*out)[i]);
-      if (!s.ok()) break;
-    }
-  }
-  if (!s.ok()) out->clear();  // releases every pin taken above
-  return s;
 }
 
 void BufferPool::PrefetchHint(const PageId* pids, size_t n) {

@@ -53,13 +53,6 @@
 //     the pool is quiescent, but a concurrent reader may observe them
 //     mid-update (approximate while workers run).
 //
-// Batched I/O (DESIGN.md §9): FetchPages pins a whole batch with one
-// evict_mu_ hold — victims for all missing pages are selected oldest first,
-// one pass each (the same victims the one-at-a-time path would pick) —
-// and reads the missing pages with a single vectored DiskManager::
-// ReadPages issued after evict_mu_ is released (the batch's claims keep
-// the unpublished frames private).
-//
 // Read-ahead runs through dedicated *staging frames*, never the pool
 // proper: PrefetchHint vector-reads absent pages into staging frames (map
 // entries >= capacity_ denote staged copies), evicting nothing. The first
@@ -208,14 +201,6 @@ class BufferPool {
     return true;
   }
 
-  /// Pins all of `pids[0..n)` (duplicates allowed), reading the missing
-  /// ones with one vectored disk read under a single evict_mu_ pass.
-  /// Counts one hit/miss per element, exactly as n FetchPage calls would.
-  /// On error no pins are retained. Fails with NoSpace when the misses
-  /// need more frames than can be evicted (n may not exceed capacity).
-  Status FetchPages(const PageId* pids, size_t n,
-                    std::vector<PageGuard>* out);
-
   /// Read-ahead: vector-reads the absent pages among the first
   /// readahead_pages of `pids[0..n)` into staging frames, on the calling
   /// thread, before returning. No-op unless prefetch is enabled. Evicts
@@ -325,10 +310,9 @@ class BufferPool {
     return prefetch_wasted_.load(std::memory_order_relaxed);
   }
   /// Misses whose physical read was performed by another thread: the
-  /// misser lost the race to a concurrent loader of the same page (or to
-  /// a duplicate id earlier in its own FetchPages batch) and pinned that
-  /// loader's frame instead of touching the disk. Fault-free invariant
-  /// (see DESIGN.md §17):
+  /// misser lost the race to a concurrent loader of the same page and
+  /// pinned that loader's frame instead of touching the disk. Fault-free
+  /// invariant (see DESIGN.md §17):
   ///   misses == demand reads + prefetch_promoted + coalesced_misses
   /// where demand reads == disk reads - prefetched_pages.
   uint64_t coalesced_misses() const {
@@ -464,20 +448,11 @@ class BufferPool {
   /// Retires the caller's claim on `pid` without publishing (failed
   /// load), waking sleeping missers so one of them becomes the loader.
   void RetireClaim(PageId pid);
-  /// Takes a free frame or evicts the strict-LRU victim. `lk` holds
-  /// evict_mu_ on entry and exit but may be released around a dirty
-  /// victim's write-back (see ReclaimFrame).
+  /// Takes a free frame, else claims and reclaims the strict-LRU victim
+  /// found by one min-stamp pass; NoSpace when every frame is pinned.
+  /// `lk` holds evict_mu_ on entry and exit but may be released around a
+  /// dirty victim's write-back (see ReclaimFrame).
   Status AllocateFrame(std::unique_lock<std::mutex>& lk, uint32_t* frame_out);
-  /// Takes/evicts `k` frames into `frames_out[0..k)` — free frames first,
-  /// then the k oldest unpinned victims, each found by one linear pass
-  /// (the same victims, same write-back order, as k AllocateFrame calls).
-  /// A dirty reclaim drops evict_mu_ around the device write, after which
-  /// the free list and the pass restart from scratch (stamps are stable
-  /// single-threaded, so the victim sequence is bit-identical to the
-  /// fully-latched path; under concurrency a fresh pass never acts on
-  /// stale candidates). On failure nothing is allocated.
-  Status AllocateFrames(std::unique_lock<std::mutex>& lk, size_t k,
-                        uint32_t* frames_out);
   /// Claims + unmaps one evictable frame, writing it back if dirty. `lk`
   /// holds evict_mu_ on entry and exit; a dirty write-back releases it
   /// around the device write — the kEvicting claim keeps the frame

@@ -110,27 +110,15 @@ void DiskManager::FreePage(PageId page_id) {
 }
 
 Status DiskManager::ReadPage(PageId page_id, Page* out) {
-  if (injector_.enabled()) {
-    OBJREP_RETURN_NOT_OK(injector_.OnRead(1));
-  }
-  const Page* page = PageAt(page_id);
-  if (page == nullptr) return Status::IOError("read of unallocated page");
-  std::memcpy(out->data, page->data, kPageSize);
-  reads_.fetch_add(1, std::memory_order_relaxed);
-  AttributeReads(1);
-  Metrics().reads->Add(1);
-  uint64_t seeks = AccountReadRun(page_id, 1);
-  SimulateLatency(seeks, 1);
-  return Status::OK();
+  return ReadPages(&page_id, 1, &out);
 }
 
 Status DiskManager::ReadPages(const PageId* page_ids, size_t n,
                               Page* const* outs) {
   if (n == 0) return Status::OK();
   // All-or-nothing like the unallocated-id check: a fault anywhere in the
-  // batch fails the whole vectored read with no reads charged. This is the
-  // path read-ahead and batched fetches take, so injected faults reach
-  // them too.
+  // batch fails the whole vectored read with no reads charged. Every
+  // counted read, demand (n = 1) or read-ahead, takes this path.
   if (injector_.enabled()) {
     OBJREP_RETURN_NOT_OK(injector_.OnRead(n));
   }

@@ -65,7 +65,8 @@ class DiskManager {
   /// fatal bug, not a Status.
   void FreePage(PageId page_id);
 
-  /// Copies a page from "disk" into `out`. Charges one read.
+  /// Copies a page from "disk" into `out`. Charges one read: the same
+  /// call as ReadPages(&page_id, 1, &out).
   Status ReadPage(PageId page_id, Page* out);
 
   /// Vectored read: copies `n` pages into `outs[0..n)`. Charges `n` reads

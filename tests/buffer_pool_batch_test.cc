@@ -1,6 +1,6 @@
-// Batched-I/O buffer pool tests (DESIGN.md §9): FetchPages pin/miss
-// accounting, staging-frame prefetch and promotion, the temp-page free
-// list, and a concurrency smoke for the TSan job.
+// I/O-scheduling buffer pool tests (DESIGN.md §9): staging-frame
+// prefetch and promotion, the temp-page free list, and a concurrency smoke
+// for the TSan job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,77 +26,6 @@ std::vector<PageId> MakePages(DiskManager* disk, int n) {
   }
   EXPECT_TRUE(loader.FlushAll().ok());
   return pids;
-}
-
-TEST(FetchPagesTest, PartialHitBatchCountsLikeSequentialFetches) {
-  DiskManager disk;
-  std::vector<PageId> pids = MakePages(&disk, 6);
-  BufferPool pool(&disk, 8);
-  // Warm pages 0 and 3.
-  for (int i : {0, 3}) {
-    PageGuard g;
-    ASSERT_TRUE(pool.FetchPage(pids[i], &g).ok());
-  }
-  disk.ResetCounters();
-  uint64_t h0 = pool.hits(), m0 = pool.misses();
-  std::vector<PageGuard> guards;
-  ASSERT_TRUE(pool.FetchPages(pids.data(), pids.size(), &guards).ok());
-  ASSERT_EQ(guards.size(), pids.size());
-  for (size_t i = 0; i < pids.size(); ++i) {
-    EXPECT_EQ(guards[i].page_id(), pids[i]);
-    EXPECT_EQ(guards[i].page()->data[0], static_cast<char>('a' + i));
-  }
-  EXPECT_EQ(pool.hits() - h0, 2u);
-  EXPECT_EQ(pool.misses() - m0, 4u);
-  EXPECT_EQ(disk.counters().reads, 4u);  // one vectored read, 4 pages
-}
-
-TEST(FetchPagesTest, BatchLargerThanFreeFramesEvicts) {
-  DiskManager disk;
-  std::vector<PageId> pids = MakePages(&disk, 8);
-  BufferPool pool(&disk, 4);
-  // Fill the pool with the first 4 pages, all unpinned.
-  for (int i = 0; i < 4; ++i) {
-    PageGuard g;
-    ASSERT_TRUE(pool.FetchPage(pids[i], &g).ok());
-  }
-  // Batch of the other 4 must evict everything.
-  std::vector<PageGuard> guards;
-  ASSERT_TRUE(pool.FetchPages(pids.data() + 4, 4, &guards).ok());
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(guards[i].page()->data[0], static_cast<char>('a' + 4 + i));
-  }
-}
-
-TEST(FetchPagesTest, DuplicateIdsShareOneFrame) {
-  DiskManager disk;
-  std::vector<PageId> pids = MakePages(&disk, 2);
-  BufferPool pool(&disk, 4);
-  PageId batch[] = {pids[0], pids[1], pids[0], pids[0]};
-  disk.ResetCounters();
-  std::vector<PageGuard> guards;
-  ASSERT_TRUE(pool.FetchPages(batch, 4, &guards).ok());
-  EXPECT_EQ(disk.counters().reads, 2u);  // each page read once
-  EXPECT_EQ(guards[0].page(), guards[2].page());
-  EXPECT_EQ(guards[0].page(), guards[3].page());
-  EXPECT_EQ(guards[0].page()->data[0], 'a');
-  EXPECT_EQ(guards[1].page()->data[0], 'b');
-}
-
-TEST(FetchPagesTest, AllPinnedFailsWithoutRetainingPins) {
-  DiskManager disk;
-  std::vector<PageId> pids = MakePages(&disk, 4);
-  BufferPool pool(&disk, 2);
-  std::vector<PageGuard> pinned;
-  ASSERT_TRUE(pool.FetchPages(pids.data(), 2, &pinned).ok());
-  std::vector<PageGuard> guards;
-  Status s = pool.FetchPages(pids.data() + 2, 2, &guards);
-  EXPECT_TRUE(s.IsNoSpace());
-  EXPECT_TRUE(guards.empty());
-  // The failed batch must not have leaked pins: releasing the original
-  // pins must make the same batch succeed.
-  pinned.clear();
-  ASSERT_TRUE(pool.FetchPages(pids.data() + 2, 2, &guards).ok());
 }
 
 TEST(PrefetchTest, StagesWithoutEvictionAndPromotesWithoutRereading) {
@@ -177,29 +106,26 @@ TEST(DiskManagerTest, FreedPagesAreReused) {
   (void)b;
 }
 
-// Concurrency smoke for the TSan job: demand fetches (single and batched)
-// race prefetch hints — each hinting fetcher's own, and a dedicated hinter
-// thread's that nobody waits for — over a working set larger than the
-// pool.
+// Concurrency smoke for the TSan job: demand fetches (single, and four
+// pins held at once) race prefetch hints — each hinting fetcher's own, and
+// a dedicated hinter thread's that nobody waits for — over a working set
+// larger than the pool.
 TEST(BufferPoolConcurrencyTest, FetchesRacePrefetchHints) {
   DiskManager disk;
   std::vector<PageId> pids = MakePages(&disk, 64);
   BufferPool pool(&disk, 16);
   pool.SetPrefetchOptions(PrefetchOptions{true, 8});
   std::atomic<bool> failed{false};
-  auto worker = [&](unsigned seed, bool batched) {
+  auto worker = [&](unsigned seed, bool grouped) {
     for (int iter = 0; iter < 400 && !failed.load(); ++iter) {
       seed = seed * 1664525u + 1013904223u;
       size_t at = seed % (pids.size() - 4);
-      if (batched) {
-        std::vector<PageGuard> guards;
-        if (!pool.FetchPages(pids.data() + at, 4, &guards).ok()) {
-          failed.store(true);
-          break;
-        }
+      if (grouped) {
+        PageGuard guards[4];
         for (size_t j = 0; j < 4; ++j) {
-          if (guards[j].page()->data[0] !=
-              static_cast<char>('a' + (at + j) % 26)) {
+          if (!pool.FetchPage(pids[at + j], &guards[j]).ok() ||
+              guards[j].page()->data[0] !=
+                  static_cast<char>('a' + (at + j) % 26)) {
             failed.store(true);
           }
         }

@@ -178,10 +178,13 @@ TEST(MissCoalescingTest, PoolStatsPinnedToIoCounters) {
         seed = seed * 1664525u + 1013904223u;
         size_t at = seed % (pids.size() - 4);
         if (iter % 3 == 0) {
-          // Batch with a duplicate id, exercising the alias path.
-          PageId batch[] = {pids[at], pids[at + 1], pids[at]};
-          std::vector<PageGuard> guards;
-          if (!pool.FetchPages(batch, 3, &guards).ok()) bad.fetch_add(1);
+          // Three pins held at once, one page twice: the second fetch of
+          // pids[at] is a hit on this thread's own pinned frame.
+          PageId group[] = {pids[at], pids[at + 1], pids[at]};
+          PageGuard guards[3];
+          for (int j = 0; j < 3; ++j) {
+            if (!pool.FetchPage(group[j], &guards[j]).ok()) bad.fetch_add(1);
+          }
           accesses.fetch_add(3);
         } else {
           PageGuard g;

@@ -1,12 +1,13 @@
 // LRU-order oracle for the buffer pool (DESIGN.md §8): drives a real pool
 // and a plain list-LRU reference model through the same seeded random
-// trace — FetchPage, FetchPages batches (partial hits, duplicate ids,
-// several misses), NewPage, MarkDirty, pins held across steps, FreePage —
-// and after every step requires the same resident set and the same disk
-// read/write, hit/miss and eviction counts. The pool's victim selection
-// is an unsorted min-stamp pass over the frames; the model is the
-// textbook move-to-back list, so any divergence in victim order shows up
-// as a different resident set or write count within a few steps.
+// trace — FetchPage, several FetchPage pins held at once (partial hits,
+// duplicate ids, evictions while the step's own pins are held), NewPage,
+// MarkDirty, pins held across steps, FreePage — and after every step
+// requires the same resident set and the same disk read/write, hit/miss
+// and eviction counts. The pool's victim selection is an unsorted
+// min-stamp pass over the frames; the model is the textbook move-to-back
+// list, so any divergence in victim order shows up as a different
+// resident set or write count within a few steps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,43 +38,14 @@ class ListLru {
       return;
     }
     ++misses;
-    MakeRoom(1);
+    MakeRoom();
     Load(pid, /*dirty=*/false);
     ++pages_[pid].pins;
     ++reads;
   }
 
-  // One FetchPages call: hits are judged (and pinned) against the resident
-  // set before the batch, then the distinct missing pages are loaded
-  // together; a duplicate of a missing page counts a miss but no read.
-  void FetchBatch(const std::vector<PageId>& pids) {
-    std::vector<PageId> missing;
-    for (PageId pid : pids) {
-      if (Resident(pid)) {
-        ++hits;
-        ++pages_[pid].pins;
-      } else {
-        ++misses;
-        missing.push_back(pid);
-      }
-    }
-    std::vector<PageId> distinct;
-    for (PageId pid : missing) {
-      if (std::find(distinct.begin(), distinct.end(), pid) == distinct.end()) {
-        distinct.push_back(pid);
-      }
-    }
-    if (distinct.size() > 1) ++multi_miss_batches;
-    MakeRoom(distinct.size());
-    for (PageId pid : distinct) {
-      Load(pid, /*dirty=*/false);
-      ++reads;
-    }
-    for (PageId pid : missing) ++pages_[pid].pins;
-  }
-
   void New(PageId pid) {
-    MakeRoom(1);
+    MakeRoom();
     Load(pid, /*dirty=*/true);
     ++pages_[pid].pins;
   }
@@ -106,8 +78,7 @@ class ListLru {
   uint64_t reads = 0;
   uint64_t writes = 0;
   uint64_t evictions = 0;
-  // Trace coverage: FetchPages calls with k > 1 misses, pinned frees.
-  uint64_t multi_miss_batches = 0;
+  // Trace coverage: pinned frees.
   uint64_t refused_frees = 0;
 
  private:
@@ -125,19 +96,17 @@ class ListLru {
     e.pos = order_.insert(order_.end(), pid);
   }
 
-  // Free frames first; then evict the front-most unpinned pages.
-  void MakeRoom(size_t k) {
-    size_t free = capacity_ - pages_.size();
-    for (size_t n = std::min(k, free); n < k; ++n) {
-      auto victim = std::find_if(order_.begin(), order_.end(), [&](PageId p) {
-        return pages_.at(p).pins == 0;
-      });
-      ASSERT_NE(victim, order_.end()) << "trace pinned every frame";
-      if (pages_.at(*victim).dirty) ++writes;
-      ++evictions;
-      pages_.erase(*victim);
-      order_.erase(victim);
-    }
+  // A free frame first; else evict the front-most unpinned page.
+  void MakeRoom() {
+    if (pages_.size() < capacity_) return;
+    auto victim = std::find_if(order_.begin(), order_.end(), [&](PageId p) {
+      return pages_.at(p).pins == 0;
+    });
+    ASSERT_NE(victim, order_.end()) << "trace pinned every frame";
+    if (pages_.at(*victim).dirty) ++writes;
+    ++evictions;
+    pages_.erase(*victim);
+    order_.erase(victim);
   }
 
   uint32_t capacity_;
@@ -198,10 +167,13 @@ void RunTrace(uint32_t capacity, uint64_t seed, int steps) {
   ListLru model(capacity);
   Rng rng(seed);
   std::vector<Held> held;
-  // Held pins plus one batch's distinct pages never exceed capacity, so no
+  // Held pins plus one step's distinct pages never exceed capacity, so no
   // step can hit NoSpace and both sides always find a victim.
   const size_t max_held = capacity / 4;
-  const size_t max_batch = capacity / 2;
+  const size_t max_group = capacity / 2;
+  // Trace coverage: fetches that evicted while their step held >= 2 of
+  // its own pins.
+  uint64_t evictions_under_own_pins = 0;
   // Three in four picks come from a hot prefix a bit smaller than the pool,
   // so hits, restamps and evictions all interleave.
   auto pick = [&]() -> PageId {
@@ -232,23 +204,27 @@ void RunTrace(uint32_t capacity, uint64_t seed, int steps) {
       }
       hold_or_release(pid, std::move(g));
     } else if (op < 65) {
-      std::vector<PageId> batch(1 + rng.Uniform(max_batch));
-      for (size_t j = 0; j < batch.size(); ++j) {
-        // Repeat an earlier id now and then: duplicates within a batch.
-        batch[j] = (j > 0 && rng.Uniform(6) == 0) ? batch[rng.Uniform(j)]
+      // A group of pins held at once and released together: the later
+      // fetches evict under the group's earlier pins.
+      std::vector<PageId> group(1 + rng.Uniform(max_group));
+      std::vector<PageGuard> guards(group.size());
+      for (size_t j = 0; j < group.size(); ++j) {
+        // Repeat an earlier id now and then: a page pinned twice.
+        group[j] = (j > 0 && rng.Uniform(6) == 0) ? group[rng.Uniform(j)]
                                                   : pick();
+        const uint64_t evictions = model.evictions;
+        ASSERT_TRUE(pool.FetchPage(group[j], &guards[j]).ok());
+        model.Fetch(group[j]);
+        if (j >= 2 && model.evictions > evictions) ++evictions_under_own_pins;
       }
-      std::vector<PageGuard> guards;
-      ASSERT_TRUE(pool.FetchPages(batch.data(), batch.size(), &guards).ok());
-      model.FetchBatch(batch);
       if (rng.Uniform(4) == 0) {
-        size_t j = rng.Uniform(batch.size());
+        size_t j = rng.Uniform(group.size());
         guards[j].MarkDirty();
-        model.MarkDirty(batch[j]);
+        model.MarkDirty(group[j]);
       }
-      for (size_t j = 0; j < batch.size(); ++j) {
+      for (size_t j = 0; j < group.size(); ++j) {
         guards[j].Release();
-        model.Release(batch[j]);
+        model.Release(group[j]);
       }
     } else if (op < 75) {
       PageGuard g;
@@ -265,11 +241,14 @@ void RunTrace(uint32_t capacity, uint64_t seed, int steps) {
         held.erase(held.begin() + j);
       }
     } else if (live.size() > capacity) {
-      size_t j = rng.Uniform(live.size());
-      PageId pid = live[j];
+      // One free in four targets a held page, so refusals occur however
+      // large the pool (a uniform pick rarely lands on a held pin).
+      PageId pid = (!held.empty() && rng.Uniform(4) == 0)
+                       ? held[rng.Uniform(held.size())].pid
+                       : live[rng.Uniform(live.size())];
       const bool freed = pool.FreePage(pid);
       ASSERT_EQ(freed, model.Free(pid)) << "step " << step;
-      if (freed) live.erase(live.begin() + j);
+      if (freed) live.erase(std::find(live.begin(), live.end(), pid));
     }
     ASSERT_TRUE(SameState(&pool, disk, model, live))
         << "capacity " << capacity << " seed " << seed << " step " << step
@@ -278,7 +257,7 @@ void RunTrace(uint32_t capacity, uint64_t seed, int steps) {
   // The trace must have exercised what it claims to cover.
   EXPECT_GT(model.evictions, static_cast<uint64_t>(steps) / 4);
   EXPECT_GT(model.writes, 0u);
-  EXPECT_GT(model.multi_miss_batches, 0u);
+  EXPECT_GT(evictions_under_own_pins, 0u);
   EXPECT_GT(model.refused_frees, 0u);
 }
 
@@ -292,6 +271,11 @@ TEST(BufferPoolLruTest, HundredFramesMatchesListLru) {
   for (uint64_t seed : {11, 12, 13}) {
     ASSERT_NO_FATAL_FAILURE(RunTrace(100, seed, 3000));
   }
+}
+
+// A pool large enough that a victim pass walks thousands of frames.
+TEST(BufferPoolLruTest, FourThousandFramesMatchesListLru) {
+  ASSERT_NO_FATAL_FAILURE(RunTrace(4000, 21, 1000));
 }
 
 }  // namespace

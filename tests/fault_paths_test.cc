@@ -1,9 +1,8 @@
 // Regression tests for resource handling on injected-fault error paths
 // (DESIGN.md §10): staging frames taken by failed hint reads must return
 // to the free list at once, NewPage must return the disk page when it cannot pin a frame,
-// a failed eviction write-back must leave the victim resident and dirty,
-// and a FetchPages batch that fails mid-way must release every pin it
-// took. Each of these once leaked quietly — the pool kept working until
+// and a failed eviction write-back must leave the victim resident and
+// dirty. Each of these once leaked quietly — the pool kept working until
 // the leaked resource ran out.
 #include <gtest/gtest.h>
 
@@ -159,34 +158,6 @@ TEST(FaultPathsTest, EvictionWriteFailurePreservesDirtyData) {
   Page p;
   ASSERT_TRUE(disk.ReadPageRaw(pids[0], &p).ok());
   EXPECT_EQ(p.data[0], 'X');
-}
-
-TEST(FaultPathsTest, FetchPagesMidBatchFailureReleasesAllPins) {
-  DiskManager disk;
-  BufferPool pool(&disk, /*capacity=*/8);
-  std::vector<PageId> pids = MakePages(&disk, 4);
-
-  // Make the first two resident so the batch mixes hits (pinned up front)
-  // with misses (whose vectored read will fail).
-  for (size_t i = 0; i < 2; ++i) {
-    PageGuard g;
-    ASSERT_TRUE(pool.FetchPage(pids[i], &g).ok());
-  }
-
-  FaultInjector* fi = disk.fault_injector();
-  fi->Configure(/*seed=*/9, /*read_fault_rate=*/1.0, /*write_fault_rate=*/0);
-  std::vector<PageGuard> guards;
-  Status s = pool.FetchPages(pids.data(), pids.size(), &guards);
-  ASSERT_FALSE(s.ok());
-  EXPECT_TRUE(guards.empty());
-  fi->Reset();
-
-  // No pin may survive the failed batch: FreePage returns false for a
-  // pinned page, so a successful free of every element proves the hit
-  // pins were dropped along with the aborted miss frames.
-  for (PageId pid : pids) {
-    EXPECT_TRUE(pool.FreePage(pid)) << "leaked pin on page " << pid;
-  }
 }
 
 }  // namespace

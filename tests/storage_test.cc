@@ -213,6 +213,36 @@ TEST(BufferPoolTest, AllPinnedReportsNoSpace) {
   ASSERT_TRUE(pool.NewPage(&a).ok());
   ASSERT_TRUE(pool.NewPage(&b).ok());
   EXPECT_TRUE(pool.NewPage(&c).IsNoSpace());
+
+  // A demand miss fails the same way and retires its page-table claim:
+  // once a pin is released the same fetch succeeds, and another thread's
+  // fetch of the page does not sleep on a leaked claim.
+  const PageId absent = disk.AllocatePage();
+  EXPECT_TRUE(pool.FetchPage(absent, &c).IsNoSpace());
+  b.Release();
+  std::thread other([&] {
+    PageGuard g;
+    EXPECT_TRUE(pool.FetchPage(absent, &g).ok());
+  });
+  ASSERT_TRUE(pool.FetchPage(absent, &c).ok());
+  other.join();
+
+  // A staged page whose promotion finds every frame pinned fails the same
+  // way and keeps its staged copy; once a pin is released it promotes
+  // with no second disk read.
+  pool.SetPrefetchOptions(PrefetchOptions{true, 4});
+  const PageId staged = disk.AllocatePage();
+  pool.PrefetchHint(&staged, 1);
+  ASSERT_EQ(pool.StagedPageIds(), std::vector<PageId>{staged});
+  disk.ResetCounters();
+  PageGuard d;
+  EXPECT_TRUE(pool.FetchPage(staged, &d).IsNoSpace());
+  EXPECT_EQ(pool.StagedPageIds(), std::vector<PageId>{staged});
+  c.Release();
+  ASSERT_TRUE(pool.FetchPage(staged, &d).ok());
+  EXPECT_EQ(disk.counters().reads, 0u);
+  EXPECT_EQ(pool.prefetch_promoted(), 1u);
+  EXPECT_TRUE(pool.StagedPageIds().empty());
 }
 
 TEST(BufferPoolTest, FlushAllWritesEveryDirtyFrameOnce) {
