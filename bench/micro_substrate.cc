@@ -1,6 +1,7 @@
 // Micro-benchmarks of the storage substrate (google-benchmark): B-tree
 // probes and scans, hash-file probes, external sort, buffer-pool hit and
-// miss paths, and a WAL page-image commit.
+// miss paths, the simulated device's seek sleep, and a WAL page-image
+// commit.
 // These are engineering benchmarks (M1 in DESIGN.md), not paper figures.
 #include <benchmark/benchmark.h>
 
@@ -195,6 +196,24 @@ void BM_BufferPoolMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPoolMiss)->Arg(100)->Arg(4000);
 BENCHMARK(BM_BufferPoolMiss)->Arg(100)->Threads(4)->UseRealTime();
+
+// The simulated device's sleep (DESIGN.md §9): one seek-charged ReadPage
+// at io_latency_us = 50. The time reported is wall µs per read; the device
+// charges disk.device_us 50 µs for each, so the difference is the host's
+// sleep overshoot (timer slack plus wake-up latency).
+void BM_SimulatedSeek(benchmark::State& state) {
+  constexpr uint32_t kSeekUs = 50;
+  DiskManager disk;
+  const PageId pid = disk.AllocatePage();
+  disk.set_io_latency_us(kSeekUs);
+  Page page;
+  for (auto _ : state) {
+    // Re-reading one page is never sequential, so every read seeks.
+    benchmark::DoNotOptimize(disk.ReadPage(pid, &page));
+  }
+  state.counters["device_us_per_read"] = kSeekUs;
+}
+BENCHMARK(BM_SimulatedSeek)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // One WAL transaction as a served update commits it: begin, dirty two
 // resident pages, commit — two page-image records (checksummed, appended

@@ -1,4 +1,4 @@
-// Database generation (paper §4).
+// Database generation (paper §4) and volume loading.
 //
 // |ChildRel| = |ParentRel| * SizeUnit / ShareFactor            (eqn. 1)
 // NumUnits  = |ParentRel| / UseFactor
@@ -18,6 +18,11 @@
 // chosen from UseFactor possibilities"); units claim their not-yet-placed
 // subobjects in random unit order, reproducing the fragmentation the paper
 // describes for OverlapFactor > 1 (§3.3 case [3]).
+//
+// Generation and loading are separate phases. GenerateDatabase draws every
+// random number and touches no storage; LoadVolume bulk loads a slice of
+// the generated rows into a fresh disk and pool. BuildDatabase loads the
+// whole database; the shard loader loads one slice per shard.
 #include <algorithm>
 #include <numeric>
 
@@ -28,75 +33,51 @@ namespace objrep {
 
 namespace {
 
-Status BuildClusterRel(ComplexDatabase* db, Rng* rng) {
+/// ClusterRel and its ISAM index over `slice`: the claimed members of each
+/// stored parent's cluster follow its parent record, and stored children
+/// no unit claimed park in trailing clusters past the last parent. They
+/// are unreferenced, so they cost space but never I/O.
+Status LoadClusterRel(const ComplexDatabase& truth, const VolumeSlice& slice,
+                      ComplexDatabase* db) {
   const DatabaseSpec& spec = db->spec;
-  const uint32_t num_units = spec.num_units();
 
-  // 1. Pick each unit's owner uniformly among its users.
-  std::vector<std::vector<uint32_t>> users_of_unit(num_units);
-  for (uint32_t p = 0; p < spec.num_parents; ++p) {
-    users_of_unit[db->unit_of_parent[p]].push_back(p);
-  }
-  db->unit_owner.assign(num_units, 0);
-  for (uint32_t u = 0; u < num_units; ++u) {
-    const auto& users = users_of_unit[u];
-    OBJREP_CHECK(!users.empty());
-    db->unit_owner[u] = users[rng->Uniform(users.size())];
-  }
-
-  // 2. Claim subobjects in random unit order: a subobject is physically
-  //    placed with the first unit that claims it.
-  std::vector<uint32_t> unit_order(num_units);
-  std::iota(unit_order.begin(), unit_order.end(), 0);
-  rng->Shuffle(&unit_order);
-  std::unordered_map<uint64_t, bool> placed;
-  std::vector<std::vector<Oid>> claimed_children(spec.num_parents);
-  for (uint32_t u : unit_order) {
-    uint32_t owner = db->unit_owner[u];
-    for (const Oid& oid : db->units[u]) {
-      auto [it, inserted] = placed.emplace(oid.Packed(), true);
-      if (inserted) {
-        claimed_children[owner].push_back(oid);
+  // 1. Claim: a subobject is physically placed with the first unit that
+  //    claims it, in its owner's cluster.
+  std::unordered_set<uint64_t> placed;
+  std::vector<std::vector<Oid>> claimed(spec.num_parents);
+  for (const auto& [u, owner] : slice.claims) {
+    for (const Oid& oid : truth.units[u]) {
+      if (placed.insert(oid.Packed()).second) {
+        claimed[owner].push_back(oid);
       }
     }
   }
 
-  // 3. Emit cluster rows in composite-key order:
+  // 2. Emit cluster rows in composite-key order:
   //    (parent key, 0) = parent record, (parent key, 1..) = its claim.
   std::vector<std::pair<uint64_t, std::vector<Value>>> rows;
-  rows.reserve(spec.num_parents * (1 + spec.size_unit));
-  const Schema& cluster_schema = db->cluster_rel->schema();
-  (void)cluster_schema;
+  rows.reserve(slice.parents.size() * (1 + spec.size_unit));
   std::vector<IsamIndex::Entry> isam_entries;
-
-  auto child_row_of = [db](const Oid& oid) -> const ChildRow& {
-    // Child rel index from catalog id: child_rels are registered in order.
-    for (size_t r = 0; r < db->child_rels.size(); ++r) {
-      if (db->child_rels[r]->rel_id() == oid.rel) {
-        return db->child_rows[r][oid.key];
+  for (uint32_t p : slice.parents) {
+    ParentRow prow = truth.ParentRowOf(p);
+    if (slice.whole) {
+      // The whole-database load reads ParentRel back through the pool and
+      // checks it against the generated row. The paper figures were
+      // measured from the pool state these reads leave behind.
+      std::vector<Value> vals;
+      OBJREP_RETURN_NOT_OK(db->parent_rel->Get(p, &vals));
+      if (vals[kParentRet1].as_int32() != prow.ret1 ||
+          vals[kParentRet2].as_int32() != prow.ret2 ||
+          vals[kParentRet3].as_int32() != prow.ret3) {
+        return Status::Corruption("ParentRel row differs from generation");
       }
     }
-    OBJREP_CHECK_MSG(false, "child OID references unknown relation");
-    return db->child_rows[0][0];
-  };
-
-  for (uint32_t p = 0; p < spec.num_parents; ++p) {
-    ParentRow prow;
-    prow.oid = Oid{db->parent_rel->rel_id(), p};
-    // ret values for the cluster copy of the parent mirror ParentRel.
-    std::vector<Value> parent_vals;
-    OBJREP_RETURN_NOT_OK(db->parent_rel->Get(p, &parent_vals));
-    prow.ret1 = parent_vals[kParentRet1].as_int32();
-    prow.ret2 = parent_vals[kParentRet2].as_int32();
-    prow.ret3 = parent_vals[kParentRet3].as_int32();
-    prow.children = db->units[db->unit_of_parent[p]];
-    std::vector<Value> vals = ClusterParentValues(prow, db->parent_dummy_width);
-    rows.emplace_back(ClusterKey(p, 0), std::move(vals));
+    rows.emplace_back(ClusterKey(p, 0),
+                      ClusterParentValues(prow, db->parent_dummy_width));
     uint32_t seq = 1;
-    for (const Oid& oid : claimed_children[p]) {
-      const ChildRow& crow = child_row_of(oid);
+    for (const Oid& oid : claimed[p]) {
       std::vector<Value> cvals =
-          ClusterChildValues(crow, db->child_dummy_width);
+          ClusterChildValues(truth.ChildRowOf(oid), db->child_dummy_width);
       cvals[kClusterNo] = Value(static_cast<int64_t>(p));
       uint64_t key = ClusterKey(p, seq++);
       isam_entries.push_back(IsamIndex::Entry{oid.Packed(), key});
@@ -104,14 +85,14 @@ Status BuildClusterRel(ComplexDatabase* db, Rng* rng) {
     }
   }
 
-  // 4. Orphan subobjects (possible when OverlapFactor > 1 leaves a child in
-  //    no unit): parked in trailing clusters past the last parent. They are
-  //    unreferenced, so they cost space but never I/O.
+  // 3. Orphan subobjects (possible when OverlapFactor > 1 leaves a child
+  //    in no unit).
   uint64_t orphan_cluster = spec.num_parents;
   uint32_t orphan_seq = 0;
-  for (size_t r = 0; r < db->child_rels.size(); ++r) {
-    for (const ChildRow& crow : db->child_rows[r]) {
-      if (placed.find(crow.oid.Packed()) != placed.end()) continue;
+  for (const std::vector<ChildRow>& child_rows : truth.child_rows) {
+    for (const ChildRow& crow : child_rows) {
+      uint64_t packed = crow.oid.Packed();
+      if (!slice.StoresChild(packed) || placed.count(packed) != 0) continue;
       if (orphan_seq == spec.size_unit) {
         ++orphan_cluster;
         orphan_seq = 0;
@@ -120,7 +101,7 @@ Status BuildClusterRel(ComplexDatabase* db, Rng* rng) {
           ClusterChildValues(crow, db->child_dummy_width);
       cvals[kClusterNo] = Value(static_cast<int64_t>(orphan_cluster));
       uint64_t key = ClusterKey(orphan_cluster, orphan_seq++);
-      isam_entries.push_back(IsamIndex::Entry{crow.oid.Packed(), key});
+      isam_entries.push_back(IsamIndex::Entry{packed, key});
       rows.emplace_back(key, std::move(cvals));
     }
   }
@@ -139,21 +120,14 @@ Status BuildClusterRel(ComplexDatabase* db, Rng* rng) {
 
 }  // namespace
 
-Status BuildDatabase(const DatabaseSpec& spec,
-                     std::unique_ptr<ComplexDatabase>* out) {
-  OBJREP_RETURN_NOT_OK(spec.Validate());
-  auto db = std::make_unique<ComplexDatabase>();
-  db->spec = spec;
-  db->disk = std::make_unique<DiskManager>();
-  db->pool = std::make_unique<BufferPool>(db->disk.get(), spec.buffer_pages);
-  Rng rng(spec.seed);
-
+void RegisterRelations(ComplexDatabase* db) {
+  const DatabaseSpec& spec = db->spec;
   db->parent_dummy_width =
       ParentDummyWidth(spec.parent_tuple_bytes, spec.size_unit);
   db->child_dummy_width = ChildDummyWidth(spec.child_tuple_bytes);
 
-  db->parent_rel =
-      db->catalog.Register("ParentRel", MakeParentSchema(db->parent_dummy_width));
+  db->parent_rel = db->catalog.Register(
+      "ParentRel", MakeParentSchema(db->parent_dummy_width));
   for (uint32_t r = 0; r < spec.num_child_rels; ++r) {
     std::string name = spec.num_child_rels == 1
                            ? std::string("ChildRel")
@@ -168,6 +142,15 @@ Status BuildDatabase(const DatabaseSpec& spec,
         MakeClusterSchema(std::max(db->parent_dummy_width,
                                    db->child_dummy_width)));
   }
+}
+
+Status GenerateDatabase(const DatabaseSpec& spec,
+                        std::unique_ptr<ComplexDatabase>* out) {
+  OBJREP_RETURN_NOT_OK(spec.Validate());
+  auto db = std::make_unique<ComplexDatabase>();
+  db->spec = spec;
+  RegisterRelations(db.get());
+  Rng rng(spec.seed);
 
   // --- Generate subobjects. ---
   const uint32_t children_per_rel =
@@ -235,45 +218,77 @@ Status BuildDatabase(const DatabaseSpec& spec,
   rng.Shuffle(&assignment);
   db->unit_of_parent = std::move(assignment);
 
+  // --- Parent ret values. ---
+  db->parent_rets.resize(spec.num_parents);
+  for (std::array<int32_t, 3>& rets : db->parent_rets) {
+    for (int32_t& ret : rets) {
+      ret = static_cast<int32_t>(rng.Uniform(1000000));
+    }
+  }
+
+  // --- Clustering: each unit's owner, uniformly among its users, and the
+  //     random order in which units claim their subobjects. ---
+  if (spec.build_cluster) {
+    std::vector<std::vector<uint32_t>> users_of_unit(num_units);
+    for (uint32_t p = 0; p < spec.num_parents; ++p) {
+      users_of_unit[db->unit_of_parent[p]].push_back(p);
+    }
+    db->unit_owner.assign(num_units, 0);
+    for (uint32_t u = 0; u < num_units; ++u) {
+      const auto& users = users_of_unit[u];
+      OBJREP_CHECK(!users.empty());
+      db->unit_owner[u] = users[rng.Uniform(users.size())];
+    }
+    db->unit_claim_order.resize(num_units);
+    std::iota(db->unit_claim_order.begin(), db->unit_claim_order.end(), 0);
+    rng.Shuffle(&db->unit_claim_order);
+  }
+
+  *out = std::move(db);
+  return Status::OK();
+}
+
+Status LoadVolume(const ComplexDatabase& truth, const VolumeSlice& slice,
+                  ComplexDatabase* db) {
+  const DatabaseSpec& spec = db->spec;
+  db->disk = std::make_unique<DiskManager>();
+  db->pool = std::make_unique<BufferPool>(db->disk.get(), spec.buffer_pages);
+
   // --- Bulk load ParentRel. ---
   {
     std::vector<std::pair<uint64_t, std::vector<Value>>> rows;
-    rows.reserve(spec.num_parents);
-    for (uint32_t p = 0; p < spec.num_parents; ++p) {
-      ParentRow row;
-      row.oid = Oid{db->parent_rel->rel_id(), p};
-      row.ret1 = static_cast<int32_t>(rng.Uniform(1000000));
-      row.ret2 = static_cast<int32_t>(rng.Uniform(1000000));
-      row.ret3 = static_cast<int32_t>(rng.Uniform(1000000));
-      row.children = db->units[db->unit_of_parent[p]];
-      rows.emplace_back(p, ParentRowValues(row, db->parent_dummy_width));
+    rows.reserve(slice.parents.size());
+    for (uint32_t p : slice.parents) {
+      rows.emplace_back(
+          p, ParentRowValues(truth.ParentRowOf(p), db->parent_dummy_width));
     }
     OBJREP_RETURN_NOT_OK(
         db->parent_rel->BulkLoad(db->pool.get(), rows, spec.fill_factor));
   }
 
-  // --- Bulk load each ChildRel. ---
+  // --- Bulk load each ChildRel: the stored keys, ascending. ---
   for (uint32_t r = 0; r < spec.num_child_rels; ++r) {
     std::vector<std::pair<uint64_t, std::vector<Value>>> rows;
-    rows.reserve(children_per_rel);
-    for (uint32_t k = 0; k < children_per_rel; ++k) {
-      rows.emplace_back(
-          k, ChildRowValues(db->child_rows[r][k], db->child_dummy_width));
+    rows.reserve(truth.child_rows[r].size());
+    for (const ChildRow& row : truth.child_rows[r]) {
+      if (!slice.StoresChild(row.oid.Packed())) continue;
+      rows.emplace_back(row.oid.key,
+                        ChildRowValues(row, db->child_dummy_width));
     }
     OBJREP_RETURN_NOT_OK(
         db->child_rels[r]->BulkLoad(db->pool.get(), rows, spec.fill_factor));
   }
 
   if (spec.build_cluster) {
-    OBJREP_RETURN_NOT_OK(BuildClusterRel(db.get(), &rng));
+    OBJREP_RETURN_NOT_OK(LoadClusterRel(truth, slice, db));
   }
 
   if (spec.build_join_index) {
     // Dense (object, position) -> subobject OID mapping, in object order.
     std::vector<BPlusTree::Entry> entries;
-    entries.reserve(static_cast<size_t>(spec.num_parents) * spec.size_unit);
-    for (uint32_t p = 0; p < spec.num_parents; ++p) {
-      const std::vector<Oid>& unit = db->units[db->unit_of_parent[p]];
+    entries.reserve(slice.parents.size() * spec.size_unit);
+    for (uint32_t p : slice.parents) {
+      const std::vector<Oid>& unit = truth.units[truth.unit_of_parent[p]];
       for (uint32_t j = 0; j < unit.size(); ++j) {
         uint64_t packed = unit[j].Packed();
         entries.push_back(BPlusTree::Entry{
@@ -302,20 +317,37 @@ Status BuildDatabase(const DatabaseSpec& spec,
     db->pool->AttachWal(db->wal.get());
   }
   if (spec.enable_mvcc) {
+    // One version store and clock per volume: snapshots are per volume,
+    // like the WAL transactions above (no cross-shard 2PC; see engine.h).
     db->mvcc = std::make_unique<MvccManager>(db->wal.get());
   }
 
-  // Apply the I/O scheduling policy only now: the build itself always runs
-  // with the seed's plain demand paging, so on-disk layout and build-time
-  // counters are independent of the prefetch configuration.
+  // Flush while the device is still free, then apply the device model and
+  // the I/O scheduling policy: the whole build, its last write-backs
+  // included, runs with the seed's zero-latency demand paging, so on-disk
+  // layout, build time and build-time counters are independent of both.
+  // Measurements start from a flushed, zeroed state.
+  OBJREP_RETURN_NOT_OK(db->pool->FlushAll());
   db->disk->set_io_latency_us(spec.io_latency_us);
   db->disk->set_transfer_us(spec.io_transfer_us);
   db->pool->SetPrefetchOptions(
       PrefetchOptions{spec.prefetch, spec.readahead_pages});
-
-  // Start measurements from a flushed, zeroed state.
-  OBJREP_RETURN_NOT_OK(db->pool->FlushAll());
   db->disk->ResetCounters();
+  return Status::OK();
+}
+
+Status BuildDatabase(const DatabaseSpec& spec,
+                     std::unique_ptr<ComplexDatabase>* out) {
+  std::unique_ptr<ComplexDatabase> db;
+  OBJREP_RETURN_NOT_OK(GenerateDatabase(spec, &db));
+  VolumeSlice whole;
+  whole.whole = true;
+  whole.parents.resize(spec.num_parents);
+  std::iota(whole.parents.begin(), whole.parents.end(), 0);
+  for (uint32_t u : db->unit_claim_order) {
+    whole.claims.emplace_back(u, db->unit_owner[u]);
+  }
+  OBJREP_RETURN_NOT_OK(LoadVolume(*db, whole, db.get()));
   *out = std::move(db);
   return Status::OK();
 }

@@ -7,12 +7,18 @@
 //   * ClusterRel + ISAM   — when clustering is enabled (paper §3.3)
 //   * Cache (hash file)   — when caching is enabled (paper §3.2)
 //
-// The builder also retains generation ground truth (units, assignments,
-// row values) so tests can verify strategy results independently.
+// Generation and loading are separate phases (builder.cc). GenerateDatabase
+// draws the ground truth — units, assignments, row values — into a
+// ComplexDatabase that has a catalog but no disk, pool or page; LoadVolume
+// bulk loads a slice of it into a fresh volume. A built database keeps its
+// ground truth so tests can verify strategy results independently.
 #ifndef OBJREP_OBJSTORE_DATABASE_H_
 #define OBJREP_OBJSTORE_DATABASE_H_
 
+#include <array>
 #include <memory>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "access/isam.h"
@@ -25,6 +31,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/wal.h"
+#include "util/macros.h"
 #include "util/status.h"
 
 namespace objrep {
@@ -60,7 +67,26 @@ struct ComplexDatabase {
   std::vector<uint32_t> unit_of_parent;      // parent key -> unit id
   std::vector<uint32_t> unit_owner;          // unit id -> owning parent key
                                              // (clustering only)
+  std::vector<uint32_t> unit_claim_order;    // units in the random order
+                                             // they claim their subobjects
+                                             // (clustering only)
   std::vector<std::vector<ChildRow>> child_rows;  // per child rel, by key
+  std::vector<std::array<int32_t, 3>> parent_rets;  // parent key -> ret1..3
+
+  /// Parent `p`'s row as generated.
+  ParentRow ParentRowOf(uint32_t p) const {
+    return ParentRow{Oid{parent_rel->rel_id(), p}, parent_rets[p][0],
+                     parent_rets[p][1], parent_rets[p][2],
+                     units[unit_of_parent[p]]};
+  }
+  /// The generated row of child `oid`.
+  const ChildRow& ChildRowOf(const Oid& oid) const {
+    for (size_t r = 0; r < child_rels.size(); ++r) {
+      if (child_rels[r]->rel_id() == oid.rel) return child_rows[r][oid.key];
+    }
+    OBJREP_CHECK_MSG(false, "child OID references unknown relation");
+    return child_rows[0][0];
+  }
 
   /// Child relation whose catalog id is `rel_id`; null if unknown.
   const Table* ChildRelById(RelationId rel_id) const {
@@ -87,6 +113,46 @@ struct ComplexDatabase {
 /// reset, so measurements start clean.
 Status BuildDatabase(const DatabaseSpec& spec,
                      std::unique_ptr<ComplexDatabase>* out);
+
+/// Generates `spec`'s ground truth (paper §4): the catalog, child rows,
+/// units, unit assignment, parent ret values and, with clustering, unit
+/// owners and claim order. Draws random numbers in BuildDatabase's order
+/// and allocates no disk, pool or page. Deterministic in `spec.seed`.
+Status GenerateDatabase(const DatabaseSpec& spec,
+                        std::unique_ptr<ComplexDatabase>* out);
+
+/// Sets `db`'s dummy widths and registers its relations in the fixed order
+/// ParentRel, ChildRel..., ClusterRel from `db->spec`. Relation ids follow
+/// registration order, so every database registered from one spec agrees
+/// on packed OIDs.
+void RegisterRelations(ComplexDatabase* db);
+
+/// The part of a generated database that one volume stores.
+struct VolumeSlice {
+  /// Every row: the single-engine build. A whole load also reads each
+  /// ParentRel row back through the pool before it builds ClusterRel.
+  bool whole = false;
+  /// ParentRel keys stored, ascending.
+  std::vector<uint32_t> parents;
+  /// Packed OIDs of the child rows stored, unless `whole`.
+  std::unordered_set<uint64_t> children;
+  /// Clustering only: (unit, owning parent) in claim order. Each unit
+  /// places its members not yet placed in its owner's cluster.
+  std::vector<std::pair<uint32_t, uint32_t>> claims;
+
+  bool StoresChild(uint64_t packed) const {
+    return whole || children.count(packed) != 0;
+  }
+};
+
+/// Loads `slice` of the generated database `truth` into `db`, whose spec
+/// and relations are already registered (`db` may be `truth` itself): a
+/// fresh disk and pool, the bulk-loaded relations and indexes, then cache,
+/// WAL and MVCC. It flushes before it applies the spec's device latency
+/// and read-ahead, so the build sleeps on no simulated device, and returns
+/// with the I/O counters reset.
+Status LoadVolume(const ComplexDatabase& truth, const VolumeSlice& slice,
+                  ComplexDatabase* db);
 
 /// What Recover did, for tests and the driver's crash demo.
 struct RecoveryReport {

@@ -11,13 +11,15 @@
 //     unit park on a hash-chosen shard.
 //   * ClusterRel, the ISAM index, the join index, and the cache are built
 //     per shard over the local rows only, in the same catalog registration
-//     order as the reference build — relation ids (and therefore packed
-//     OIDs) are identical on every shard and in the single-engine build.
+//     order as the single-engine build — relation ids (and therefore
+//     packed OIDs) are identical on every shard and in BuildDatabase.
 //
-// The build first runs the ordinary single-engine BuildDatabase and then
-// distributes its actual rows. It never re-runs row generation, so the
-// logical content is bit-identical to the unsharded database for the same
-// spec — the property the differential oracle in tests/ checks.
+// The build generates the spec's ground truth once (GenerateDatabase, the
+// same draws BuildDatabase makes) and loads each shard's slice of it
+// straight from the generated rows, one shard after another. It never
+// builds or reads the single-engine volume, so the logical content is
+// bit-identical to the unsharded database for the same spec — the
+// property the differential oracle in tests/ checks.
 #ifndef OBJREP_SHARD_SHARDED_DB_H_
 #define OBJREP_SHARD_SHARDED_DB_H_
 
@@ -36,9 +38,10 @@ struct ShardedDatabase {
   std::vector<std::unique_ptr<ComplexDatabase>> shards;
   /// Parent keys local to each shard, ascending.
   std::vector<std::vector<uint32_t>> local_parents;
-  /// The single-engine build the shards were carved from. Kept for its
-  /// generation ground truth (tests); the engine never touches it.
-  /// Callers may reset() it to reclaim memory.
+  /// The generated ground truth the shards were loaded from: catalog and
+  /// rows only, with no disk, pool or page. Kept for workload generation
+  /// and tests; the engine never touches it. Callers may reset() it to
+  /// reclaim memory.
   std::unique_ptr<ComplexDatabase> reference;
 
   uint32_t num_shards() const {
@@ -46,8 +49,8 @@ struct ShardedDatabase {
   }
 };
 
-/// Builds the reference database for `spec`, then distributes its rows
-/// across `num_shards` independent engines. Deterministic in `spec.seed`.
+/// Generates `spec`'s ground truth, then loads its rows into `num_shards`
+/// independent engines. Deterministic in `spec.seed`.
 /// Each shard returns flushed with zeroed I/O counters, like BuildDatabase.
 Status BuildShardedDatabase(const DatabaseSpec& spec, uint32_t num_shards,
                             std::unique_ptr<ShardedDatabase>* out);

@@ -395,7 +395,9 @@ TEST(WorkloadTest, NumTopBoundsValidated) {
   w.num_top = 1000;  // full-relation retrieves are legal
   ASSERT_TRUE(GenerateWorkload(w, *db, &queries).ok());
   for (const Query& q : queries) {
-    if (q.kind == Query::Kind::kRetrieve) EXPECT_EQ(q.lo_parent, 0u);
+    if (q.kind == Query::Kind::kRetrieve) {
+      EXPECT_EQ(q.lo_parent, 0u);
+    }
   }
 }
 

@@ -94,7 +94,8 @@ INSTANTIATE_TEST_SUITE_P(
                       StrategyKind::kBfsNoDup, StrategyKind::kDfsCache,
                       StrategyKind::kDfsClust, StrategyKind::kSmart,
                       StrategyKind::kDfsClustCache,
-                      StrategyKind::kBfsJoinIndex, StrategyKind::kBfsHash),
+                      StrategyKind::kBfsJoinIndex, StrategyKind::kBfsHash,
+                      StrategyKind::kAdaptive),
     [](const ::testing::TestParamInfo<StrategyKind>& info) {
       switch (info.param) {
         case StrategyKind::kDfs: return "Dfs";
@@ -106,6 +107,7 @@ INSTANTIATE_TEST_SUITE_P(
         case StrategyKind::kDfsClustCache: return "DfsClustCache";
         case StrategyKind::kBfsJoinIndex: return "BfsJoinIndex";
         case StrategyKind::kBfsHash: return "BfsHash";
+        case StrategyKind::kAdaptive: return "Adaptive";
       }
       return "Unknown";
     });
