@@ -16,7 +16,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -29,6 +28,7 @@
 #include "obs/io_context.h"
 #include "objstore/database.h"
 #include "objstore/workload.h"
+#include "util/parse_number.h"
 
 namespace objrep {
 namespace bench {
@@ -59,18 +59,6 @@ inline RunResult MeasureStrategy(const DatabaseSpec& db_spec,
 inline uint32_t AutoNumQueries(uint32_t num_top, uint32_t budget = 400) {
   uint32_t n = 1500000u / (num_top * 5u + 500u);
   return std::clamp<uint32_t>(n, 24u, budget);
-}
-
-/// Marks the database spec to carry every structure a strategy set needs.
-inline DatabaseSpec WithStructuresFor(DatabaseSpec spec,
-                                      const std::vector<StrategyKind>& kinds) {
-  for (StrategyKind k : kinds) {
-    if (k == StrategyKind::kDfsCache || k == StrategyKind::kSmart) {
-      spec.build_cache = true;
-    }
-    if (k == StrategyKind::kDfsClust) spec.build_cluster = true;
-  }
-  return spec;
 }
 
 // --- Table printing ---
@@ -115,20 +103,12 @@ struct ExtraFlag {
 };
 
 inline ExtraFlag U32Flag(const char* name, uint32_t* out) {
-  return {name, [out](const char* v) {
-            char* end = nullptr;
-            unsigned long n = std::strtoul(v, &end, 10);
-            *out = static_cast<uint32_t>(n);
-            return *v != '\0' && *end == '\0' && n <= UINT32_MAX;
-          }};
+  return {name,
+          [out](const char* v) { return ParseNumber<uint32_t>(v, out); }};
 }
 
 inline ExtraFlag DoubleFlag(const char* name, double* out) {
-  return {name, [out](const char* v) {
-            char* end = nullptr;
-            *out = std::strtod(v, &end);
-            return *v != '\0' && *end == '\0';
-          }};
+  return {name, [out](const char* v) { return ParseNumber<double>(v, out); }};
 }
 
 /// Parses argv for bench `bench`. `accepts` is a CommonFlag mask. Prints

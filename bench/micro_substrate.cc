@@ -26,7 +26,7 @@ struct TreeFixture {
     for (uint32_t k = 0; k < n; ++k) {
       entries.push_back({k, std::string(100, 'v')});
     }
-    OBJREP_CHECK(BPlusTree::BulkLoad(&pool, entries, 1.0, &tree).ok());
+    OBJREP_CHECK(BPlusTree::BulkLoad(&pool, entries, &tree).ok());
   }
   DiskManager disk;
   BufferPool pool;

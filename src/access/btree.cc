@@ -122,10 +122,7 @@ Status BPlusTree::Create(BufferPool* pool, BPlusTree* out) {
 
 Status BPlusTree::BulkLoad(BufferPool* pool,
                            const std::vector<Entry>& entries,
-                           double fill_factor, BPlusTree* out) {
-  if (fill_factor <= 0.0 || fill_factor > 1.0) {
-    return Status::InvalidArgument("fill factor must be in (0, 1]");
-  }
+                           BPlusTree* out) {
   if (entries.empty()) {
     return Create(pool, out);
   }
@@ -139,10 +136,8 @@ Status BPlusTree::BulkLoad(BufferPool* pool,
   out->stats_ = Stats{};
 
   // --- Build the leaf level. ---
-  // A page is "full enough" once used cell space exceeds
-  // fill_factor * usable bytes.
-  const uint32_t usable = kPageSize - 64;  // conservative slack for header
-  const uint32_t budget = static_cast<uint32_t>(usable * fill_factor);
+  // A page is full once used cell space would exceed the usable bytes.
+  const uint32_t budget = kPageSize - 64;  // conservative slack for header
 
   std::vector<std::pair<uint64_t, PageId>> level;  // (first key, page)
   PageGuard leaf;
@@ -194,13 +189,12 @@ Status BPlusTree::BulkLoad(BufferPool* pool,
 
   // --- Build internal levels bottom-up. ---
   uint32_t height = 1;
-  const uint32_t internal_budget = std::max<uint32_t>(
-      2, static_cast<uint32_t>(kInternalCapacity * fill_factor));
   while (level.size() > 1) {
     std::vector<std::pair<uint64_t, PageId>> parent_level;
     size_t i = 0;
     while (i < level.size()) {
-      size_t take = std::min<size_t>(internal_budget + 1, level.size() - i);
+      size_t take =
+          std::min<size_t>(kInternalCapacity + 1, level.size() - i);
       // An internal node holds `take` children => take-1 keys; avoid a
       // dangling single-child node at the end.
       if (level.size() - i - take == 1) {
@@ -252,7 +246,7 @@ Status BPlusTree::DescendToLeafProbe(uint64_t key, const uint64_t* upcoming,
   if (!pool_->prefetch_enabled() || n == 0 || stats_.height < 2) {
     return DescendToLeaf(key, leaf, nullptr);
   }
-  const uint32_t cap = pool_->prefetch_options().readahead_pages;
+  constexpr uint32_t cap = BufferPool::kReadaheadPages;
   PageId pid = root_;
   // Exclusive upper bound of the current subtree's key range, inherited
   // from the ancestors' separators. Needed at the leaf level: a probe for
@@ -298,7 +292,6 @@ Status BPlusTree::DescendToLeafProbe(uint64_t key, const uint64_t* upcoming,
 }
 
 Status BPlusTree::DescendToLeafRange(uint64_t key, uint64_t end_key,
-                                     uint32_t fan,
                                      std::vector<PageId>* siblings,
                                      PageGuard* leaf) const {
   siblings->clear();
@@ -314,13 +307,14 @@ Status BPlusTree::DescendToLeafRange(uint64_t key, uint64_t end_key,
         if (InternalKey(p, j - 1) > end_key) break;
         siblings->push_back(InternalChild(p, j));
       }
-      // First read-ahead window: the target leaf plus its next `fan`
-      // scan-order siblings, all certain to be read by a scan to end_key.
+      // First read-ahead window: the target leaf plus its next scan-order
+      // siblings, all certain to be read by a scan to end_key.
       if (!siblings->empty()) {
+        constexpr size_t kWindow = BufferPool::kReadaheadPages;
         std::vector<PageId> hint;
-        hint.reserve(1 + fan);
+        hint.reserve(kWindow);
         hint.push_back(InternalChild(p, child_index));
-        for (size_t j = 0; j < siblings->size() && hint.size() < 1 + fan;
+        for (size_t j = 0; j < siblings->size() && hint.size() < kWindow;
              ++j) {
           hint.push_back((*siblings)[j]);
         }
@@ -332,30 +326,9 @@ Status BPlusTree::DescendToLeafRange(uint64_t key, uint64_t end_key,
   return pool_->FetchPage(pid, leaf);
 }
 
-Status BPlusTree::ProbeBatch(
-    const uint64_t* keys, size_t n,
-    const std::function<Status(size_t index, std::string_view value)>&
-        on_found) const {
-  Iterator it(this);
-  for (size_t i = 0; i < n; ++i) {
-    if (i == 0) {
-      OBJREP_RETURN_NOT_OK(it.SeekHinted(keys[0], keys + 1, n - 1));
-    } else if (keys[i] != keys[i - 1]) {
-      OBJREP_RETURN_NOT_OK(
-          it.SeekForwardHinted(keys[i], keys + i + 1, n - i - 1));
-    }
-    // Duplicate keys reuse the cursor position untouched.
-    if (!it.valid()) break;  // past the last entry: the rest are absent
-    if (it.key() == keys[i]) {
-      OBJREP_RETURN_NOT_OK(on_found(i, it.value()));
-    }
-  }
-  return Status::OK();
-}
-
 void BPlusTree::HintLeavesForKeys(const uint64_t* keys, size_t n) const {
   if (!pool_->prefetch_enabled() || n == 0 || stats_.height < 2) return;
-  const uint32_t cap = pool_->prefetch_options().readahead_pages;
+  constexpr uint32_t cap = BufferPool::kReadaheadPages;
   std::vector<PageId> hint;
   hint.reserve(cap);
   size_t ki = 0;
@@ -623,8 +596,7 @@ Status BPlusTree::Iterator::Seek(uint64_t key) {
   return SkipDeletedForward();
 }
 
-Status BPlusTree::Iterator::SeekRange(uint64_t key, uint64_t end_key,
-                                      uint32_t fan) {
+Status BPlusTree::Iterator::SeekRange(uint64_t key, uint64_t end_key) {
   range_mode_ = false;
   refill_pending_ = false;
   upcoming_leaves_.clear();
@@ -634,12 +606,11 @@ Status BPlusTree::Iterator::SeekRange(uint64_t key, uint64_t end_key,
   }
   range_mode_ = true;
   end_key_ = end_key;
-  fan_ = fan == 0 ? tree_->pool_->prefetch_options().readahead_pages : fan;
   valid_ = false;
   guard_.Release();
   PageGuard leaf;
-  OBJREP_RETURN_NOT_OK(tree_->DescendToLeafRange(key, end_key, fan_,
-                                                 &upcoming_leaves_, &leaf));
+  OBJREP_RETURN_NOT_OK(
+      tree_->DescendToLeafRange(key, end_key, &upcoming_leaves_, &leaf));
   guard_ = std::move(leaf);
   SlottedPage sp(guard_.page());
   slot_ = LeafLowerBound(sp, key);
@@ -683,8 +654,8 @@ void BPlusTree::Iterator::MaybeHintChain(PageId next) {
       upcoming_leaves_[upcoming_pos_] == next) {
     // `next` is the expected sibling: slide the read-ahead window past it.
     ++upcoming_pos_;
-    size_t len =
-        std::min<size_t>(fan_, upcoming_leaves_.size() - upcoming_pos_);
+    size_t len = std::min<size_t>(BufferPool::kReadaheadPages,
+                                  upcoming_leaves_.size() - upcoming_pos_);
     if (len > 0) {
       tree_->pool_->PrefetchHint(upcoming_leaves_.data() + upcoming_pos_,
                                  len);
@@ -733,7 +704,8 @@ Status BPlusTree::Iterator::RefillRangeHints() {
     }
     pid = InternalChild(p, child_index);
   }
-  size_t len = std::min<size_t>(fan_, upcoming_leaves_.size());
+  size_t len =
+      std::min<size_t>(BufferPool::kReadaheadPages, upcoming_leaves_.size());
   if (len > 0) {
     tree_->pool_->PrefetchHint(upcoming_leaves_.data(), len);
   }

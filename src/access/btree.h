@@ -11,7 +11,6 @@
 #define OBJREP_ACCESS_BTREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,10 +43,10 @@ class BPlusTree {
   /// Creates an empty tree (a single empty leaf).
   static Status Create(BufferPool* pool, BPlusTree* out);
 
-  /// Builds a tree from entries sorted by strictly increasing key.
-  /// `fill_factor` in (0, 1] bounds how full each leaf is packed.
+  /// Builds a tree from entries sorted by strictly increasing key, every
+  /// leaf and internal node packed full.
   static Status BulkLoad(BufferPool* pool, const std::vector<Entry>& entries,
-                         double fill_factor, BPlusTree* out);
+                         BPlusTree* out);
 
   /// Point lookup. NotFound if absent.
   Status Get(uint64_t key, std::string* value) const;
@@ -61,19 +60,6 @@ class BPlusTree {
   /// Removes a key (lazy: no page merging; space reclaimed on page rebuild).
   Status Delete(uint64_t key);
 
-  /// Looks up `keys[0..n)` (sorted ascending, duplicates allowed) in one
-  /// coordinated forward pass, invoking `on_found(i, value)` for each key
-  /// present. Probes sharing a leaf reuse the pinned page, and each
-  /// re-descent offers the upcoming keys' leaves to the buffer pool as a
-  /// read-ahead batch (one vectored read instead of n single-page reads).
-  /// With prefetch disabled this costs exactly the same disk I/O as n
-  /// Get() calls; callers gate on pool()->prefetch_enabled() anyway so
-  /// disabled runs keep the seed's Get()-loop code path bit-for-bit.
-  Status ProbeBatch(
-      const uint64_t* keys, size_t n,
-      const std::function<Status(size_t index, std::string_view value)>&
-          on_found) const;
-
   /// Offers the leaves that `keys[0..n)` (sorted ascending) land in to the
   /// buffer pool as a read-ahead batch, without performing the probes.
   /// Entirely invisible to the demand path: the walk pins only resident
@@ -82,7 +68,7 @@ class BPlusTree {
   /// sees bit-identical I/O counts to not calling this at all — the only
   /// change is that the leaf reads happen here, batched and sorted
   /// (DESIGN.md §9). Best-effort: stops at the first non-resident internal
-  /// node or when the hint window (readahead_pages) fills. No-op when
+  /// node or when the hint window (kReadaheadPages) fills. No-op when
   /// prefetch is disabled.
   void HintLeavesForKeys(const uint64_t* keys, size_t n) const;
 
@@ -111,12 +97,10 @@ class BPlusTree {
     /// Seek(key) for a scan that will stop at `end_key` (inclusive): the
     /// iterator learns the upcoming leaves from the internal nodes (exact
     /// page identities, never guesses) and offers them to the buffer pool
-    /// as read-ahead while the scan walks the leaf chain. `fan` caps how
-    /// many leaves ahead each hint reaches (0 == the pool's
-    /// readahead_pages); callers whose per-entry work touches many other
-    /// pages pass a small fan so read-ahead never alters eviction
-    /// (DESIGN.md §9). Identical to Seek() when prefetch is disabled.
-    Status SeekRange(uint64_t key, uint64_t end_key, uint32_t fan = 0);
+    /// as read-ahead while the scan walks the leaf chain, each hint
+    /// reaching BufferPool::kReadaheadPages leaves ahead (DESIGN.md §9).
+    /// Identical to Seek() when prefetch is disabled.
+    Status SeekRange(uint64_t key, uint64_t end_key);
     /// Seek(key) that also offers the leaves of `upcoming[0..n)` (sorted
     /// ascending, all >= key) as read-ahead during the descent.
     Status SeekHinted(uint64_t key, const uint64_t* upcoming, size_t n);
@@ -146,7 +130,6 @@ class BPlusTree {
     bool range_mode_ = false;
     bool refill_pending_ = false;
     uint64_t end_key_ = 0;
-    uint32_t fan_ = 0;
     std::vector<PageId> upcoming_leaves_;
     size_t upcoming_pos_ = 0;
   };
@@ -198,8 +181,8 @@ class BPlusTree {
   /// DescendToLeafProbe for a range scan: collects into `siblings` every
   /// later child of the last internal node whose key range intersects
   /// [key, end_key] (uncapped — the scan consumes them window by window)
-  /// and hints the first `fan`-leaf window.
-  Status DescendToLeafRange(uint64_t key, uint64_t end_key, uint32_t fan,
+  /// and hints the first window.
+  Status DescendToLeafRange(uint64_t key, uint64_t end_key,
                             std::vector<PageId>* siblings,
                             PageGuard* leaf) const;
   Status InsertIntoParent(std::vector<PathEntry>* path, uint64_t sep_key,

@@ -14,8 +14,8 @@ uint16_t IsamIndex::Count(const Page& p) const {
 
 IsamIndex::Entry IsamIndex::At(const Page& p, uint16_t i) const {
   Entry e;
-  std::memcpy(&e.key, p.data + kHeader + i * entry_stride_, 8);
-  std::memcpy(&e.payload, p.data + kHeader + i * entry_stride_ + 8, 8);
+  std::memcpy(&e.key, p.data + kHeader + i * kEntryBytes, 8);
+  std::memcpy(&e.payload, p.data + kHeader + i * kEntryBytes + 8, 8);
   return e;
 }
 
@@ -33,22 +33,18 @@ uint16_t IsamIndex::UpperBound(const Page& p, uint64_t key) const {
 }
 
 Status IsamIndex::Build(BufferPool* pool, const std::vector<Entry>& entries,
-                        IsamIndex* out, uint32_t entry_stride) {
-  if (entry_stride < 16 || entry_stride > kPageSize - kHeader) {
-    return Status::InvalidArgument("isam entry stride out of range");
-  }
+                        IsamIndex* out) {
   for (size_t i = 1; i < entries.size(); ++i) {
     if (entries[i - 1].key >= entries[i].key) {
       return Status::InvalidArgument("isam build input not strictly sorted");
     }
   }
   out->pool_ = pool;
-  out->entry_stride_ = entry_stride;
   out->leaf_pages_ = 0;
   out->index_pages_ = 0;
-  const uint32_t capacity = (kPageSize - kHeader) / entry_stride;
+  const uint32_t capacity = (kPageSize - kHeader) / kEntryBytes;
 
-  auto write_level = [pool, entry_stride, capacity](
+  auto write_level = [pool, capacity](
                          const std::vector<Entry>& level_entries,
                          std::vector<Entry>* parent,
                          uint32_t* pages) -> Status {
@@ -74,8 +70,8 @@ Status IsamIndex::Build(BufferPool* pool, const std::vector<Entry>& entries,
       std::memcpy(p->data, &n, 2);
       for (size_t j = 0; j < take; ++j) {
         const Entry& e = level_entries[i + j];
-        std::memcpy(p->data + kHeader + j * entry_stride, &e.key, 8);
-        std::memcpy(p->data + kHeader + j * entry_stride + 8, &e.payload, 8);
+        std::memcpy(p->data + kHeader + j * kEntryBytes, &e.key, 8);
+        std::memcpy(p->data + kHeader + j * kEntryBytes + 8, &e.payload, 8);
       }
       guard.MarkDirty();
       parent->push_back(Entry{level_entries[i].key, guard.page_id()});

@@ -23,16 +23,18 @@ class IsamIndex {
     uint64_t payload;
   };
 
+  /// On-page bytes per entry. The INGRES isam the paper used keys on a
+  /// char-encoded OID plus a TID and per-entry overhead — around 32 bytes
+  /// per entry — so the index is a substantial on-disk object that
+  /// competes for the 100-page buffer (DESIGN.md §2). The first 16 bytes
+  /// hold the (key, payload) pair; the rest is padding.
+  static constexpr uint32_t kEntryBytes = 32;
+
   IsamIndex() = default;
 
   /// Builds the index from entries sorted by strictly increasing key.
-  /// `entry_stride` is the on-page bytes per entry (>= 16). The INGRES
-  /// isam the paper used keys on a char-encoded OID plus a TID and
-  /// per-entry overhead — around 32 bytes per entry — so the index is a
-  /// substantial on-disk object that competes for the 100-page buffer;
-  /// the default preserves that behaviour (DESIGN.md §2).
   static Status Build(BufferPool* pool, const std::vector<Entry>& entries,
-                      IsamIndex* out, uint32_t entry_stride = 32);
+                      IsamIndex* out);
 
   /// Point lookup; NotFound if absent.
   Status Lookup(uint64_t key, uint64_t* payload) const;
@@ -43,7 +45,7 @@ class IsamIndex {
 
  private:
   // Page layout (both levels):
-  //   u16 count @ 0, entries @ 8: count * entry_stride bytes, of which the
+  //   u16 count @ 0, entries @ 8: count * kEntryBytes bytes, of which the
   //   first 16 are (u64 key, u64 value) and the rest is INGRES-style
   //   overhead padding.
   // In index pages the value is a child PageId widened to u64; entry i
@@ -60,7 +62,6 @@ class IsamIndex {
   uint32_t height_ = 0;
   uint32_t leaf_pages_ = 0;
   uint32_t index_pages_ = 0;
-  uint32_t entry_stride_ = 32;
 };
 
 }  // namespace objrep

@@ -5,7 +5,7 @@
 namespace objrep {
 
 Status SecondaryIndex::Build(BufferPool* pool, std::vector<Entry> entries,
-                             SecondaryIndex* out, double fill_factor) {
+                             SecondaryIndex* out) {
   std::vector<BPlusTree::Entry> tree_entries;
   tree_entries.reserve(entries.size());
   std::sort(entries.begin(), entries.end(),
@@ -17,7 +17,7 @@ Status SecondaryIndex::Build(BufferPool* pool, std::vector<Entry> entries,
     tree_entries.push_back(
         BPlusTree::Entry{CompositeKey(e.attr_value, e.primary_key), ""});
   }
-  return BPlusTree::BulkLoad(pool, tree_entries, fill_factor, &out->tree_);
+  return BPlusTree::BulkLoad(pool, tree_entries, &out->tree_);
 }
 
 Status SecondaryIndex::LookupEqual(int32_t value,

@@ -28,7 +28,7 @@ class SecondaryIndex {
 
   /// Builds the index from (value, key) pairs in any order.
   static Status Build(BufferPool* pool, std::vector<Entry> entries,
-                      SecondaryIndex* out, double fill_factor = 1.0);
+                      SecondaryIndex* out);
 
   /// Primary keys of all rows with attr == `value`, ascending.
   Status LookupEqual(int32_t value, std::vector<uint32_t>* keys) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "access/isam.h"
 #include "relational/temp_file.h"
 #include "storage/page.h"
 
@@ -111,7 +112,6 @@ DbShape DbShape::Of(const ComplexDatabase& db) {
     s.cluster_entries =
         static_cast<uint32_t>(db.cluster_rel->tree().stats().num_entries);
     s.cluster_leaf_pages = db.cluster_rel->tree().stats().leaf_pages;
-    s.cluster_index_entry_bytes = db.spec.cluster_index_entry_bytes;
   }
   return s;
 }
@@ -239,7 +239,7 @@ IoEstimate EstimateRetrieveDetail(StrategyKind kind, const DbShape& shape,
         e.rand_reads += ProbeCost(shape.cluster_leaf_pages, remote,
                                   cl_residency, 1.0);
         double isam_pages = shape.cluster_entries *
-                            static_cast<double>(shape.cluster_index_entry_bytes) /
+                            static_cast<double>(IsamIndex::kEntryBytes) /
                             kPageSize;
         double isam_residency = LeafResidency(isam_pages, shape.buffer_pages);
         e.rand_reads += ExpectedDistinctPages(isam_pages, remote) *

@@ -49,7 +49,6 @@ struct DbShape {
   uint32_t cache_capacity = 0;       ///< spec.size_cache when the cache is built
   uint32_t cluster_entries = 0;      ///< |ClusterRel| when clustering is built
   uint32_t cluster_leaf_pages = 0;
-  uint32_t cluster_index_entry_bytes = 32;  ///< ISAM on-page bytes per entry
 
   static DbShape Of(const ComplexDatabase& db);
 

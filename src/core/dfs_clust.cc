@@ -79,11 +79,11 @@ Status DfsClustStrategy::ExecuteRetrieve(const Query& q,
   const uint64_t end_key =
       ClusterKey(static_cast<uint64_t>(q.lo_parent) + q.num_top, 0);
   // The retrieve maps to one contiguous ClusterRel extent — the textbook
-  // read-ahead target. Fan 0 = the full readahead budget: staged pages
-  // cannot be evicted, so the window survives the remote (ISAM + random
-  // ClusterRel) probes done between scan leaves (DESIGN.md §9).
+  // read-ahead target. Staged pages cannot be evicted, so the window
+  // survives the remote (ISAM + random ClusterRel) probes done between
+  // scan leaves (DESIGN.md §9).
   OBJREP_RETURN_NOT_OK(
-      it.SeekRange(ClusterKey(q.lo_parent, 0), end_key - 1, /*fan=*/0));
+      it.SeekRange(ClusterKey(q.lo_parent, 0), end_key - 1));
   while (it.valid() && it.key() < end_key) {
     uint64_t key = it.key();
     if (ClusterSeqOf(key) == 0) {
@@ -199,7 +199,7 @@ Status DfsClustCacheStrategy::ExecuteRetrieve(const Query& q,
   const uint64_t end_key =
       ClusterKey(static_cast<uint64_t>(q.lo_parent) + q.num_top, 0);
   OBJREP_RETURN_NOT_OK(
-      it.SeekRange(ClusterKey(q.lo_parent, 0), end_key - 1, /*fan=*/0));
+      it.SeekRange(ClusterKey(q.lo_parent, 0), end_key - 1));
   while (it.valid() && it.key() < end_key) {
     if (ClusterSeqOf(it.key()) == 0) {
       OBJREP_RETURN_NOT_OK(finish_group());

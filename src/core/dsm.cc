@@ -49,8 +49,7 @@ Status DsmDatabase::Build(const ComplexDatabase& src,
       OBJREP_RETURN_NOT_OK(src.parent_rel->Get(p, &vals));
       rows.emplace_back(p, std::move(vals));
     }
-    OBJREP_RETURN_NOT_OK(
-        db->parent_rel_.BulkLoad(db->pool_.get(), rows, src.spec.fill_factor));
+    OBJREP_RETURN_NOT_OK(db->parent_rel_.BulkLoad(db->pool_.get(), rows));
   }
 
   // Decompose ChildRel into binary relations, one per attribute.
@@ -62,9 +61,8 @@ Status DsmDatabase::Build(const ComplexDatabase& src,
       int32_t v = attr == 0 ? row.ret1 : attr == 1 ? row.ret2 : row.ret3;
       entries.push_back(BPlusTree::Entry{row.oid.key, EncodeI32(v)});
     }
-    OBJREP_RETURN_NOT_OK(BPlusTree::BulkLoad(db->pool_.get(), entries,
-                                             src.spec.fill_factor,
-                                             &db->columns_[attr]));
+    OBJREP_RETURN_NOT_OK(
+        BPlusTree::BulkLoad(db->pool_.get(), entries, &db->columns_[attr]));
   }
   {
     std::vector<BPlusTree::Entry> entries;
@@ -73,9 +71,8 @@ Status DsmDatabase::Build(const ComplexDatabase& src,
     for (const ChildRow& row : child_rows) {
       entries.push_back(BPlusTree::Entry{row.oid.key, pad});
     }
-    OBJREP_RETURN_NOT_OK(BPlusTree::BulkLoad(db->pool_.get(), entries,
-                                             src.spec.fill_factor,
-                                             &db->dummy_column_));
+    OBJREP_RETURN_NOT_OK(
+        BPlusTree::BulkLoad(db->pool_.get(), entries, &db->dummy_column_));
   }
 
   OBJREP_RETURN_NOT_OK(db->pool_->FlushAll());

@@ -1,8 +1,10 @@
 #include "core/experiment_config.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cctype>
+#include <type_traits>
+
+#include "util/parse_number.h"
 
 namespace objrep {
 
@@ -26,40 +28,14 @@ std::string Upper(std::string_view s) {
   return out;
 }
 
-Status ParseU32(std::string_view v, int line_no, uint32_t* out) {
-  uint32_t value = 0;
-  auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), value);
-  if (ec != std::errc() || ptr != v.data() + v.size()) {
-    return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                   ": expected unsigned integer");
-  }
-  *out = value;
-  return Status::OK();
-}
-
-Status ParseU64(std::string_view v, int line_no, uint64_t* out) {
-  uint64_t value = 0;
-  auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), value);
-  if (ec != std::errc() || ptr != v.data() + v.size()) {
-    return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                   ": expected unsigned integer");
-  }
-  *out = value;
-  return Status::OK();
-}
-
-Status ParseDouble(std::string_view v, int line_no, double* out) {
-  // std::from_chars for doubles is spotty across stdlibs; strtod on a
-  // bounded copy is fine here.
-  std::string copy(v);
-  char* end = nullptr;
-  double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size() || copy.empty()) {
-    return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                   ": expected number");
-  }
-  *out = value;
-  return Status::OK();
+/// An unsigned integer or a finite number, by the type of `*out`.
+template <typename T>
+Status ParseNum(std::string_view v, int line_no, T* out) {
+  if (ParseNumber<T>(v, out)) return Status::OK();
+  return Status::InvalidArgument(
+      "line " + std::to_string(line_no) +
+      (std::is_floating_point_v<T> ? ": expected finite number"
+                                   : ": expected unsigned integer"));
 }
 
 Status ParseOnOff(std::string_view v, int line_no, bool* out) {
@@ -130,82 +106,79 @@ Status ParseExperimentConfig(std::string_view text, ExperimentConfig* out) {
     }
 
     if (key == "PARENTS") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->db.num_parents));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->db.num_parents));
     } else if (key == "SIZE_UNIT") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->db.size_unit));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->db.size_unit));
     } else if (key == "USE_FACTOR") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->db.use_factor));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->db.use_factor));
     } else if (key == "OVERLAP_FACTOR") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->db.overlap_factor));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->db.overlap_factor));
     } else if (key == "CHILD_RELS") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->db.num_child_rels));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->db.num_child_rels));
     } else if (key == "BUFFER_PAGES") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->db.buffer_pages));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->db.buffer_pages));
     } else if (key == "CACHE") {
       OBJREP_RETURN_NOT_OK(ParseOnOff(value, line_no, &out->db.build_cache));
     } else if (key == "SIZE_CACHE") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->db.size_cache));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->db.size_cache));
     } else if (key == "CLUSTER") {
       OBJREP_RETURN_NOT_OK(
           ParseOnOff(value, line_no, &out->db.build_cluster));
     } else if (key == "SEED") {
-      OBJREP_RETURN_NOT_OK(ParseU64(value, line_no, &out->db.seed));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->db.seed));
       out->workload.seed = out->db.seed + 1;
     } else if (key == "QUERIES") {
       OBJREP_RETURN_NOT_OK(
-          ParseU32(value, line_no, &out->workload.num_queries));
+          ParseNum(value, line_no, &out->workload.num_queries));
     } else if (key == "NUM_TOP") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->workload.num_top));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->workload.num_top));
     } else if (key == "PR_UPDATE") {
       OBJREP_RETURN_NOT_OK(
-          ParseDouble(value, line_no, &out->workload.pr_update));
+          ParseNum(value, line_no, &out->workload.pr_update));
     } else if (key == "UPDATE_BATCH") {
       OBJREP_RETURN_NOT_OK(
-          ParseU32(value, line_no, &out->workload.update_batch));
+          ParseNum(value, line_no, &out->workload.update_batch));
     } else if (key == "HOT_ACCESS_PROB") {
       OBJREP_RETURN_NOT_OK(
-          ParseDouble(value, line_no, &out->workload.hot_access_prob));
+          ParseNum(value, line_no, &out->workload.hot_access_prob));
     } else if (key == "HOT_REGION_FRACTION") {
       OBJREP_RETURN_NOT_OK(
-          ParseDouble(value, line_no, &out->workload.hot_region_fraction));
+          ParseNum(value, line_no, &out->workload.hot_region_fraction));
     } else if (key == "SMART_THRESHOLD") {
       OBJREP_RETURN_NOT_OK(
-          ParseU32(value, line_no, &out->options.smart_threshold));
+          ParseNum(value, line_no, &out->options.smart_threshold));
     } else if (key == "CALIBRATION_WINDOW") {
       OBJREP_RETURN_NOT_OK(
-          ParseU32(value, line_no, &out->options.calibration_window));
+          ParseNum(value, line_no, &out->options.calibration_window));
     } else if (key == "PREFETCH") {
       OBJREP_RETURN_NOT_OK(ParseOnOff(value, line_no, &out->db.prefetch));
-    } else if (key == "READAHEAD_PAGES") {
-      OBJREP_RETURN_NOT_OK(
-          ParseU32(value, line_no, &out->db.readahead_pages));
     } else if (key == "RECLAIM_TEMPS") {
       OBJREP_RETURN_NOT_OK(
           ParseOnOff(value, line_no, &out->db.reclaim_temp_pages));
     } else if (key == "IO_LATENCY_US") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->db.io_latency_us));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->db.io_latency_us));
     } else if (key == "IO_TRANSFER_US") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->db.io_transfer_us));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->db.io_transfer_us));
     } else if (key == "NET_PORT") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->net_port));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->net_port));
       if (out->net_port > 65535) {
         return Status::InvalidArgument("line " + std::to_string(line_no) +
                                        ": net_port exceeds 65535");
       }
     } else if (key == "NET_WORKERS") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->net_workers));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->net_workers));
       if (out->net_workers == 0) {
         return Status::InvalidArgument("line " + std::to_string(line_no) +
                                        ": net_workers must be positive");
       }
     } else if (key == "NET_MAX_INFLIGHT") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->net_max_inflight));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->net_max_inflight));
       if (out->net_max_inflight == 0) {
         return Status::InvalidArgument("line " + std::to_string(line_no) +
                                        ": net_max_inflight must be positive");
       }
     } else if (key == "SHARDS") {
-      OBJREP_RETURN_NOT_OK(ParseU32(value, line_no, &out->shards));
+      OBJREP_RETURN_NOT_OK(ParseNum(value, line_no, &out->shards));
       if (out->shards == 0) {
         return Status::InvalidArgument("line " + std::to_string(line_no) +
                                        ": shards must be positive");
@@ -239,19 +212,7 @@ Status ParseExperimentConfig(std::string_view text, ExperimentConfig* out) {
   if (!have_strategies || out->strategies.empty()) {
     return Status::InvalidArgument("config names no strategies");
   }
-  // Auto-provision structures the chosen strategies need.
-  for (StrategyKind k : out->strategies) {
-    if (k == StrategyKind::kDfsCache || k == StrategyKind::kSmart ||
-        k == StrategyKind::kDfsClustCache) {
-      out->db.build_cache = true;
-    }
-    if (k == StrategyKind::kDfsClust || k == StrategyKind::kDfsClustCache) {
-      out->db.build_cluster = true;
-    }
-    if (k == StrategyKind::kBfsJoinIndex) {
-      out->db.build_join_index = true;
-    }
-  }
+  out->db = WithStructuresFor(out->db, out->strategies);
   return out->db.Validate();
 }
 

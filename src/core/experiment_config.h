@@ -26,8 +26,7 @@
 //     strategies = DFS, BFS, DFSCACHE, SMART
 //
 //     # I/O scheduling (DESIGN.md §9; all default to seed behaviour)
-//     prefetch = on
-//     readahead_pages = 8
+//     prefetch = on         # read-ahead in a fixed 8-page window
 //     reclaim_temps = off
 //     io_latency_us = 0
 //     io_transfer_us = 0

@@ -114,8 +114,7 @@ Status HierarchyDatabase::Build(const HierarchySpec& spec,
         rows.emplace_back(k, ChildRowValues(row, leaf_dummy));
       }
     }
-    OBJREP_RETURN_NOT_OK(
-        db->levels_[l]->BulkLoad(db->pool_.get(), rows, spec.fill_factor));
+    OBJREP_RETURN_NOT_OK(db->levels_[l]->BulkLoad(db->pool_.get(), rows));
   }
 
   OBJREP_RETURN_NOT_OK(db->pool_->FlushAll());

@@ -42,7 +42,6 @@ struct HierarchySpec {
   uint32_t inner_tuple_bytes = 200;  ///< width of non-leaf tuples
   uint32_t leaf_tuple_bytes = 100;
   uint32_t buffer_pages = 100;
-  double fill_factor = 1.0;
   uint64_t seed = 42;
 
   Status Validate() const;

@@ -170,8 +170,7 @@ Status ProceduralDatabase::Build(const DatabaseSpec& spec,
                  Value(std::string(child_dummy, 'x')),
              });
     }
-    OBJREP_RETURN_NOT_OK(
-        db->child_rel_.BulkLoad(db->pool_.get(), rows, spec.fill_factor));
+    OBJREP_RETURN_NOT_OK(db->child_rel_.BulkLoad(db->pool_.get(), rows));
   }
 
   // Assign each group to exactly UseFactor parents, then bulk load.
@@ -197,8 +196,7 @@ Status ProceduralDatabase::Build(const DatabaseSpec& spec,
                  Value(std::string()),  // inside-cache slot, empty
              });
     }
-    OBJREP_RETURN_NOT_OK(
-        db->parent_rel_.BulkLoad(db->pool_.get(), rows, spec.fill_factor));
+    OBJREP_RETURN_NOT_OK(db->parent_rel_.BulkLoad(db->pool_.get(), rows));
   }
 
   if (spec.build_cache) {
@@ -216,8 +214,7 @@ Status ProceduralDatabase::Build(const DatabaseSpec& spec,
           static_cast<int32_t>(tag_of_child[k]), k});
     }
     OBJREP_RETURN_NOT_OK(SecondaryIndex::Build(
-        db->pool_.get(), std::move(entries), &db->tag_index_,
-        spec.fill_factor));
+        db->pool_.get(), std::move(entries), &db->tag_index_));
     db->has_tag_index_ = true;
   }
 

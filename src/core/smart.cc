@@ -65,7 +65,6 @@ Status SmartStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
     {
       IoBracket temp_bracket(db_->disk.get(), &cost.temp_io);
       SortOptions opts;
-      opts.work_mem_pages = work_mem_;
       opts.reclaim_runs = db_->spec.reclaim_temp_pages;
       OBJREP_RETURN_NOT_OK(
           ExternalSort(db_->pool.get(), temp, opts, &sorted));

@@ -29,8 +29,8 @@ class DfsStrategy : public Strategy {
 /// BFS / BFSNODUP (paper §3.1 [2], [3]): temp + sort (+ dedup) + merge join.
 class BfsStrategy : public Strategy {
  public:
-  BfsStrategy(ComplexDatabase* db, bool dedup, uint32_t sort_work_mem_pages)
-      : Strategy(db), dedup_(dedup), work_mem_(sort_work_mem_pages) {}
+  BfsStrategy(ComplexDatabase* db, bool dedup)
+      : Strategy(db), dedup_(dedup) {}
   std::string_view name() const override {
     return dedup_ ? "BFSNODUP" : "BFS";
   }
@@ -38,7 +38,6 @@ class BfsStrategy : public Strategy {
 
  private:
   bool dedup_;
-  uint32_t work_mem_;
 };
 
 /// DFSCACHE (paper §3.2): depth-first with outside caching and maintenance.
@@ -79,13 +78,9 @@ class DfsClustCacheStrategy : public Strategy {
 /// OID relation, so the wide ParentRel tuples are never read.
 class BfsJoinIndexStrategy : public Strategy {
  public:
-  BfsJoinIndexStrategy(ComplexDatabase* db, uint32_t sort_work_mem_pages)
-      : Strategy(db), work_mem_(sort_work_mem_pages) {}
+  using Strategy::Strategy;
   std::string_view name() const override { return "BFS-JI"; }
   Status ExecuteRetrieve(const Query& q, RetrieveResult* out) override;
-
- private:
-  uint32_t work_mem_;
 };
 
 /// BFS with an in-memory hash join (extension): build side = the
@@ -100,16 +95,14 @@ class BfsHashStrategy : public Strategy {
 /// SMART (paper §5.3).
 class SmartStrategy : public Strategy {
  public:
-  SmartStrategy(ComplexDatabase* db, uint32_t threshold,
-                uint32_t sort_work_mem_pages)
-      : Strategy(db), threshold_(threshold), work_mem_(sort_work_mem_pages) {}
+  SmartStrategy(ComplexDatabase* db, uint32_t threshold)
+      : Strategy(db), threshold_(threshold) {}
   std::string_view name() const override { return "SMART"; }
   Status ExecuteRetrieve(const Query& q, RetrieveResult* out) override;
   Status ExecuteUpdate(const Query& q) override;
 
  private:
   uint32_t threshold_;
-  uint32_t work_mem_;
 };
 
 /// Shared by DFSCACHE and SMART's low-NumTop path: cache probe, then

@@ -60,12 +60,10 @@ Status MakeStrategy(StrategyKind kind, ComplexDatabase* db,
       *out = std::make_unique<internal::DfsStrategy>(db);
       return Status::OK();
     case StrategyKind::kBfs:
-      *out = std::make_unique<internal::BfsStrategy>(
-          db, /*dedup=*/false, options.sort_work_mem_pages);
+      *out = std::make_unique<internal::BfsStrategy>(db, /*dedup=*/false);
       return Status::OK();
     case StrategyKind::kBfsNoDup:
-      *out = std::make_unique<internal::BfsStrategy>(
-          db, /*dedup=*/true, options.sort_work_mem_pages);
+      *out = std::make_unique<internal::BfsStrategy>(db, /*dedup=*/true);
       return Status::OK();
     case StrategyKind::kDfsCache:
       if (db->cache == nullptr) {
@@ -84,7 +82,7 @@ Status MakeStrategy(StrategyKind kind, ComplexDatabase* db,
         return Status::InvalidArgument("SMART requires spec.build_cache");
       }
       *out = std::make_unique<internal::SmartStrategy>(
-          db, options.smart_threshold, options.sort_work_mem_pages);
+          db, options.smart_threshold);
       return Status::OK();
     case StrategyKind::kDfsClustCache:
       if (db->cluster_rel == nullptr || db->cache == nullptr) {
@@ -98,8 +96,7 @@ Status MakeStrategy(StrategyKind kind, ComplexDatabase* db,
         return Status::InvalidArgument(
             "BFS-JI requires spec.build_join_index");
       }
-      *out = std::make_unique<internal::BfsJoinIndexStrategy>(
-          db, options.sort_work_mem_pages);
+      *out = std::make_unique<internal::BfsJoinIndexStrategy>(db);
       return Status::OK();
     case StrategyKind::kBfsHash:
       *out = std::make_unique<internal::BfsHashStrategy>(db);
@@ -111,6 +108,21 @@ Status MakeStrategy(StrategyKind kind, ComplexDatabase* db,
       return Status::OK();
   }
   return Status::InvalidArgument("unknown strategy kind");
+}
+
+DatabaseSpec WithStructuresFor(DatabaseSpec spec,
+                               const std::vector<StrategyKind>& kinds) {
+  for (StrategyKind k : kinds) {
+    if (k == StrategyKind::kDfsCache || k == StrategyKind::kSmart ||
+        k == StrategyKind::kDfsClustCache) {
+      spec.build_cache = true;
+    }
+    if (k == StrategyKind::kDfsClust || k == StrategyKind::kDfsClustCache) {
+      spec.build_cluster = true;
+    }
+    if (k == StrategyKind::kBfsJoinIndex) spec.build_join_index = true;
+  }
+  return spec;
 }
 
 namespace internal {
@@ -128,10 +140,10 @@ Status ScanParents(
   const uint64_t end = static_cast<uint64_t>(q.lo_parent) + q.num_top;
   // Read ahead along the parent leaves of [lo_parent, end): every leaf in
   // the window is certain to be scanned, and staged pages are immune to
-  // eviction, so the window can be the full readahead budget (fan 0) no
-  // matter how much child-leaf I/O the callback does between parent
-  // leaves. With prefetch disabled SeekRange is exactly Seek.
-  OBJREP_RETURN_NOT_OK(it.SeekRange(q.lo_parent, end - 1, /*fan=*/0));
+  // eviction, so the window survives however much child-leaf I/O the
+  // callback does between parent leaves. With prefetch disabled SeekRange
+  // is exactly Seek.
+  OBJREP_RETURN_NOT_OK(it.SeekRange(q.lo_parent, end - 1));
   const Schema& schema = db->parent_rel->schema();
   while (it.valid() && it.key() < end) {
     Value children;

@@ -92,8 +92,6 @@ enum class StrategyKind {
 struct StrategyOptions {
   /// SMART's NumTop threshold N (paper §5.3: N = 300).
   uint32_t smart_threshold = 300;
-  /// Working memory for BFS-family external sorts (pages).
-  uint32_t sort_work_mem_pages = 16;
   /// ADAPTIVE's calibration horizon: queries over which an I/O
   /// observation decays (EWMA alpha = 2 / (window + 1)). Long enough that
   /// one noisy per-query measurement (a lucky buffer-hit streak, an
@@ -107,6 +105,13 @@ struct StrategyOptions {
 Status MakeStrategy(StrategyKind kind, ComplexDatabase* db,
                     const StrategyOptions& options,
                     std::unique_ptr<Strategy>* out);
+
+/// `spec` marked to build every structure that `kinds` require — the one
+/// rule behind MakeStrategy's structure checks: the Cache for DFSCACHE,
+/// SMART and DFSCLUST+CACHE, ClusterRel for DFSCLUST and DFSCLUST+CACHE,
+/// the join index for BFS-JI.
+DatabaseSpec WithStructuresFor(DatabaseSpec spec,
+                               const std::vector<StrategyKind>& kinds);
 
 const char* StrategyKindName(StrategyKind kind);
 

@@ -91,8 +91,7 @@ Status ValueRepDatabase::Build(const ComplexDatabase& src,
                               parent_vals[kParentDummy],
                               Value(EncodeUnitBlob(records))});
   }
-  OBJREP_RETURN_NOT_OK(
-      db->value_rel_.BulkLoad(db->pool_.get(), rows, src.spec.fill_factor));
+  OBJREP_RETURN_NOT_OK(db->value_rel_.BulkLoad(db->pool_.get(), rows));
 
   // Replica index: packed child OID -> list of referencing parents.
   std::vector<BPlusTree::Entry> index_entries;
@@ -106,7 +105,6 @@ Status ValueRepDatabase::Build(const ComplexDatabase& src,
               return a.key < b.key;
             });
   OBJREP_RETURN_NOT_OK(BPlusTree::BulkLoad(db->pool_.get(), index_entries,
-                                           src.spec.fill_factor,
                                            &db->replica_index_));
 
   OBJREP_RETURN_NOT_OK(db->pool_->FlushAll());

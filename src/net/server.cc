@@ -36,6 +36,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Graceful-drain bound: after Stop()/SHUTDOWN, connections that still
+/// cannot flush after this long are force-closed.
+constexpr std::chrono::seconds kDrainTimeout{10};
+
 Status Errno(const char* what) {
   return Status::IOError(std::string(what) + ": " + std::strerror(errno));
 }
@@ -318,10 +322,7 @@ struct ObjServer::Impl {
   void BeginDrain() {
     if (draining) return;
     draining = true;
-    drain_deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(
-                               config.drain_timeout_s));
+    drain_deadline = Clock::now() + kDrainTimeout;
     if (listen_fd >= 0) {
       epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
       ::close(listen_fd);

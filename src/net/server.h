@@ -59,9 +59,6 @@ struct ServerConfig {
   /// Strategy for requests that do not override it.
   StrategyKind default_strategy = StrategyKind::kDfs;
   StrategyOptions strategy_options;
-  /// Graceful-drain bound: after Stop()/SHUTDOWN, connections that still
-  /// cannot flush after this long are force-closed.
-  double drain_timeout_s = 10.0;
   /// Arms the slow-query ring: requests at or above this latency get their
   /// full RetrieveProfile captured and exposed through STATS. 0 = off.
   uint64_t slow_query_us = 0;

@@ -106,16 +106,13 @@ Status LoadClusterRel(const ComplexDatabase& truth, const VolumeSlice& slice,
     }
   }
 
-  OBJREP_RETURN_NOT_OK(
-      db->cluster_rel->BulkLoad(db->pool.get(), rows, spec.fill_factor));
+  OBJREP_RETURN_NOT_OK(db->cluster_rel->BulkLoad(db->pool.get(), rows));
 
   std::sort(isam_entries.begin(), isam_entries.end(),
             [](const IsamIndex::Entry& a, const IsamIndex::Entry& b) {
               return a.key < b.key;
             });
-  return IsamIndex::Build(db->pool.get(), isam_entries,
-                          &db->cluster_oid_index,
-                          spec.cluster_index_entry_bytes);
+  return IsamIndex::Build(db->pool.get(), isam_entries, &db->cluster_oid_index);
 }
 
 }  // namespace
@@ -262,8 +259,7 @@ Status LoadVolume(const ComplexDatabase& truth, const VolumeSlice& slice,
       rows.emplace_back(
           p, ParentRowValues(truth.ParentRowOf(p), db->parent_dummy_width));
     }
-    OBJREP_RETURN_NOT_OK(
-        db->parent_rel->BulkLoad(db->pool.get(), rows, spec.fill_factor));
+    OBJREP_RETURN_NOT_OK(db->parent_rel->BulkLoad(db->pool.get(), rows));
   }
 
   // --- Bulk load each ChildRel: the stored keys, ascending. ---
@@ -275,8 +271,7 @@ Status LoadVolume(const ComplexDatabase& truth, const VolumeSlice& slice,
       rows.emplace_back(row.oid.key,
                         ChildRowValues(row, db->child_dummy_width));
     }
-    OBJREP_RETURN_NOT_OK(
-        db->child_rels[r]->BulkLoad(db->pool.get(), rows, spec.fill_factor));
+    OBJREP_RETURN_NOT_OK(db->child_rels[r]->BulkLoad(db->pool.get(), rows));
   }
 
   if (spec.build_cluster) {
@@ -296,9 +291,8 @@ Status LoadVolume(const ComplexDatabase& truth, const VolumeSlice& slice,
             std::string(reinterpret_cast<const char*>(&packed), 8)});
       }
     }
-    OBJREP_RETURN_NOT_OK(BPlusTree::BulkLoad(db->pool.get(), entries,
-                                             spec.fill_factor,
-                                             &db->join_index));
+    OBJREP_RETURN_NOT_OK(
+        BPlusTree::BulkLoad(db->pool.get(), entries, &db->join_index));
     db->has_join_index = true;
   }
 
@@ -330,8 +324,7 @@ Status LoadVolume(const ComplexDatabase& truth, const VolumeSlice& slice,
   OBJREP_RETURN_NOT_OK(db->pool->FlushAll());
   db->disk->set_io_latency_us(spec.io_latency_us);
   db->disk->set_transfer_us(spec.io_transfer_us);
-  db->pool->SetPrefetchOptions(
-      PrefetchOptions{spec.prefetch, spec.readahead_pages});
+  db->pool->SetPrefetchEnabled(spec.prefetch);
   db->disk->ResetCounters();
   return Status::OK();
 }

@@ -29,7 +29,6 @@ struct DatabaseSpec {
 
   // --- Environment. ---
   uint32_t buffer_pages = 100;    ///< INGRES main-memory buffer (paper §4)
-  double fill_factor = 1.0;       ///< B-tree leaf packing at load time
 
   // --- Cache (paper §4 [3]). ---
   bool build_cache = false;
@@ -39,11 +38,6 @@ struct DatabaseSpec {
 
   // --- Clustering (paper §3.3). ---
   bool build_cluster = false;
-  /// On-page bytes per entry of the ISAM index on ClusterRel.OID. INGRES
-  /// keyed this index on a char-encoded OID plus a TID and per-entry
-  /// overhead (~32 bytes), so the index competes for buffer space; 16 is
-  /// the packed minimum (see access/isam.h).
-  uint32_t cluster_index_entry_bytes = 32;
 
   // --- Join index ([VALD86], cited in §2 for complex-object
   //     implementation techniques). ---
@@ -66,8 +60,6 @@ struct DatabaseSpec {
   /// bit-identical to prefetch off; with latency it overlaps and amortizes
   /// seeks.
   bool prefetch = false;
-  /// Max pages per read-ahead batch.
-  uint32_t readahead_pages = 8;
   /// Return the pages of consumed temporaries (BFS temps, sort runs) to
   /// the disk free list so long workloads have bounded footprint. Changes
   /// which dirty pages remain for end-of-run flushes, hence off for the

@@ -11,6 +11,15 @@ Status GenerateWorkload(const WorkloadSpec& spec, const ComplexDatabase& db,
   if (spec.num_top == 0 || spec.num_top > db.spec.num_parents) {
     return Status::InvalidArgument("num_top out of range");
   }
+  // The negated comparisons also reject NaN.
+  for (double p : {spec.pr_update, spec.hot_access_prob,
+                   spec.hot_region_fraction}) {
+    if (!(p >= 0.0 && p <= 1.0)) {
+      return Status::InvalidArgument(
+          "pr_update, hot_access_prob and hot_region_fraction must be in "
+          "[0, 1]");
+    }
+  }
   Rng rng(spec.seed);
   out->clear();
   out->reserve(spec.num_queries);

@@ -49,7 +49,9 @@ struct WorkloadSpec {
   double hot_region_fraction = 0.1;
 };
 
-/// Generates a deterministic query sequence against `db`.
+/// Generates a deterministic query sequence against `db`. InvalidArgument
+/// unless 1 <= num_top <= |ParentRel| and pr_update, hot_access_prob and
+/// hot_region_fraction are in [0, 1].
 Status GenerateWorkload(const WorkloadSpec& spec, const ComplexDatabase& db,
                         std::vector<Query>* out);
 

@@ -15,7 +15,8 @@
 namespace objrep {
 
 struct SortOptions {
-  /// Pages of working memory for run formation / merge fan-in.
+  /// Pages of working memory for run formation / merge fan-in. The
+  /// BFS-family strategies sort with this default.
   uint32_t work_mem_pages = 16;
   /// Drop duplicate values while sorting (BFSNODUP's duplicate elimination
   /// step — the paper removes duplicates "before executing the query").

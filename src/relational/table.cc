@@ -4,8 +4,7 @@ namespace objrep {
 
 Status Table::BulkLoad(
     BufferPool* pool,
-    const std::vector<std::pair<uint64_t, std::vector<Value>>>& rows,
-    double fill_factor) {
+    const std::vector<std::pair<uint64_t, std::vector<Value>>>& rows) {
   std::vector<BPlusTree::Entry> entries;
   entries.reserve(rows.size());
   for (const auto& [key, values] : rows) {
@@ -13,11 +12,7 @@ Status Table::BulkLoad(
     OBJREP_RETURN_NOT_OK(EncodeRecord(schema_, values, &encoded));
     entries.push_back(BPlusTree::Entry{key, std::move(encoded)});
   }
-  return BPlusTree::BulkLoad(pool, entries, fill_factor, &tree_);
-}
-
-Status Table::CreateEmpty(BufferPool* pool) {
-  return BPlusTree::Create(pool, &tree_);
+  return BPlusTree::BulkLoad(pool, entries, &tree_);
 }
 
 Status Table::Insert(uint64_t key, const std::vector<Value>& values) {

@@ -28,11 +28,7 @@ class Table {
   /// Bulk loads rows sorted by strictly increasing key.
   Status BulkLoad(BufferPool* pool,
                   const std::vector<std::pair<uint64_t, std::vector<Value>>>&
-                      rows,
-                  double fill_factor = 1.0);
-
-  /// Creates an empty (insertable) table.
-  Status CreateEmpty(BufferPool* pool);
+                      rows);
 
   Status Insert(uint64_t key, const std::vector<Value>& values);
 

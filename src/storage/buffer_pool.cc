@@ -51,11 +51,10 @@ BufferPool::BufferPool(DiskManager* disk, uint32_t capacity)
   for (Shard& shard : shards_) shard.table.Reserve(capacity / kNumShards + 8);
 }
 
-void BufferPool::SetPrefetchOptions(const PrefetchOptions& options) {
+void BufferPool::SetPrefetchEnabled(bool enabled) {
   if (staging_count_ > 0) DropStagedPages();
-  prefetch_ = options;
-  staging_count_ =
-      prefetch_.enabled ? prefetch_.readahead_pages * kStagingPerWindow : 0;
+  prefetch_enabled_ = enabled;
+  staging_count_ = enabled ? kReadaheadPages * kStagingPerWindow : 0;
   staging_.reset();
   free_staging_.clear();
   if (staging_count_ > 0) {
@@ -441,8 +440,8 @@ Status BufferPool::FetchPage(PageId pid, PageGuard* out) {
 }
 
 void BufferPool::PrefetchHint(const PageId* pids, size_t n) {
-  if (!prefetch_.enabled || n == 0) return;
-  n = std::min<size_t>(n, prefetch_.readahead_pages);
+  if (!prefetch_enabled_ || n == 0) return;
+  n = std::min<size_t>(n, kReadaheadPages);
   // Claim pass (order-preserving, duplicates dropped): ids already
   // resident, staged or claimed by another loader are skipped (a claimed
   // page's read is underway); the rest get a staging frame and a claim in

@@ -64,7 +64,7 @@
 // stamps, victims, and every hit/miss/read/write count are bit-identical
 // to running with prefetch off; only the *timing* of reads moves earlier,
 // which is what turns random single-page reads into sequential vectored
-// segments. PrefetchHint is a no-op until SetPrefetchOptions enables it,
+// segments. PrefetchHint is a no-op until SetPrefetchEnabled turns it on,
 // so the default pool behaves bit-identically to the seed. A hint runs on
 // the thread that issues it: it claims each page in the page table exactly
 // as a demand miss does, reads, and publishes the staged mapping only once
@@ -162,18 +162,6 @@ class PageGuard {
   bool stamp_on_release_ = true;
 };
 
-/// Read-ahead policy of a pool. Default-constructed == disabled, which is
-/// the seed's behavior; every consumer-side hint routes through
-/// PrefetchHint and therefore vanishes when disabled.
-struct PrefetchOptions {
-  /// Master switch for PrefetchHint.
-  bool enabled = false;
-  /// Cap on pages per hint (a consumer may offer more; the rest are
-  /// dropped, not queued). The pool provisions 4x this many staging
-  /// frames, so a few consumers' windows can be staged at once.
-  uint32_t readahead_pages = 8;
-};
-
 /// Fixed-capacity page cache with strict LRU replacement among unpinned
 /// frames. All page traffic in the library flows through here. Concurrent
 /// FetchPage/NewPage/guard use is safe; writers of page *content* must be
@@ -181,6 +169,10 @@ struct PrefetchOptions {
 /// LockManager (the pool latches frames, not tuples).
 class BufferPool {
  public:
+  /// Cap on pages per read-ahead hint (a consumer may offer more; the rest
+  /// are dropped, not queued).
+  static constexpr uint32_t kReadaheadPages = 8;
+
   BufferPool(DiskManager* disk, uint32_t capacity);
 
   BufferPool(const BufferPool&) = delete;
@@ -202,7 +194,7 @@ class BufferPool {
   }
 
   /// Read-ahead: vector-reads the absent pages among the first
-  /// readahead_pages of `pids[0..n)` into staging frames, on the calling
+  /// kReadaheadPages of `pids[0..n)` into staging frames, on the calling
   /// thread, before returning. No-op unless prefetch is enabled. Evicts
   /// nothing and does not touch hits()/misses(); the staged copy is
   /// promoted into a pool frame (counting the miss the demand run would
@@ -211,12 +203,13 @@ class BufferPool {
   /// demand fetch reads it again) — prefetch is advisory.
   void PrefetchHint(const PageId* pids, size_t n);
 
-  /// Replaces the prefetch policy and (re)provisions the staging frames,
-  /// dropping any staged pages. Not thread-safe against concurrent hints
-  /// or fetches: call while the pool is quiescent (between runs).
-  void SetPrefetchOptions(const PrefetchOptions& options);
-  const PrefetchOptions& prefetch_options() const { return prefetch_; }
-  bool prefetch_enabled() const { return prefetch_.enabled; }
+  /// Turns read-ahead on or off and (re)provisions the staging frames,
+  /// dropping any staged pages. Off (the default, and the seed's
+  /// behaviour) makes every PrefetchHint a no-op. Not thread-safe against
+  /// concurrent hints or fetches: call while the pool is quiescent
+  /// (between runs).
+  void SetPrefetchEnabled(bool enabled);
+  bool prefetch_enabled() const { return prefetch_enabled_; }
 
   /// Pages actually loaded (not already resident) by PrefetchHint calls.
   uint64_t prefetched_pages() const {
@@ -360,7 +353,8 @@ class BufferPool {
     std::atomic<uint64_t> last_unpin{0};
   };
 
-  /// Staging frames provisioned per readahead_pages (see PrefetchOptions).
+  /// Staging frames provisioned per kReadaheadPages window, so a few
+  /// consumers' windows can be staged at once.
   static constexpr uint32_t kStagingPerWindow = 4;
 
   /// One page-table shard (DESIGN.md §17). `table` holds resident,
@@ -500,7 +494,7 @@ class BufferPool {
   /// See SetSerializeMissIo.
   std::atomic<bool> serialize_miss_io_{false};
 
-  PrefetchOptions prefetch_;  // written only by SetPrefetchOptions
+  bool prefetch_enabled_ = false;  // written only by SetPrefetchEnabled
   uint32_t staging_count_ = 0;
   /// Read-ahead buffers outside the pool; a staged copy is mapped in the
   /// page table as capacity_ + index. Staged pages are never pinned, never

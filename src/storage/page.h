@@ -25,15 +25,6 @@ struct Page {
   char data[kPageSize];
 
   void Zero() { std::memset(data, 0, kPageSize); }
-
-  template <typename T>
-  T* As(uint32_t offset = 0) {
-    return reinterpret_cast<T*>(data + offset);
-  }
-  template <typename T>
-  const T* As(uint32_t offset = 0) const {
-    return reinterpret_cast<const T*>(data + offset);
-  }
 };
 
 static_assert(sizeof(Page) == kPageSize, "Page must be exactly kPageSize");

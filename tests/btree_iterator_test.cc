@@ -20,7 +20,7 @@ class BTreeIteratorTest : public ::testing::Test {
     for (uint64_t i = 0; i < n; ++i) {
       entries.push_back({i * stride, std::string(value_len, 'v')});
     }
-    ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, 1.0, &tree_).ok());
+    ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, &tree_).ok());
   }
 
   DiskManager disk_;

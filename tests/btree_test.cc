@@ -42,7 +42,7 @@ TEST_F(BTreeTest, BulkLoadAndGetAll) {
     entries.push_back({k * 3, ValFor(k * 3)});
   }
   BPlusTree tree;
-  ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, 1.0, &tree).ok());
+  ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, &tree).ok());
   EXPECT_EQ(tree.stats().num_entries, 5000u);
   EXPECT_GT(tree.stats().height, 1u);
   std::string v;
@@ -56,11 +56,9 @@ TEST_F(BTreeTest, BulkLoadAndGetAll) {
 TEST_F(BTreeTest, BulkLoadRejectsUnsorted) {
   std::vector<BPlusTree::Entry> entries = {{5, "a"}, {3, "b"}};
   BPlusTree tree;
-  EXPECT_TRUE(
-      BPlusTree::BulkLoad(&pool_, entries, 1.0, &tree).IsInvalidArgument());
+  EXPECT_TRUE(BPlusTree::BulkLoad(&pool_, entries, &tree).IsInvalidArgument());
   entries = {{5, "a"}, {5, "b"}};
-  EXPECT_TRUE(
-      BPlusTree::BulkLoad(&pool_, entries, 1.0, &tree).IsInvalidArgument());
+  EXPECT_TRUE(BPlusTree::BulkLoad(&pool_, entries, &tree).IsInvalidArgument());
 }
 
 TEST_F(BTreeTest, IteratorScansInOrder) {
@@ -69,7 +67,7 @@ TEST_F(BTreeTest, IteratorScansInOrder) {
     entries.push_back({k, ValFor(k)});
   }
   BPlusTree tree;
-  ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, 1.0, &tree).ok());
+  ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, &tree).ok());
   auto it = tree.NewIterator();
   ASSERT_TRUE(it.SeekToFirst().ok());
   uint64_t expect = 10;
@@ -88,7 +86,7 @@ TEST_F(BTreeTest, SeekPositionsAtLowerBound) {
     entries.push_back({k, ValFor(k)});
   }
   BPlusTree tree;
-  ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, 1.0, &tree).ok());
+  ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, &tree).ok());
   auto it = tree.NewIterator();
   ASSERT_TRUE(it.Seek(255).ok());
   ASSERT_TRUE(it.valid());
@@ -187,21 +185,11 @@ TEST_F(BTreeTest, DeleteRemovesKey) {
   EXPECT_EQ(count, 50u);
 }
 
-TEST_F(BTreeTest, FillFactorControlsLeafCount) {
-  std::vector<BPlusTree::Entry> entries;
-  for (uint64_t k = 0; k < 2000; ++k) entries.push_back({k, ValFor(k)});
-  BPlusTree full, half;
-  ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, 1.0, &full).ok());
-  ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, 0.5, &half).ok());
-  EXPECT_GT(half.stats().leaf_pages, full.stats().leaf_pages);
-  EXPECT_LE(half.stats().leaf_pages, full.stats().leaf_pages * 5 / 2 + 1);
-}
-
 TEST_F(BTreeTest, MixedBulkLoadTheninsert) {
   std::vector<BPlusTree::Entry> entries;
   for (uint64_t k = 0; k < 1000; k += 2) entries.push_back({k, ValFor(k)});
   BPlusTree tree;
-  ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, 1.0, &tree).ok());
+  ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, &tree).ok());
   // Insert the odd keys into fully packed leaves — forces splits.
   for (uint64_t k = 1; k < 1000; k += 2) {
     ASSERT_TRUE(tree.Insert(k, ValFor(k)).ok());

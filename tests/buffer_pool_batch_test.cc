@@ -32,7 +32,7 @@ TEST(PrefetchTest, StagesWithoutEvictionAndPromotesWithoutRereading) {
   DiskManager disk;
   std::vector<PageId> pids = MakePages(&disk, 6);
   BufferPool pool(&disk, 2);
-  pool.SetPrefetchOptions(PrefetchOptions{true, 4});
+  pool.SetPrefetchEnabled(true);
   // Fill the pool; both residents stay resident across the prefetch.
   PageGuard a, b;
   ASSERT_TRUE(pool.FetchPage(pids[0], &a).ok());
@@ -67,11 +67,10 @@ TEST(PrefetchTest, ReprovisioningAndDropAllFramesDropStagedPages) {
   DiskManager disk;
   std::vector<PageId> pids = MakePages(&disk, 8);
   BufferPool pool(&disk, 4);
-  const PrefetchOptions opts{true, 4};
-  pool.SetPrefetchOptions(opts);
+  pool.SetPrefetchEnabled(true);
   pool.PrefetchHint(pids.data(), 4);
   ASSERT_EQ(pool.StagedPageIds().size(), 4u);
-  pool.SetPrefetchOptions(opts);
+  pool.SetPrefetchEnabled(true);
   EXPECT_TRUE(pool.StagedPageIds().empty());
   EXPECT_EQ(pool.prefetch_wasted(), 4u);
   pool.PrefetchHint(pids.data(), 4);  // every staging frame is free again
@@ -114,7 +113,7 @@ TEST(BufferPoolConcurrencyTest, FetchesRacePrefetchHints) {
   DiskManager disk;
   std::vector<PageId> pids = MakePages(&disk, 64);
   BufferPool pool(&disk, 16);
-  pool.SetPrefetchOptions(PrefetchOptions{true, 8});
+  pool.SetPrefetchEnabled(true);
   std::atomic<bool> failed{false};
   auto worker = [&](unsigned seed, bool grouped) {
     for (int iter = 0; iter < 400 && !failed.load(); ++iter) {

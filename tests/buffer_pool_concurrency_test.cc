@@ -208,7 +208,7 @@ TEST(StagingWaitTest, DemandMissSleepsOnInFlightHintClaim) {
   DiskManager disk;
   std::vector<PageId> pids = MakePages(&disk, 2);
   BufferPool pool(&disk, 4);
-  pool.SetPrefetchOptions(PrefetchOptions{true, 4});
+  pool.SetPrefetchEnabled(true);
   disk.ResetCounters();
   disk.set_transfer_us(30000);  // stall the hint read in the device
   std::jthread hinter([&] { pool.PrefetchHint(&pids[0], 1); });
@@ -234,7 +234,7 @@ TEST(StagingWaitTest, FailedHintReadRetiresStagingAndDemandRecovers) {
   DiskManager disk;
   std::vector<PageId> pids = MakePages(&disk, 2);
   BufferPool pool(&disk, 4);
-  pool.SetPrefetchOptions(PrefetchOptions{true, 4});
+  pool.SetPrefetchEnabled(true);
   disk.fault_injector()->Configure(seed, 0.5, 0.0);
   disk.ResetCounters();
   std::jthread hinter([&] { pool.PrefetchHint(&pids[0], 1); });
@@ -263,7 +263,7 @@ TEST(StagingWaitTest, FailedHintReadRetiresStagingAndDemandRecovers) {
 TEST(StagingWaitTest, RecycledPageIdNeverServesStaleHintImage) {
   DiskManager disk;
   BufferPool pool(&disk, 4);
-  pool.SetPrefetchOptions(PrefetchOptions{true, 4});
+  pool.SetPrefetchEnabled(true);
   PageId pid;
   {
     PageGuard g;

@@ -4,7 +4,7 @@
 #   cmake -DDRIVER=build/tools/objrep_driver -DCONFIG=configs/fig3_point.cfg \
 #         -P tests/driver_flags_test.cmake
 set(malformed
-    --readahead-pages=eight
+    --calibration-window=eight
     --threads=4x
     --io-latency-us=-1
     --num-queries=abc
@@ -23,8 +23,7 @@ foreach(flag IN LISTS malformed)
 endforeach()
 
 execute_process(COMMAND ${DRIVER} --threads=2 --num-queries=5
-                        --readahead-pages=4 --io-latency-us=0 --duration=0
-                        ${CONFIG}
+                        --io-latency-us=0 --duration=0 ${CONFIG}
                 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
 if(NOT rc STREQUAL "0")
   message(SEND_ERROR "well-formed flags: exit status ${rc}: ${err}")

@@ -62,6 +62,8 @@ TEST(ExperimentConfigTest, AutoProvisionsStructures) {
       ParseExperimentConfig("strategies = DFSCLUST+CACHE", &cfg).ok());
   EXPECT_TRUE(cfg.db.build_cluster);
   EXPECT_TRUE(cfg.db.build_cache);
+  ASSERT_TRUE(ParseExperimentConfig("strategies = BFS-JI", &cfg).ok());
+  EXPECT_TRUE(cfg.db.build_join_index);
 }
 
 TEST(ExperimentConfigTest, ErrorsNameTheLine) {
@@ -77,6 +79,22 @@ TEST(ExperimentConfigTest, ErrorsNameTheLine) {
   s = ParseExperimentConfig("parents 100\nstrategies = DFS", &cfg);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("key = value"), std::string::npos);
+}
+
+TEST(ExperimentConfigTest, NumbersAreWholeAndFinite) {
+  ExperimentConfig cfg;
+  for (const char* line :
+       {"pr_update = nan", "pr_update = inf", "hot_region_fraction = -inf",
+        "pr_update = 0.5x", "parents = -5", "parents = +5",
+        "parents = 4294967296", "seed = 1e3", "buffer_pages = 0x10"}) {
+    std::string text = std::string(line) + "\nstrategies = DFS";
+    EXPECT_TRUE(ParseExperimentConfig(text, &cfg).IsInvalidArgument())
+        << line;
+  }
+  ASSERT_TRUE(ParseExperimentConfig(
+                  "pr_update = 1e-1\nparents = 4000\nstrategies = DFS", &cfg)
+                  .ok());
+  EXPECT_DOUBLE_EQ(cfg.workload.pr_update, 0.1);
 }
 
 TEST(ExperimentConfigTest, RequiresStrategies) {

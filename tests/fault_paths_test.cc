@@ -29,28 +29,29 @@ std::vector<PageId> MakePages(DiskManager* disk, size_t n) {
   return pids;
 }
 
+// Read-ahead window; the pool provisions 4 windows (32 staging frames).
+constexpr size_t kWindow = BufferPool::kReadaheadPages;
+
 TEST(FaultPathsTest, FailedHintReadsRecycleStagingFrames) {
   DiskManager disk;
   BufferPool pool(&disk, /*capacity=*/8);
-  PrefetchOptions opts;
-  opts.enabled = true;
-  opts.readahead_pages = 4;  // 16 staging frames total
-  pool.SetPrefetchOptions(opts);
-  std::vector<PageId> pids = MakePages(&disk, 64);
+  pool.SetPrefetchEnabled(true);
+  std::vector<PageId> pids = MakePages(&disk, 9 * kWindow);
 
-  // Fail every read: each 4-page hint takes 4 staging frames, and a failed
-  // hint returns them itself before it returns. Without that, 4 failed
-  // hints would exhaust all 16 staging frames and read-ahead would be dead
-  // for the rest of the run. The demand fetch between hints shows the
-  // pool still serves misses cleanly after each failure.
+  // Fail every read: each full-window hint takes 8 staging frames, and a
+  // failed hint returns them itself before it returns. Without that, 4
+  // failed hints would exhaust all 32 staging frames and read-ahead would
+  // be dead for the rest of the run; the 8 rounds below take twice the
+  // staging frames. The demand fetch between hints shows the pool still
+  // serves misses cleanly after each failure.
   FaultInjector* fi = disk.fault_injector();
   fi->Configure(/*seed=*/5, /*read_fault_rate=*/1.0, /*write_fault_rate=*/0);
   for (size_t round = 0; round < 8; ++round) {
-    pool.PrefetchHint(&pids[round * 4], 4);
+    pool.PrefetchHint(&pids[round * kWindow], kWindow);
     EXPECT_TRUE(pool.StagedPageIds().empty());
     fi->Reset();
     PageGuard g;
-    ASSERT_TRUE(pool.FetchPage(pids[32 + round], &g).ok());
+    ASSERT_TRUE(pool.FetchPage(pids[8 * kWindow + round], &g).ok());
     g.Release();
     fi->Configure(5, 1.0, 0);
   }
@@ -59,10 +60,10 @@ TEST(FaultPathsTest, FailedHintReadsRecycleStagingFrames) {
   // frame was permanently lost to the 8 failed rounds above.
   fi->Reset();
   uint64_t before = pool.prefetched_pages();
-  pool.PrefetchHint(pids.data(), 4);
-  EXPECT_EQ(pool.prefetched_pages(), before + 4);
-  EXPECT_EQ(pool.StagedPageIds().size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
+  pool.PrefetchHint(pids.data(), kWindow);
+  EXPECT_EQ(pool.prefetched_pages(), before + kWindow);
+  EXPECT_EQ(pool.StagedPageIds().size(), kWindow);
+  for (size_t i = 0; i < kWindow; ++i) {
     PageGuard g;
     ASSERT_TRUE(pool.FetchPage(pids[i], &g).ok());
     EXPECT_EQ(g.page()->data[0], static_cast<char>(0x40 + i));
@@ -70,27 +71,24 @@ TEST(FaultPathsTest, FailedHintReadsRecycleStagingFrames) {
 }
 
 // Failed hints free their staging frames at once, with no demand fetch
-// (or any other evict_mu_ section) in between: eight failed 4-page hints
-// back to back would otherwise take twice the 16 staging frames.
+// (or any other evict_mu_ section) in between: eight failed full-window
+// hints back to back would otherwise take twice the 32 staging frames.
 TEST(FaultPathsTest, FailedHintsReturnStagingFramesAtOnce) {
   DiskManager disk;
   BufferPool pool(&disk, /*capacity=*/8);
-  PrefetchOptions opts;
-  opts.enabled = true;
-  opts.readahead_pages = 4;  // 16 staging frames total
-  pool.SetPrefetchOptions(opts);
-  std::vector<PageId> pids = MakePages(&disk, 36);
+  pool.SetPrefetchEnabled(true);
+  std::vector<PageId> pids = MakePages(&disk, 9 * kWindow);
 
   FaultInjector* fi = disk.fault_injector();
   fi->Configure(/*seed=*/5, /*read_fault_rate=*/1.0, /*write_fault_rate=*/0);
   for (size_t round = 0; round < 8; ++round) {
-    pool.PrefetchHint(&pids[round * 4], 4);
+    pool.PrefetchHint(&pids[round * kWindow], kWindow);
   }
   fi->Reset();
-  EXPECT_EQ(pool.prefetch_wasted(), 32u);
-  pool.PrefetchHint(&pids[32], 4);
-  EXPECT_EQ(pool.prefetched_pages(), 4u);
-  EXPECT_EQ(pool.StagedPageIds().size(), 4u);
+  EXPECT_EQ(pool.prefetch_wasted(), 8 * kWindow);
+  pool.PrefetchHint(&pids[8 * kWindow], kWindow);
+  EXPECT_EQ(pool.prefetched_pages(), kWindow);
+  EXPECT_EQ(pool.StagedPageIds().size(), kWindow);
 }
 
 TEST(FaultPathsTest, NewPageReturnsDiskPageWhenPoolExhausted) {

@@ -126,7 +126,7 @@ TEST_F(RelationalTest, MergeJoinMatchesAndSkips) {
   std::vector<BPlusTree::Entry> entries;
   for (uint64_t k = 0; k < 100; k += 2) entries.push_back({k, "v" + std::to_string(k)});
   BPlusTree tree;
-  ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, 1.0, &tree).ok());
+  ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, &tree).ok());
   // Stream with hits, misses, and duplicates.
   TempFile keys = MakeTemp({0, 1, 2, 2, 2, 50, 51, 98, 98, 99});
   std::vector<std::pair<uint64_t, std::string>> matches;

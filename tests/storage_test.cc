@@ -230,7 +230,7 @@ TEST(BufferPoolTest, AllPinnedReportsNoSpace) {
   // A staged page whose promotion finds every frame pinned fails the same
   // way and keeps its staged copy; once a pin is released it promotes
   // with no second disk read.
-  pool.SetPrefetchOptions(PrefetchOptions{true, 4});
+  pool.SetPrefetchEnabled(true);
   const PageId staged = disk.AllocatePage();
   pool.PrefetchHint(&staged, 1);
   ASSERT_EQ(pool.StagedPageIds(), std::vector<PageId>{staged});

@@ -173,6 +173,24 @@ TEST(StrategyFactoryTest, RequiresMatchingStructures) {
       MakeStrategy(StrategyKind::kDfs, db.get(), StrategyOptions{}, &s).ok());
 }
 
+// WithStructuresFor is the one strategy -> structures rule behind the
+// config parser, the driver's --strategy and the benches: a default spec
+// it provisions must satisfy MakeStrategy for the kind asked for.
+TEST(StrategyFactoryTest, ProvisionedSpecSatisfiesEveryKind) {
+  for (StrategyKind kind :
+       {StrategyKind::kDfs, StrategyKind::kBfs, StrategyKind::kBfsNoDup,
+        StrategyKind::kDfsCache, StrategyKind::kDfsClust,
+        StrategyKind::kSmart, StrategyKind::kDfsClustCache,
+        StrategyKind::kBfsJoinIndex, StrategyKind::kBfsHash}) {
+    std::unique_ptr<ComplexDatabase> db;
+    ASSERT_TRUE(
+        BuildDatabase(WithStructuresFor(DatabaseSpec{}, {kind}), &db).ok());
+    std::unique_ptr<Strategy> s;
+    EXPECT_TRUE(MakeStrategy(kind, db.get(), StrategyOptions{}, &s).ok())
+        << StrategyKindName(kind);
+  }
+}
+
 TEST(DfsCacheTest, SecondRetrieveHitsCache) {
   auto spec = FullSpec();
   std::unique_ptr<ComplexDatabase> db;

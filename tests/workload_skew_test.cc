@@ -2,6 +2,8 @@
 // end-to-end effect of skew on the cache.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/runner.h"
 #include "objstore/database.h"
 #include "objstore/workload.h"
@@ -55,6 +57,39 @@ TEST(WorkloadSkewTest, ZeroSkewIsUniform) {
     if (q.lo_parent < (2000 - 10 + 1) / 10) ++hot;
   }
   EXPECT_NEAR(static_cast<double>(hot) / total, 0.1, 0.03);
+}
+
+// Every front end generates its query stream here, so this is where a
+// probability or fraction outside [0, 1] is refused: a hot fraction above
+// 1 would draw ranges past |ParentRel|, and a negative one would convert a
+// negative double to uint32_t.
+TEST(WorkloadSkewTest, RejectsProbabilitiesOutsideUnitInterval) {
+  std::unique_ptr<ComplexDatabase> db;
+  ASSERT_TRUE(BuildDatabase(Spec(), &db).ok());
+  std::vector<Query> queries;
+  for (double WorkloadSpec::*field :
+       {&WorkloadSpec::pr_update, &WorkloadSpec::hot_access_prob,
+        &WorkloadSpec::hot_region_fraction}) {
+    for (double bad : {-0.1, 1.5, 3.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+      WorkloadSpec w;
+      w.hot_access_prob = 0.5;
+      w.*field = bad;
+      EXPECT_TRUE(GenerateWorkload(w, *db, &queries).IsInvalidArgument())
+          << bad;
+    }
+    for (double edge : {0.0, 1.0}) {
+      WorkloadSpec w;
+      w.num_queries = 500;
+      w.hot_access_prob = 0.5;
+      w.*field = edge;
+      ASSERT_TRUE(GenerateWorkload(w, *db, &queries).ok()) << edge;
+      for (const Query& q : queries) {
+        if (q.kind == Query::Kind::kRetrieve) {
+          EXPECT_LE(q.lo_parent + q.num_top, 2000u);
+        }
+      }
+    }
+  }
 }
 
 TEST(WorkloadSkewTest, SkewRaisesCacheHitRate) {

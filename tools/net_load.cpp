@@ -30,6 +30,7 @@
 #include <fstream>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -38,6 +39,7 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "obs/trace.h"
+#include "util/parse_number.h"
 
 using namespace objrep;
 
@@ -195,12 +197,11 @@ bool ParseEndpoints(const char* v, std::vector<Endpoint>* out) {
     if (colon == std::string::npos || colon == 0) return false;
     Endpoint ep;
     ep.host = item.substr(0, colon);
-    char* end = nullptr;
-    unsigned long p = std::strtoul(item.c_str() + colon + 1, &end, 10);
-    if (end != item.c_str() + item.size() || p == 0 || p > 65535) {
+    if (!ParseNumber<uint16_t>(std::string_view(item).substr(colon + 1),
+                               &ep.port) ||
+        ep.port == 0) {
       return false;
     }
-    ep.port = static_cast<uint16_t>(p);
     out->push_back(std::move(ep));
   }
   return !out->empty();
@@ -278,28 +279,31 @@ int main(int argc, char** argv) {
     if (ParseFlag(argv[i], "--host", &v)) {
       flags.host = v;
     } else if (ParseFlag(argv[i], "--port", &v)) {
-      flags.port = static_cast<uint16_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumber<uint16_t>(v, &flags.port)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--clients", &v)) {
-      flags.clients = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumber<uint32_t>(v, &flags.clients)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--duration", &v)) {
-      flags.duration_seconds = std::strtod(v, nullptr);
+      if (!ParseNumber<double>(v, &flags.duration_seconds)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--pr-update", &v)) {
-      flags.pr_update = std::strtod(v, nullptr);
+      if (!ParseNumber<double>(v, &flags.pr_update)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--pr-ping", &v)) {
-      flags.pr_ping = std::strtod(v, nullptr);
+      if (!ParseNumber<double>(v, &flags.pr_ping)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--num-top", &v)) {
-      flags.num_top = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumber<uint32_t>(v, &flags.num_top)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--update-batch", &v)) {
-      flags.update_batch =
-          static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumber<uint32_t>(v, &flags.update_batch)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--attr", &v)) {
-      flags.attr_index = static_cast<uint8_t>(std::strtoul(v, nullptr, 10));
+      if (!ParseNumber<uint8_t>(v, &flags.attr_index)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--strategy", &v)) {
       StrategyKind kind;
       if (!ParseStrategyName(v, &kind).ok()) return Usage(argv[0]);
       flags.strategy = static_cast<uint8_t>(kind);
     } else if (ParseFlag(argv[i], "--seed", &v)) {
-      flags.seed = std::strtoull(v, nullptr, 10);
+      if (!ParseNumber<uint64_t>(v, &flags.seed)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--endpoints", &v)) {
       flags.endpoints.clear();
       if (!ParseEndpoints(v, &flags.endpoints)) return Usage(argv[0]);
@@ -319,7 +323,8 @@ int main(int argc, char** argv) {
   }
   if (flags.endpoints.empty() || flags.clients == 0 ||
       flags.num_top == 0 || flags.update_batch == 0 ||
-      flags.attr_index > 2 || flags.pr_update < 0 || flags.pr_ping < 0 ||
+      flags.attr_index > 2 || flags.duration_seconds < 0 ||
+      flags.pr_update < 0 || flags.pr_ping < 0 ||
       flags.pr_update + flags.pr_ping > 1.0) {
     return Usage(argv[0]);
   }

@@ -22,9 +22,7 @@
 // tag (parent scan, index probes, temp/sort, cache, ...).
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -36,7 +34,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -54,6 +51,7 @@
 #include "obs/trace.h"
 #include "objstore/database.h"
 #include "storage/fault_injector.h"
+#include "util/parse_number.h"
 
 using namespace objrep;
 
@@ -65,7 +63,6 @@ struct DriverFlags {
   double duration_seconds = 0;  // >0: timed run (resamples the stream)
   // I/O scheduling overrides (-1: keep the config's value).
   int prefetch = -1;            // --prefetch=on/off
-  int64_t readahead_pages = -1;   // --readahead-pages=N
   int64_t io_latency_us = -1;     // --io-latency-us=U (seek per segment)
   // Durability / fault injection (DESIGN.md §10).
   int wal = -1;                 // --wal=on/off (overrides the WAL key)
@@ -422,27 +419,10 @@ bool ParseFlag(const char* arg, const char* name, const char** value) {
   return true;
 }
 
-/// Parses all of `v` as a U and stores it in `*out` — the config parser's
-/// whole-string rule: no blank, no trailing byte, no sign on an unsigned
-/// U, no overflow, and a finite value. False on a malformed value.
-template <typename U, typename T>
-bool ParseNumber(const char* v, T* out) {
-  U n{};
-  const char* end = v + std::strlen(v);
-  auto [ptr, ec] = std::from_chars(v, end, n);
-  if (ec != std::errc() || ptr != end) return false;
-  if constexpr (std::is_floating_point_v<U>) {
-    if (!std::isfinite(n)) return false;
-  }
-  *out = static_cast<T>(n);
-  return true;
-}
-
 int Usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--threads=K] [--num-queries=N] [--duration=S]\n"
-               "          [--prefetch=on|off] [--readahead-pages=N] "
-               "[--io-latency-us=U]\n"
+               "          [--prefetch=on|off] [--io-latency-us=U]\n"
                "          [--wal=on|off] [--mvcc=on|off] [--fault-seed=N] "
                "[--fault-rate=P]\n"
                "          [--fault-crash-point=NAME[:HIT]]\n"
@@ -495,10 +475,6 @@ int main(int argc, char** argv) {
       if (std::strcmp(v, "on") == 0) flags.prefetch = 1;
       else if (std::strcmp(v, "off") == 0) flags.prefetch = 0;
       else return Usage(argv[0]);
-    } else if (ParseFlag(argv[i], "--readahead-pages", &v)) {
-      if (!ParseNumber<uint32_t>(v, &flags.readahead_pages)) {
-        return Usage(argv[0]);
-      }
     } else if (ParseFlag(argv[i], "--io-latency-us", &v)) {
       if (!ParseNumber<uint32_t>(v, &flags.io_latency_us)) {
         return Usage(argv[0]);
@@ -607,18 +583,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     config.strategies.assign(1, kind);
-    // Mirror the config parser's auto-provisioning for the override.
-    if (kind == StrategyKind::kDfsCache || kind == StrategyKind::kSmart ||
-        kind == StrategyKind::kDfsClustCache) {
-      config.db.build_cache = true;
-    }
-    if (kind == StrategyKind::kDfsClust ||
-        kind == StrategyKind::kDfsClustCache) {
-      config.db.build_cluster = true;
-    }
-    if (kind == StrategyKind::kBfsJoinIndex) {
-      config.db.build_join_index = true;
-    }
+    config.db = WithStructuresFor(config.db, config.strategies);
   }
   if (flags.calibration_window > 0) {
     config.options.calibration_window =
@@ -626,10 +591,6 @@ int main(int argc, char** argv) {
   }
   if (flags.num_queries > 0) config.workload.num_queries = flags.num_queries;
   if (flags.prefetch >= 0) config.db.prefetch = flags.prefetch == 1;
-  if (flags.readahead_pages >= 0) {
-    config.db.readahead_pages =
-        static_cast<uint32_t>(flags.readahead_pages);
-  }
   if (flags.io_latency_us >= 0) {
     config.db.io_latency_us = static_cast<uint32_t>(flags.io_latency_us);
   }
