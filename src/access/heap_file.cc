@@ -12,11 +12,6 @@ Status HeapFile::Create(BufferPool* pool, HeapFile* out) {
   return Status::OK();
 }
 
-HeapFile HeapFile::Open(BufferPool* pool, PageId first_page, PageId last_page,
-                        uint32_t num_pages) {
-  return HeapFile(pool, first_page, last_page, num_pages);
-}
-
 Status HeapFile::Append(std::string_view rec, Rid* rid) {
   PageGuard guard;
   OBJREP_RETURN_NOT_OK(pool_->FetchPage(last_page_, &guard));

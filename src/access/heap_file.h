@@ -28,10 +28,6 @@ class HeapFile {
   /// Creates an empty heap file (allocates its first page).
   static Status Create(BufferPool* pool, HeapFile* out);
 
-  /// Opens an existing heap file rooted at `first_page`.
-  static HeapFile Open(BufferPool* pool, PageId first_page, PageId last_page,
-                       uint32_t num_pages);
-
   HeapFile() = default;
 
   /// Appends a record, growing the chain as needed.

@@ -111,7 +111,6 @@ class AdaptiveStrategy : public Strategy {
   AdaptiveStrategy(ComplexDatabase* db, const StrategyOptions& options,
                    DeviceModel predicted_device);
 
-  std::string_view name() const override { return "ADAPTIVE"; }
   Status ExecuteRetrieve(const Query& q, RetrieveResult* out) override;
   Status ExecuteUpdate(const Query& q) override;
 

@@ -22,7 +22,6 @@ Status ScanParents(
 class DfsStrategy : public Strategy {
  public:
   using Strategy::Strategy;
-  std::string_view name() const override { return "DFS"; }
   Status ExecuteRetrieve(const Query& q, RetrieveResult* out) override;
 };
 
@@ -31,9 +30,6 @@ class BfsStrategy : public Strategy {
  public:
   BfsStrategy(ComplexDatabase* db, bool dedup)
       : Strategy(db), dedup_(dedup) {}
-  std::string_view name() const override {
-    return dedup_ ? "BFSNODUP" : "BFS";
-  }
   Status ExecuteRetrieve(const Query& q, RetrieveResult* out) override;
 
  private:
@@ -44,7 +40,6 @@ class BfsStrategy : public Strategy {
 class DfsCacheStrategy : public Strategy {
  public:
   using Strategy::Strategy;
-  std::string_view name() const override { return "DFSCACHE"; }
   Status ExecuteRetrieve(const Query& q, RetrieveResult* out) override;
   Status ExecuteUpdate(const Query& q) override;
 };
@@ -54,7 +49,6 @@ class DfsCacheStrategy : public Strategy {
 class DfsClustStrategy : public Strategy {
  public:
   using Strategy::Strategy;
-  std::string_view name() const override { return "DFSCLUST"; }
   Status ExecuteRetrieve(const Query& q, RetrieveResult* out) override;
   Status ExecuteUpdate(const Query& q) override;
 };
@@ -68,7 +62,6 @@ class DfsClustStrategy : public Strategy {
 class DfsClustCacheStrategy : public Strategy {
  public:
   using Strategy::Strategy;
-  std::string_view name() const override { return "DFSCLUST+CACHE"; }
   Status ExecuteRetrieve(const Query& q, RetrieveResult* out) override;
   Status ExecuteUpdate(const Query& q) override;
 };
@@ -79,7 +72,6 @@ class DfsClustCacheStrategy : public Strategy {
 class BfsJoinIndexStrategy : public Strategy {
  public:
   using Strategy::Strategy;
-  std::string_view name() const override { return "BFS-JI"; }
   Status ExecuteRetrieve(const Query& q, RetrieveResult* out) override;
 };
 
@@ -88,7 +80,6 @@ class BfsJoinIndexStrategy : public Strategy {
 class BfsHashStrategy : public Strategy {
  public:
   using Strategy::Strategy;
-  std::string_view name() const override { return "BFS-HASH"; }
   Status ExecuteRetrieve(const Query& q, RetrieveResult* out) override;
 };
 
@@ -97,7 +88,6 @@ class SmartStrategy : public Strategy {
  public:
   SmartStrategy(ComplexDatabase* db, uint32_t threshold)
       : Strategy(db), threshold_(threshold) {}
-  std::string_view name() const override { return "SMART"; }
   Status ExecuteRetrieve(const Query& q, RetrieveResult* out) override;
   Status ExecuteUpdate(const Query& q) override;
 

@@ -17,7 +17,6 @@
 #define OBJREP_CORE_STRATEGY_H_
 
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "core/cost.h"
@@ -44,8 +43,6 @@ class Strategy {
 
   Strategy(const Strategy&) = delete;
   Strategy& operator=(const Strategy&) = delete;
-
-  virtual std::string_view name() const = 0;
 
   virtual Status ExecuteRetrieve(const Query& q, RetrieveResult* out) = 0;
 

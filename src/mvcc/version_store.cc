@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "storage/wal.h"
 #include "util/macros.h"
 
@@ -10,15 +9,10 @@ namespace objrep {
 
 namespace {
 
-// Cumulative registry mirrors (DESIGN.md §11); the per-manager atomics
-// answer the point-in-time stats() used by tests and the driver.
+// Registry-only metrics (DESIGN.md §11): versions installed and snapshots
+// taken have no per-manager count (live_versions_ is a level).
 struct MvccMetrics {
-  Counter* commits = MetricsRegistry::Global().GetCounter("mvcc.commits");
-  Counter* conflicts = MetricsRegistry::Global().GetCounter("mvcc.conflicts");
   Counter* versions = MetricsRegistry::Global().GetCounter("mvcc.versions");
-  Counter* reclaimed =
-      MetricsRegistry::Global().GetCounter("mvcc.versions_reclaimed");
-  Counter* gc_runs = MetricsRegistry::Global().GetCounter("mvcc.gc_runs");
   Counter* snapshots =
       MetricsRegistry::Global().GetCounter("mvcc.snapshots");
 };
@@ -85,8 +79,7 @@ Status MvccManager::CommitUpdate(uint64_t begin_ts,
     auto it = shard.chains.find(oid);
     if (it != shard.chains.end() && !it->second.empty() &&
         it->second.back().ts > begin_ts) {
-      conflicts_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().conflicts->Add(1);
+      conflicts_.Add();
       return Status::Aborted("first-committer-wins conflict");
     }
   }
@@ -117,8 +110,7 @@ Status MvccManager::CommitUpdate(uint64_t begin_ts,
   // Publish only after every version is installed: a snapshot that reads
   // clock == cts is guaranteed to find all of cts's versions.
   clock_.store(cts, std::memory_order_release);
-  commits_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().commits->Add(1);
+  commits_.Add();
   if (commit_ts != nullptr) *commit_ts = cts;
 
   if (++commits_since_gc_ >= kGcInterval) {
@@ -165,10 +157,8 @@ void MvccManager::GcLocked() {
     }
   }
   live_versions_.fetch_sub(reclaimed, std::memory_order_relaxed);
-  reclaimed_.fetch_add(reclaimed, std::memory_order_relaxed);
-  gc_runs_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().reclaimed->Add(reclaimed);
-  Metrics().gc_runs->Add(1);
+  reclaimed_.Add(reclaimed);
+  gc_runs_.Add();
 }
 
 void MvccManager::RunGc() {
@@ -210,11 +200,11 @@ void MvccManager::ResetForRecovery(uint64_t restored_clock) {
 
 MvccStats MvccManager::stats() const {
   MvccStats s;
-  s.commits = commits_.load(std::memory_order_relaxed);
-  s.conflicts = conflicts_.load(std::memory_order_relaxed);
+  s.commits = commits_.value();
+  s.conflicts = conflicts_.value();
   s.versions_live = live_versions_.load(std::memory_order_relaxed);
-  s.versions_reclaimed = reclaimed_.load(std::memory_order_relaxed);
-  s.gc_runs = gc_runs_.load(std::memory_order_relaxed);
+  s.versions_reclaimed = reclaimed_.value();
+  s.gc_runs = gc_runs_.value();
   {
     std::lock_guard<std::mutex> guard(snaps_mu_);
     for (const auto& [ts, refs] : active_) s.snapshots_active += refs;

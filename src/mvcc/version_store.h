@@ -44,6 +44,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace objrep {
@@ -178,10 +179,12 @@ class MvccManager {
   std::map<uint64_t, uint32_t> active_;  ///< snapshot ts -> refcount
 
   std::atomic<uint64_t> live_versions_{0};
-  std::atomic<uint64_t> commits_{0};
-  std::atomic<uint64_t> conflicts_{0};
-  std::atomic<uint64_t> reclaimed_{0};
-  std::atomic<uint64_t> gc_runs_{0};
+  // Children of the registry's mvcc.* counters (DESIGN.md §11).
+  Counter commits_{MetricsRegistry::Global().GetCounter("mvcc.commits")};
+  Counter conflicts_{MetricsRegistry::Global().GetCounter("mvcc.conflicts")};
+  Counter reclaimed_{
+      MetricsRegistry::Global().GetCounter("mvcc.versions_reclaimed")};
+  Counter gc_runs_{MetricsRegistry::Global().GetCounter("mvcc.gc_runs")};
 };
 
 }  // namespace objrep

@@ -24,26 +24,6 @@ Status Errno(const char* what) {
 
 }  // namespace
 
-ObjClient::ObjClient(ObjClient&& other) noexcept
-    : fd_(other.fd_),
-      next_id_(other.next_id_),
-      last_trace_id_(other.last_trace_id_),
-      decoder_(std::move(other.decoder_)) {
-  other.fd_ = -1;
-}
-
-ObjClient& ObjClient::operator=(ObjClient&& other) noexcept {
-  if (this != &other) {
-    Close();
-    fd_ = other.fd_;
-    next_id_ = other.next_id_;
-    last_trace_id_ = other.last_trace_id_;
-    decoder_ = std::move(other.decoder_);
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
 Status ObjClient::Connect(const std::string& host, uint16_t port) {
   if (fd_ >= 0) return Status::InvalidArgument("client already connected");
   sockaddr_in addr{};

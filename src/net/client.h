@@ -33,8 +33,6 @@ class ObjClient {
 
   ObjClient(const ObjClient&) = delete;
   ObjClient& operator=(const ObjClient&) = delete;
-  ObjClient(ObjClient&& other) noexcept;
-  ObjClient& operator=(ObjClient&& other) noexcept;
 
   /// Connects (blocking) to host:port. TCP_NODELAY is set: requests are
   /// small and latency-bound.

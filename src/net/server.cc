@@ -44,19 +44,11 @@ Status Errno(const char* what) {
   return Status::IOError(std::string(what) + ": " + std::strerror(errno));
 }
 
-/// Registry mirrors, process-wide (the registry pattern of DESIGN.md §11:
-/// look up once, cache the pointers).
+/// Registry-only metrics, process-wide (the registry pattern of DESIGN.md
+/// §11: look up once, cache the pointers). The counts ObjServer::Stats
+/// reports are the Impl's own child counters instead.
 struct NetMetrics {
-  Counter* accepted = MetricsRegistry::Global().GetCounter("net.accepted");
-  Counter* closed = MetricsRegistry::Global().GetCounter("net.conn_closed");
   Counter* requests = MetricsRegistry::Global().GetCounter("net.requests");
-  Counter* responses = MetricsRegistry::Global().GetCounter("net.responses");
-  Counter* busy = MetricsRegistry::Global().GetCounter("net.busy_rejected");
-  Counter* shutdown_rejected =
-      MetricsRegistry::Global().GetCounter("net.shutdown_rejected");
-  Counter* bad_frames =
-      MetricsRegistry::Global().GetCounter("net.bad_frames");
-  Counter* pings = MetricsRegistry::Global().GetCounter("net.pings");
   Counter* bytes_in = MetricsRegistry::Global().GetCounter("net.bytes_in");
   Counter* bytes_out = MetricsRegistry::Global().GetCounter("net.bytes_out");
   Gauge* connections =
@@ -126,10 +118,20 @@ struct ObjServer::Impl {
   bool loop_done = false;     // guarded by lifecycle_mu
   bool torn_down = false;     // guarded by lifecycle_mu
 
-  // Stats (atomics: written by loop/workers, read from any thread).
-  std::atomic<uint64_t> accepted{0}, closed_count{0}, admitted{0},
-      responses{0}, busy_rejected{0}, shutdown_rejected{0}, bad_frames{0},
-      pings{0};
+  // Stats (atomics: written by loop/workers, read from any thread). All
+  // but `admitted` are children of the registry's net.* counters (DESIGN.md
+  // §11); net.requests also counts the requests rejected at admission.
+  Counter accepted{MetricsRegistry::Global().GetCounter("net.accepted")};
+  Counter closed_count{
+      MetricsRegistry::Global().GetCounter("net.conn_closed")};
+  Counter responses{MetricsRegistry::Global().GetCounter("net.responses")};
+  Counter busy_rejected{
+      MetricsRegistry::Global().GetCounter("net.busy_rejected")};
+  Counter shutdown_rejected{
+      MetricsRegistry::Global().GetCounter("net.shutdown_rejected")};
+  Counter bad_frames{MetricsRegistry::Global().GetCounter("net.bad_frames")};
+  Counter pings{MetricsRegistry::Global().GetCounter("net.pings")};
+  std::atomic<uint64_t> admitted{0};
   std::atomic<int64_t> inflight_total{0};
 
   /// `backend` is a ComplexDatabase (served as a 1-shard engine) or a
@@ -165,8 +167,7 @@ struct ObjServer::Impl {
     ::close(c->fd);
     c->closed = true;
     conns.erase(c->fd);
-    closed_count.fetch_add(1, std::memory_order_relaxed);
-    Metrics().closed->Add();
+    closed_count.Add();
     Metrics().connections->Sub();
   }
 
@@ -230,8 +231,7 @@ struct ObjServer::Impl {
         continue;
       }
       conns.emplace(fd, std::move(c));
-      accepted.fetch_add(1, std::memory_order_relaxed);
-      Metrics().accepted->Add();
+      accepted.Add();
       Metrics().connections->Add();
     }
   }
@@ -294,18 +294,16 @@ struct ObjServer::Impl {
     }
     os << "]";
     os << ",\"server\":{"
-       << "\"accepted\":" << accepted.load(std::memory_order_relaxed)
-       << ",\"closed\":" << closed_count.load(std::memory_order_relaxed)
+       << "\"accepted\":" << accepted.value()
+       << ",\"closed\":" << closed_count.value()
        << ",\"connections\":" << conns.size()
        << ",\"requests_admitted\":"
        << admitted.load(std::memory_order_relaxed)
-       << ",\"responses\":" << responses.load(std::memory_order_relaxed)
-       << ",\"busy_rejected\":"
-       << busy_rejected.load(std::memory_order_relaxed)
-       << ",\"shutdown_rejected\":"
-       << shutdown_rejected.load(std::memory_order_relaxed)
-       << ",\"bad_frames\":" << bad_frames.load(std::memory_order_relaxed)
-       << ",\"pings\":" << pings.load(std::memory_order_relaxed)
+       << ",\"responses\":" << responses.value()
+       << ",\"busy_rejected\":" << busy_rejected.value()
+       << ",\"shutdown_rejected\":" << shutdown_rejected.value()
+       << ",\"bad_frames\":" << bad_frames.value()
+       << ",\"pings\":" << pings.value()
        << ",\"inflight\":" << inflight_total.load(std::memory_order_relaxed)
        << ",\"max_inflight\":" << max_inflight.load(std::memory_order_relaxed)
        << ",\"default_strategy\":\""
@@ -338,8 +336,7 @@ struct ObjServer::Impl {
     if (trace_id == 0) trace_id = TraceIdGen::Next();
     switch (req.verb) {
       case Verb::kPing: {
-        pings.fetch_add(1, std::memory_order_relaxed);
-        Metrics().pings->Add();
+        pings.Add();
         Response resp;
         resp.verb = Verb::kPing;
         resp.id = req.id;
@@ -369,8 +366,7 @@ struct ObjServer::Impl {
 
     Metrics().requests->Add();
     if (draining) {
-      shutdown_rejected.fetch_add(1, std::memory_order_relaxed);
-      Metrics().shutdown_rejected->Add();
+      shutdown_rejected.Add();
       Response resp;
       resp.status = RespStatus::kShuttingDown;
       resp.verb = req.verb;
@@ -381,8 +377,7 @@ struct ObjServer::Impl {
     }
     if (inflight_total.load(std::memory_order_relaxed) >=
         static_cast<int64_t>(max_inflight.load(std::memory_order_relaxed))) {
-      busy_rejected.fetch_add(1, std::memory_order_relaxed);
-      Metrics().busy->Add();
+      busy_rejected.Add();
       Trace::Instant("net_busy_rejected", "net");
       Response resp;
       resp.status = RespStatus::kServerBusy;
@@ -424,8 +419,7 @@ struct ObjServer::Impl {
       inflight_total.fetch_sub(1, std::memory_order_relaxed);
       Metrics().inflight->Sub();
       c->inflight--;
-      shutdown_rejected.fetch_add(1, std::memory_order_relaxed);
-      Metrics().shutdown_rejected->Add();
+      shutdown_rejected.Add();
       Response resp;
       resp.status = RespStatus::kShuttingDown;
       resp.verb = verb;
@@ -449,8 +443,7 @@ struct ObjServer::Impl {
         // Desynced stream: one final error response, then close. The
         // response still frames correctly — it is the inbound direction
         // that lost sync.
-        bad_frames.fetch_add(1, std::memory_order_relaxed);
-        Metrics().bad_frames->Add();
+        bad_frames.Add();
         Trace::Instant("net_bad_frame", "net");
         Response resp;
         resp.status = RespStatus::kBadRequest;
@@ -465,8 +458,7 @@ struct ObjServer::Impl {
       Request req;
       s = DecodeRequest(payload, &req);
       if (!s.ok()) {
-        bad_frames.fetch_add(1, std::memory_order_relaxed);
-        Metrics().bad_frames->Add();
+        bad_frames.Add();
         Response resp;
         resp.status = RespStatus::kBadRequest;
         resp.verb = Verb::kPing;
@@ -503,8 +495,7 @@ struct ObjServer::Impl {
           !c->decoder.poisoned()) {
         // Peer closed mid-frame: a truncated frame, rejected like any
         // other corruption (there is no one left to answer).
-        bad_frames.fetch_add(1, std::memory_order_relaxed);
-        Metrics().bad_frames->Add();
+        bad_frames.Add();
         Trace::Instant("net_truncated_frame", "net");
       }
       // n == 0 (orderly close) or a hard error. In-flight responses for
@@ -525,8 +516,7 @@ struct ObjServer::Impl {
     for (Completion& done : batch) {
       inflight_total.fetch_sub(1, std::memory_order_relaxed);
       Metrics().inflight->Sub();
-      responses.fetch_add(1, std::memory_order_relaxed);
-      Metrics().responses->Add();
+      responses.Add();
       ConnPtr& c = done.conn;
       if (c->closed) continue;  // client left before the answer
       c->inflight--;
@@ -729,15 +719,14 @@ void ObjServer::set_max_inflight(uint32_t n) {
 ObjServer::Stats ObjServer::stats() const {
   const Impl& im = *impl_;
   Stats s;
-  s.accepted = im.accepted.load(std::memory_order_relaxed);
-  s.closed = im.closed_count.load(std::memory_order_relaxed);
+  s.accepted = im.accepted.value();
+  s.closed = im.closed_count.value();
   s.requests_admitted = im.admitted.load(std::memory_order_relaxed);
-  s.responses = im.responses.load(std::memory_order_relaxed);
-  s.busy_rejected = im.busy_rejected.load(std::memory_order_relaxed);
-  s.shutdown_rejected =
-      im.shutdown_rejected.load(std::memory_order_relaxed);
-  s.bad_frames = im.bad_frames.load(std::memory_order_relaxed);
-  s.pings = im.pings.load(std::memory_order_relaxed);
+  s.responses = im.responses.value();
+  s.busy_rejected = im.busy_rejected.value();
+  s.shutdown_rejected = im.shutdown_rejected.value();
+  s.bad_frames = im.bad_frames.value();
+  s.pings = im.pings.value();
   s.connections = static_cast<int64_t>(s.accepted) -
                   static_cast<int64_t>(s.closed);
   s.inflight = im.inflight_total.load(std::memory_order_relaxed);

@@ -103,8 +103,8 @@ class ObjServer {
   /// against one server).
   void set_max_inflight(uint32_t n);
 
-  /// Monotonic counters since Start() (mirrored into the process metrics
-  /// registry under net.*).
+  /// Monotonic counters since Start(). The process metrics registry's
+  /// net.* counters sum them over every server.
   struct Stats {
     uint64_t accepted = 0;
     uint64_t closed = 0;

@@ -12,14 +12,8 @@ namespace objrep {
 
 namespace {
 
-// Cumulative registry mirrors (DESIGN.md §11); per-run deltas come from
-// CacheStats via ResetStats.
+// Registry-only metrics (DESIGN.md §11): I-locks have no per-cache count.
 struct CacheMetrics {
-  Counter* hits = MetricsRegistry::Global().GetCounter("cache.hits");
-  Counter* misses = MetricsRegistry::Global().GetCounter("cache.misses");
-  Counter* inserts = MetricsRegistry::Global().GetCounter("cache.inserts");
-  Counter* invalidated =
-      MetricsRegistry::Global().GetCounter("cache.invalidated_units");
   Counter* ilocks = MetricsRegistry::Global().GetCounter("cache.ilocks");
 };
 
@@ -60,9 +54,8 @@ bool CacheManager::IsCached(uint64_t hashkey) {
   std::lock_guard<std::mutex> l(mu_);
   bool cached = dir_.find(hashkey) != dir_.end();
   if (!cached) {
-    ++stats_.misses;
+    misses_.Add();
     ++CurrentIoThreadState().cache_misses;
-    Metrics().misses->Add(1);
   }
   return cached;
 }
@@ -73,9 +66,8 @@ Status CacheManager::FetchUnit(uint64_t hashkey, std::string* blob) {
   std::lock_guard<std::mutex> l(mu_);
   auto it = dir_.find(hashkey);
   if (it == dir_.end()) {
-    ++stats_.misses;
+    misses_.Add();
     ++CurrentIoThreadState().cache_misses;
-    Metrics().misses->Add(1);
     return Status::NotFound("unit not cached");
   }
   OBJREP_RETURN_NOT_OK(hash_.Lookup(hashkey, blob));
@@ -83,9 +75,8 @@ Status CacheManager::FetchUnit(uint64_t hashkey, std::string* blob) {
   lru_.erase(it->second);
   lru_.push_back(hashkey);
   it->second = std::prev(lru_.end());
-  ++stats_.hits;
+  hits_.Add();
   ++CurrentIoThreadState().cache_hits;
-  Metrics().hits->Add(1);
   return Status::OK();
 }
 
@@ -96,9 +87,8 @@ Status CacheManager::TryFetchUnit(uint64_t hashkey, std::string* blob,
   auto it = dir_.find(hashkey);
   if (it == dir_.end()) {
     *found = false;
-    ++stats_.misses;
+    misses_.Add();
     ++CurrentIoThreadState().cache_misses;
-    Metrics().misses->Add(1);
     return Status::OK();
   }
   OBJREP_RETURN_NOT_OK(hash_.Lookup(hashkey, blob));
@@ -106,9 +96,8 @@ Status CacheManager::TryFetchUnit(uint64_t hashkey, std::string* blob,
   lru_.push_back(hashkey);
   it->second = std::prev(lru_.end());
   *found = true;
-  ++stats_.hits;
+  hits_.Add();
   ++CurrentIoThreadState().cache_hits;
-  Metrics().hits->Add(1);
   return Status::OK();
 }
 
@@ -127,6 +116,12 @@ void CacheManager::ForgetUnitLocked(uint64_t hashkey) {
     if (held.empty()) lock_table_.erase(lt);
   }
   unit_members_.erase(mem_it);
+}
+
+void CacheManager::ResetStatsLocked() {
+  for (Counter* c : {&hits_, &misses_, &inserts_, &invalidated_}) c->Reset();
+  evictions_ = 0;
+  rejections_ = 0;
 }
 
 Status CacheManager::InsertUnit(uint64_t hashkey,
@@ -152,7 +147,7 @@ Status CacheManager::InsertUnit(uint64_t hashkey,
     bool have_victim = false;
     if (dir_.size() >= size_cache_) {
       if (admission_ == CacheAdmission::kRejectWhenFull) {
-        ++stats_.rejections;
+        ++rejections_;
         return Status::OK();
       }
       // Evict the least recently used unit.
@@ -169,7 +164,7 @@ Status CacheManager::InsertUnit(uint64_t hashkey,
     // All I/O done; the memory structures below cannot fail.
     if (have_victim) {
       ForgetUnitLocked(victim);
-      ++stats_.evictions;
+      ++evictions_;
     }
     lru_.push_back(hashkey);
     dir_[hashkey] = std::prev(lru_.end());
@@ -180,8 +175,7 @@ Status CacheManager::InsertUnit(uint64_t hashkey,
       lock_table_[oid.Packed()].push_back(hashkey);
     }
     Metrics().ilocks->Add(unit_oids.size());
-    ++stats_.inserts;
-    Metrics().inserts->Add(1);
+    inserts_.Add();
     return Status::OK();
   }();
   if (s.ok()) {
@@ -208,11 +202,8 @@ Status CacheManager::InvalidateSubobject(const Oid& oid) {
       OBJREP_RETURN_NOT_OK(hash_.Delete(hashkey));
       OBJREP_RETURN_NOT_OK(fi->MaybeCrash("cache.invalidate.mid"));
     }
-    for (uint64_t hashkey : held) {
-      ForgetUnitLocked(hashkey);
-      ++stats_.invalidated_units;
-    }
-    Metrics().invalidated->Add(held.size());
+    for (uint64_t hashkey : held) ForgetUnitLocked(hashkey);
+    invalidated_.Add(held.size());
     Trace::Instant("ilock_invalidate", "cache", "units", held.size());
     return Status::OK();
   }();
@@ -233,7 +224,7 @@ Status CacheManager::ResetForRecovery() {
   dir_.clear();
   unit_members_.clear();
   lock_table_.clear();
-  stats_ = CacheStats{};
+  ResetStatsLocked();
   return Status::OK();
 }
 

@@ -38,6 +38,7 @@
 #include "access/hash_file.h"
 #include "objstore/oid.h"
 #include "objstore/spec.h"
+#include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "util/status.h"
 
@@ -121,11 +122,12 @@ class CacheManager {
   uint32_t capacity() const { return size_cache_; }
   CacheStats stats() const {
     std::lock_guard<std::mutex> l(mu_);
-    return stats_;
+    return CacheStats{hits_.value(), misses_.value(), inserts_.value(),
+                      evictions_, rejections_, invalidated_.value()};
   }
   void ResetStats() {
     std::lock_guard<std::mutex> l(mu_);
-    stats_ = CacheStats{};
+    ResetStatsLocked();
   }
   const HashFile& hash_file() const { return hash_; }
 
@@ -136,6 +138,8 @@ class CacheManager {
   /// an aborted transaction then leaves the memory directory untouched
   /// and consistent with the rolled-back hash relation.
   void ForgetUnitLocked(uint64_t hashkey);
+  /// Zeroes stats(); caller holds mu_.
+  void ResetStatsLocked();
 
   /// Serializes every cache operation: directory, LRU, I-lock table, and
   /// the hash-relation I/O they imply. Held across buffer-pool calls
@@ -156,7 +160,15 @@ class CacheManager {
   // packed subobject OID -> hashkeys of cached units holding an I-lock.
   std::unordered_map<uint64_t, std::vector<uint64_t>> lock_table_;
 
-  CacheStats stats_;
+  // The CacheStats counts, guarded by mu_. Those with a process-wide
+  // metric are children of the registry's cache.* counters (DESIGN.md §11).
+  Counter hits_{MetricsRegistry::Global().GetCounter("cache.hits")};
+  Counter misses_{MetricsRegistry::Global().GetCounter("cache.misses")};
+  Counter inserts_{MetricsRegistry::Global().GetCounter("cache.inserts")};
+  Counter invalidated_{
+      MetricsRegistry::Global().GetCounter("cache.invalidated_units")};
+  uint64_t evictions_ = 0;
+  uint64_t rejections_ = 0;
 };
 
 }  // namespace objrep

@@ -73,7 +73,7 @@ inline const char* IoTagName(IoTag tag) {
 ///
 /// The tag_reads/tag_writes/seq_reads fields count this thread's own
 /// physical I/O, monotonic for the thread's life. DiskManager bumps them at
-/// the same sites as its global counters, so a strategy can delta-snapshot
+/// the same sites as its volume counters, so a strategy can delta-snapshot
 /// around a query and observe exactly its own I/O even while other workers
 /// run — the observation feed of the adaptive engine (DESIGN.md §12).
 /// Read-ahead runs on the hinting thread, so a query's staged reads land
@@ -129,8 +129,8 @@ class ScopedIoTag {
 };
 
 /// Per-tag physical I/O counts. Sum over all tags (kNone included) equals
-/// the volume's IoCounters totals exactly — DiskManager bumps the tag slot
-/// at the same site, by the same amount, as the flat counter.
+/// the volume's IoCounters totals exactly — DiskManager::counters() is
+/// that sum.
 struct IoTagBreakdown {
   uint64_t reads[kNumIoTags] = {};
   uint64_t writes[kNumIoTags] = {};

@@ -1,8 +1,46 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <sstream>
 
+#include "util/macros.h"
+
 namespace objrep {
+
+Counter::Counter(Counter* parent) : parent_(parent) {
+  OBJREP_CHECK_MSG(parent->parent_ == nullptr, "a child has no children");
+  std::lock_guard<std::mutex> l(parent->family_->mu);
+  parent->family_->children.push_back(this);
+}
+
+Counter::~Counter() {
+  if (parent_ == nullptr) {
+    OBJREP_CHECK_MSG(family_->children.empty(),
+                     "a root outlives its children");
+    return;
+  }
+  std::lock_guard<std::mutex> l(parent_->family_->mu);
+  parent_->v_.fetch_add(v_.load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+  auto& siblings = parent_->family_->children;
+  siblings.erase(std::find(siblings.begin(), siblings.end(), this));
+}
+
+uint64_t Counter::RootValue() const {
+  std::lock_guard<std::mutex> l(family_->mu);
+  uint64_t v = v_.load(std::memory_order_relaxed);
+  for (const Counter* child : family_->children) {
+    v += child->v_.load(std::memory_order_relaxed);
+  }
+  return v;
+}
+
+void Counter::Reset() {
+  OBJREP_CHECK_MSG(parent_ != nullptr, "only a child counter resets");
+  std::lock_guard<std::mutex> l(parent_->family_->mu);
+  parent_->v_.fetch_add(v_.exchange(0, std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+}
 
 void Histogram::Merge(const Histogram& other) {
   for (size_t i = 0; i < kNumBuckets; ++i) {

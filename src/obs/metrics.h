@@ -9,12 +9,16 @@
 // observed max), and shards recorded on separate Histogram instances can be
 // combined with Merge().
 //
-// Metrics are cumulative and monotonic for the life of the process
-// (gauges except — they track a level). Per-run deltas belong to the
-// subsystem stats structs (BufferPool stats, IoTagBreakdown), not here.
+// A component that keeps its own count of an event (a pool's hits, a
+// volume's reads) holds it as a child Counter of the registry's counter
+// for that event, so the event is counted once: the component reads and
+// resets its child for per-run deltas, and the registry reads the sum.
+// Registry metrics are cumulative and monotonic for the life of the
+// process (gauges except — they track a level).
 #ifndef OBJREP_OBS_METRICS_H_
 #define OBJREP_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -22,18 +26,58 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace objrep {
 
-/// Monotonic event count.
+/// Event count. A root counter (every registry entry) is monotonic; a
+/// child of a root is one component's share of the root's event. A root's
+/// value() is its own count plus the counts of its live children. A child
+/// that is Reset() or destroyed first folds its count into the root, so the
+/// root never decreases. The root must outlive its children (Global()'s
+/// counters live for the whole process); a child has no children.
 class Counter {
  public:
+  /// A root.
+  Counter() : family_(std::make_unique<Family>()) {}
+  /// A child of the root `parent`.
+  explicit Counter(Counter* parent);
+  ~Counter();
+
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
+
   void Add(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  uint64_t value() const {
+    if (parent_ != nullptr) return v_.load(std::memory_order_relaxed);
+    return RootValue();
+  }
+  /// Child only: zeroes the count, folding it into the parent.
+  void Reset();
 
  private:
+  /// A root's live children, and the mutex that orders every fold into the
+  /// root against RootValue(). Kept out of line so a child (a component's
+  /// hot counter) stays three words.
+  struct Family {
+    std::mutex mu;
+    std::vector<const Counter*> children;
+  };
+  uint64_t RootValue() const;
+
   std::atomic<uint64_t> v_{0};
+  Counter* const parent_ = nullptr;
+  const std::unique_ptr<Family> family_;  // roots only
 };
+
+/// `N` children of `parent`, e.g. one per IoTag.
+template <size_t N>
+std::array<Counter, N> ChildCounters(Counter* parent) {
+  return [parent]<size_t... I>(std::index_sequence<I...>) {
+    return std::array<Counter, N>{{(static_cast<void>(I), Counter(parent))...}};
+  }(std::make_index_sequence<N>());
+}
 
 /// Instantaneous level (queue depth, pinned frames). May go up and down.
 class Gauge {

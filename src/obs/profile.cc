@@ -134,11 +134,6 @@ std::string SlowQueryRing::ToJson() const {
   return out;
 }
 
-size_t SlowQueryRing::size() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return entries_.size();
-}
-
 void SlowQueryRing::Clear() {
   std::lock_guard<std::mutex> guard(mu_);
   entries_.clear();

@@ -130,7 +130,6 @@ class SlowQueryRing {
   /// JSON array of captured profiles, oldest first.
   std::string ToJson() const;
 
-  size_t size() const;
   uint64_t captured() const {
     return captured_.load(std::memory_order_relaxed);
   }

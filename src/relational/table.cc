@@ -54,22 +54,8 @@ Table* Catalog::Find(const std::string& name) {
   return nullptr;
 }
 
-const Table* Catalog::Find(const std::string& name) const {
-  for (const auto& t : tables_) {
-    if (t->name() == name) return t.get();
-  }
-  return nullptr;
-}
-
 Table* Catalog::FindById(RelationId id) {
   for (auto& t : tables_) {
-    if (t->rel_id() == id) return t.get();
-  }
-  return nullptr;
-}
-
-const Table* Catalog::FindById(RelationId id) const {
-  for (const auto& t : tables_) {
     if (t->rel_id() == id) return t.get();
   }
   return nullptr;

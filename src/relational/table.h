@@ -61,9 +61,7 @@ class Catalog {
   Table* Register(std::string name, Schema schema);
 
   Table* Find(const std::string& name);
-  const Table* Find(const std::string& name) const;
   Table* FindById(RelationId id);
-  const Table* FindById(RelationId id) const;
 
   size_t num_tables() const { return tables_.size(); }
 

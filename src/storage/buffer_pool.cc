@@ -4,40 +4,10 @@
 #include <thread>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "storage/wal.h"
 #include "util/macros.h"
 
 namespace objrep {
-
-namespace {
-
-// Cumulative process-wide registry mirrors (DESIGN.md §11); per-run deltas
-// come from the pool's own counters via ResetStats.
-struct PoolMetrics {
-  Counter* hits = MetricsRegistry::Global().GetCounter("pool.hits");
-  Counter* misses = MetricsRegistry::Global().GetCounter("pool.misses");
-  Counter* evictions = MetricsRegistry::Global().GetCounter("pool.evictions");
-  Counter* eviction_writes =
-      MetricsRegistry::Global().GetCounter("pool.eviction_writes");
-  Counter* prefetched =
-      MetricsRegistry::Global().GetCounter("pool.prefetch.pages");
-  Counter* promoted =
-      MetricsRegistry::Global().GetCounter("pool.prefetch.promoted");
-  Counter* wasted =
-      MetricsRegistry::Global().GetCounter("pool.prefetch.wasted");
-  Counter* coalesced =
-      MetricsRegistry::Global().GetCounter("pool.miss.coalesced");
-  Counter* inflight_waits =
-      MetricsRegistry::Global().GetCounter("pool.miss.inflight_waits");
-};
-
-PoolMetrics& Metrics() {
-  static PoolMetrics* m = new PoolMetrics();
-  return *m;
-}
-
-}  // namespace
 
 BufferPool::BufferPool(DiskManager* disk, uint32_t capacity)
     : disk_(disk), capacity_(capacity), frames_(capacity) {
@@ -97,8 +67,7 @@ void BufferPool::DropStagedPages() {
     }
   }
   for (const auto& [pid, slot] : dropped) ReleaseStagingFrame(slot - capacity_);
-  prefetch_wasted_.fetch_add(dropped.size(), std::memory_order_relaxed);
-  Metrics().wasted->Add(dropped.size());
+  prefetch_wasted_.Add(dropped.size());
 }
 
 void BufferPool::Unpin(uint32_t frame, bool restamp) {
@@ -146,8 +115,7 @@ Status BufferPool::ReclaimFrame(std::unique_lock<std::mutex>& lk,
       return s;
     }
     f.dirty.store(false, std::memory_order_relaxed);
-    eviction_writes_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().eviction_writes->Add(1);
+    eviction_writes_.Add(1);
   }
   // Unmap: after the erase no hit path can reach the frame, so the claimed
   // pin_count can be dropped without a window for false pins. Erase only
@@ -209,8 +177,7 @@ Status BufferPool::AllocateFrame(std::unique_lock<std::mutex>& lk,
     }
     // A failed write-back leaves the victim resident and dirty.
     OBJREP_RETURN_NOT_OK(ReclaimFrame(lk, victim));
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().evictions->Add(1);
+    evictions_.Add(1);
     *frame_out = victim;
     return Status::OK();
   }
@@ -242,8 +209,7 @@ Status BufferPool::PromoteStaged(std::unique_lock<std::mutex>& lk,
   f.in_use = true;
   PublishClaimed(pid, frame);  // replaces the staged mapping
   ReleaseStagingFrame(st_idx);
-  prefetch_promoted_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().promoted->Add(1);
+  prefetch_promoted_.Add(1);
   *out = PageGuard(this, frame, pid);
   return Status::OK();
 }
@@ -283,8 +249,7 @@ const PageTable::Entry* BufferPool::AwaitUnclaimed(
     // is in flight: sleep until that claim resolves instead of issuing a
     // duplicate read. The wait tests the claim's token, so a claim taken
     // again before we wake is waited out as a new one.
-    inflight_waits_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().inflight_waits->Add(1);
+    inflight_waits_.Add(1);
     const uint32_t theirs = e->claim;
     ++shard.waiters;
     shard.cv.wait(l, [&] {
@@ -311,8 +276,7 @@ Status BufferPool::LoadPageMiss(PageId pid, PageGuard* out) {
         // A concurrent loader won the race after our hit probe missed:
         // the miss is already counted, but the physical read was theirs —
         // a coalesced miss, not a second read.
-        coalesced_misses_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().coalesced->Add(1);
+        coalesced_misses_.Add(1);
         *out = PageGuard(this, frame, pid);
         return Status::OK();
       }
@@ -395,8 +359,7 @@ Status BufferPool::PinNewFrame(PageId pid, PageGuard* out) {
   big.unlock();
   if (superseded != UINT32_MAX) {
     ReleaseStagingFrame(superseded);
-    prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().wasted->Add(1);
+    prefetch_wasted_.Add(1);
   }
   *out = PageGuard(this, frame, pid);
   return Status::OK();
@@ -425,8 +388,7 @@ bool BufferPool::TryPinResident(PageId pid, PageGuard* out) {
 
 Status BufferPool::FetchPage(PageId pid, PageGuard* out) {
   if (TryPinResident(pid, out)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().hits->Add(1);
+    hits_.Add(1);
     return Status::OK();
   }
   // The miss is counted here, before the load resolves: even when a racing
@@ -434,8 +396,7 @@ Status BufferPool::FetchPage(PageId pid, PageGuard* out) {
   // miss — the divergence from the disk's flat read counter is what
   // coalesced_misses() accounts for (misses == demand reads + promoted +
   // coalesced, fault-free).
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().misses->Add(1);
+  misses_.Add(1);
   return LoadPageMiss(pid, out);
 }
 
@@ -486,16 +447,14 @@ void BufferPool::PrefetchHint(const PageId* pids, size_t n) {
     // the free list. Each retired claim wakes its sleepers, and one of
     // them becomes the page's demand loader; the error itself is dropped
     // (the page's next demand fetch reads it again).
-    prefetch_wasted_.fetch_add(want.size(), std::memory_order_relaxed);
-    Metrics().wasted->Add(want.size());
+    prefetch_wasted_.Add(want.size());
     for (size_t j = 0; j < want.size(); ++j) {
       ReleaseStagingFrame(slots[j]);
       RetireClaim(want[j]);
     }
     return;
   }
-  prefetched_.fetch_add(want.size(), std::memory_order_relaxed);
-  Metrics().prefetched->Add(want.size());
+  prefetched_.Add(want.size());
   for (size_t j = 0; j < want.size(); ++j) {
     PublishClaimed(want[j], capacity_ + slots[j]);
   }
@@ -547,8 +506,7 @@ bool BufferPool::DoFreePage(PageId pid) {
   if (staged != UINT32_MAX) {
     // Unconsumed staged copy: never dirty, just drop it.
     ReleaseStagingFrame(staged);
-    prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().wasted->Add(1);
+    prefetch_wasted_.Add(1);
   } else {
     std::unique_lock<std::mutex> big(evict_mu_);
     uint32_t frame = UINT32_MAX;
@@ -609,15 +567,11 @@ void BufferPool::InvalidateAllClean() {
 }
 
 void BufferPool::ResetStats() {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  prefetched_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  eviction_writes_.store(0, std::memory_order_relaxed);
-  prefetch_promoted_.store(0, std::memory_order_relaxed);
-  prefetch_wasted_.store(0, std::memory_order_relaxed);
-  coalesced_misses_.store(0, std::memory_order_relaxed);
-  inflight_waits_.store(0, std::memory_order_relaxed);
+  for (Counter* c : {&hits_, &misses_, &prefetched_, &evictions_,
+                     &eviction_writes_, &prefetch_promoted_, &prefetch_wasted_,
+                     &coalesced_misses_, &inflight_waits_}) {
+    c->Reset();
+  }
 }
 
 // ---------------------------------------------------------------------------

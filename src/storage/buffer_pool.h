@@ -49,9 +49,10 @@
 //     no longer excludes an in-flight eviction, so paths that probe the
 //     table under evict_mu_ must treat a claimed frame as "retry later",
 //     never spin on it (the claimant needs evict_mu_ to finish).
-//   * hits()/misses() are monotonic relaxed atomics: totals are exact once
-//     the pool is quiescent, but a concurrent reader may observe them
-//     mid-update (approximate while workers run).
+//   * hits()/misses() are relaxed child counters of the registry's pool.*
+//     counters, each bumped once per event: totals are exact once the pool
+//     is quiescent, but a concurrent reader may observe them mid-update
+//     (approximate while workers run).
 //
 // Read-ahead runs through dedicated *staging frames*, never the pool
 // proper: PrefetchHint vector-reads absent pages into staging frames (map
@@ -104,6 +105,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 #include "storage/page_table.h"
@@ -212,9 +214,7 @@ class BufferPool {
   bool prefetch_enabled() const { return prefetch_enabled_; }
 
   /// Pages actually loaded (not already resident) by PrefetchHint calls.
-  uint64_t prefetched_pages() const {
-    return prefetched_.load(std::memory_order_relaxed);
-  }
+  uint64_t prefetched_pages() const { return prefetched_.value(); }
 
   /// Page ids currently sitting in staging frames (hinted, read, but not
   /// yet promoted by a demand access). Quiescent use only — tests and
@@ -283,41 +283,29 @@ class BufferPool {
 
   uint32_t capacity() const { return capacity_; }
   /// Monotonic; exact when quiescent, approximate while workers run.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  uint64_t hits() const { return hits_.value(); }
+  uint64_t misses() const { return misses_.value(); }
   /// LRU victims reclaimed for a demand miss (free-list takes excluded).
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t evictions() const { return evictions_.value(); }
   /// Dirty reclaims that stalled on a write-back (eviction or free).
-  uint64_t eviction_writes() const {
-    return eviction_writes_.load(std::memory_order_relaxed);
-  }
+  uint64_t eviction_writes() const { return eviction_writes_.value(); }
   /// Staged pages consumed by a demand access (the prefetch "hits").
-  uint64_t prefetch_promoted() const {
-    return prefetch_promoted_.load(std::memory_order_relaxed);
-  }
+  uint64_t prefetch_promoted() const { return prefetch_promoted_.value(); }
   /// Staged pages dropped, freed, superseded by NewPage of a recycled id,
   /// or whose hint read failed — read-ahead work that saved nothing.
-  uint64_t prefetch_wasted() const {
-    return prefetch_wasted_.load(std::memory_order_relaxed);
-  }
+  uint64_t prefetch_wasted() const { return prefetch_wasted_.value(); }
   /// Misses whose physical read was performed by another thread: the
   /// misser lost the race to a concurrent loader of the same page and
   /// pinned that loader's frame instead of touching the disk. Fault-free
   /// invariant (see DESIGN.md §17):
   ///   misses == demand reads + prefetch_promoted + coalesced_misses
   /// where demand reads == disk reads - prefetched_pages.
-  uint64_t coalesced_misses() const {
-    return coalesced_misses_.load(std::memory_order_relaxed);
-  }
+  uint64_t coalesced_misses() const { return coalesced_misses_.value(); }
   /// Times a thread slept on another thread's in-flight read: a demand
   /// loader's (the misser then coalesces on its frame) or a read-ahead
   /// hint's (the misser then promotes the staged copy), or — for NewPage
   /// and FreePage — a hint still reading a recycled or freed id.
-  uint64_t inflight_waits() const {
-    return inflight_waits_.load(std::memory_order_relaxed);
-  }
+  uint64_t inflight_waits() const { return inflight_waits_.value(); }
   /// Benchmark/test knob reproducing the pre-§17 serialized miss path:
   /// demand-miss reads and dirty-victim write-backs run while holding
   /// evict_mu_, so every miss in the process queues behind one mutex.
@@ -482,15 +470,24 @@ class BufferPool {
   Shard shards_[kNumShards];
 
   std::atomic<uint64_t> clock_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> prefetched_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> eviction_writes_{0};
-  std::atomic<uint64_t> prefetch_promoted_{0};
-  std::atomic<uint64_t> prefetch_wasted_{0};
-  std::atomic<uint64_t> coalesced_misses_{0};
-  std::atomic<uint64_t> inflight_waits_{0};
+  // The pool's statistics, each a child of the process-wide registry
+  // counter of the same event (DESIGN.md §11): ResetStats zeroes the
+  // pool's view, the registry keeps the cumulative sum.
+  Counter hits_{MetricsRegistry::Global().GetCounter("pool.hits")};
+  Counter misses_{MetricsRegistry::Global().GetCounter("pool.misses")};
+  Counter prefetched_{
+      MetricsRegistry::Global().GetCounter("pool.prefetch.pages")};
+  Counter evictions_{MetricsRegistry::Global().GetCounter("pool.evictions")};
+  Counter eviction_writes_{
+      MetricsRegistry::Global().GetCounter("pool.eviction_writes")};
+  Counter prefetch_promoted_{
+      MetricsRegistry::Global().GetCounter("pool.prefetch.promoted")};
+  Counter prefetch_wasted_{
+      MetricsRegistry::Global().GetCounter("pool.prefetch.wasted")};
+  Counter coalesced_misses_{
+      MetricsRegistry::Global().GetCounter("pool.miss.coalesced")};
+  Counter inflight_waits_{
+      MetricsRegistry::Global().GetCounter("pool.miss.inflight_waits")};
   /// See SetSerializeMissIo.
   std::atomic<bool> serialize_miss_io_{false};
 

@@ -5,31 +5,9 @@
 #include <mutex>
 #include <thread>
 
-#include "obs/metrics.h"
 #include "util/macros.h"
 
 namespace objrep {
-
-namespace {
-
-// Process-wide registry mirrors, looked up once and cached (DESIGN.md §11).
-// These are cumulative across all volumes; per-volume/per-run accounting
-// stays in the DiskManager's own counters.
-struct DiskMetrics {
-  Counter* reads = MetricsRegistry::Global().GetCounter("disk.reads");
-  Counter* writes = MetricsRegistry::Global().GetCounter("disk.writes");
-  Counter* seq_reads = MetricsRegistry::Global().GetCounter("disk.seq_reads");
-  Counter* rand_reads =
-      MetricsRegistry::Global().GetCounter("disk.rand_reads");
-  Counter* device_us = MetricsRegistry::Global().GetCounter("disk.device_us");
-};
-
-DiskMetrics& Metrics() {
-  static DiskMetrics* m = new DiskMetrics();
-  return *m;
-}
-
-}  // namespace
 
 uint64_t DiskManager::NextSerial() {
   static std::atomic<uint64_t> next{1};
@@ -41,7 +19,7 @@ void DiskManager::SimulateLatency(uint64_t seeks, uint64_t pages) const {
   uint64_t xfer_us = transfer_us_.load(std::memory_order_relaxed);
   uint64_t total = seeks * seek_us + pages * xfer_us;
   if (total != 0) {
-    Metrics().device_us->Add(total);
+    device_us_->Add(total);
     std::this_thread::sleep_for(std::chrono::microseconds(total));
   }
 }
@@ -66,13 +44,9 @@ uint64_t DiskManager::AccountReadRun(PageId first, uint64_t n) {
   // sequential one no rand counter.
   if (seq != 0) {
     st.seq_reads += seq;
-    seq_reads_.fetch_add(seq, std::memory_order_relaxed);
-    Metrics().seq_reads->Add(seq);
+    seq_reads_.Add(seq);
   }
-  if (seeks != 0) {
-    rand_reads_.fetch_add(seeks, std::memory_order_relaxed);
-    Metrics().rand_reads->Add(seeks);
-  }
+  if (seeks != 0) rand_reads_.Add(seeks);
   return seeks;
 }
 
@@ -131,9 +105,7 @@ Status DiskManager::ReadPages(const PageId* page_ids, size_t n,
   for (size_t i = 0; i < n; ++i) {
     std::memcpy(outs[i]->data, PageAt(page_ids[i])->data, kPageSize);
   }
-  reads_.fetch_add(n, std::memory_order_relaxed);
   AttributeReads(n);
-  Metrics().reads->Add(n);
   // Charge one seek per discontiguous segment of the batch: the counters
   // are identical to n single ReadPage calls (n reads; the same pages are
   // sequential in the same order), only the simulated arm time amortizes.
@@ -164,9 +136,7 @@ Status DiskManager::WritePage(PageId page_id, const Page& in) {
   }
   if (page == nullptr) return Status::IOError("write of unallocated page");
   std::memcpy(page->data, in.data, kPageSize);
-  writes_.fetch_add(1, std::memory_order_relaxed);
   AttributeWrite();
-  Metrics().writes->Add(1);
   // Writes always pay the seek (eviction writebacks are scattered), and
   // they move the calling thread's arm off its read position.
   {

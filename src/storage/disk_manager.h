@@ -19,13 +19,14 @@
 // with a release store, and a reader that acquire-loads the count and
 // finds its id below it sees a fully built page. Pages are never moved or
 // deleted before the volume is. Allocation, freeing and the free list
-// share one plain mutex. The I/O counters are relaxed atomics — monotonic
-// and exact in total, but a mid-run snapshot may interleave with
-// concurrent increments. Writers of the *same* page must be serialized by
+// share one plain mutex. The I/O counters are relaxed atomic Counters —
+// exact in total, but a mid-run snapshot may interleave with concurrent
+// increments. Writers of the *same* page must be serialized by
 // the exec-layer LockManager, exactly as with a real device.
 #ifndef OBJREP_STORAGE_DISK_MANAGER_H_
 #define OBJREP_STORAGE_DISK_MANAGER_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <memory>
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "obs/io_context.h"
+#include "obs/metrics.h"
 #include "storage/fault_injector.h"
 #include "storage/io_stats.h"
 #include "storage/page.h"
@@ -112,33 +114,28 @@ class DiskManager {
     return free_list_.size();
   }
 
-  /// Snapshot of the I/O counters (exact once the engine is quiescent).
+  /// Snapshot of the I/O counters (exact once the engine is quiescent):
+  /// reads and writes are the sums of the per-tag counts.
   IoCounters counters() const {
-    return IoCounters{reads_.load(std::memory_order_relaxed),
-                      writes_.load(std::memory_order_relaxed),
-                      seq_reads_.load(std::memory_order_relaxed),
-                      rand_reads_.load(std::memory_order_relaxed)};
+    IoTagBreakdown b = breakdown();
+    return IoCounters{b.total_reads(), b.total_writes(), seq_reads_.value(),
+                      rand_reads_.value()};
   }
   void ResetCounters() {
-    reads_.store(0, std::memory_order_relaxed);
-    writes_.store(0, std::memory_order_relaxed);
-    seq_reads_.store(0, std::memory_order_relaxed);
-    rand_reads_.store(0, std::memory_order_relaxed);
-    for (size_t i = 0; i < kNumIoTags; ++i) {
-      tag_reads_[i].store(0, std::memory_order_relaxed);
-      tag_writes_[i].store(0, std::memory_order_relaxed);
-    }
+    for (Counter& c : tag_reads_) c.Reset();
+    for (Counter& c : tag_writes_) c.Reset();
+    seq_reads_.Reset();
+    rand_reads_.Reset();
   }
 
-  /// Per-tag attribution snapshot. Each counted read/write also bumps the
-  /// slot of the thread's current IoTag at the same site by the same
-  /// amount, so summing the breakdown over all tags reproduces counters()
-  /// exactly (once quiescent).
+  /// Per-tag attribution snapshot. Each counted read/write lands in the
+  /// slot of the thread's current IoTag, so summing the breakdown over all
+  /// tags is counters() (once quiescent).
   IoTagBreakdown breakdown() const {
     IoTagBreakdown b;
     for (size_t i = 0; i < kNumIoTags; ++i) {
-      b.reads[i] = tag_reads_[i].load(std::memory_order_relaxed);
-      b.writes[i] = tag_writes_[i].load(std::memory_order_relaxed);
+      b.reads[i] = tag_reads_[i].value();
+      b.writes[i] = tag_writes_[i].value();
     }
     return b;
   }
@@ -178,15 +175,13 @@ class DiskManager {
   void AttributeReads(uint64_t n) {
     IoThreadState& st = CurrentIoThreadState();
     st.tag_reads[static_cast<size_t>(st.tag)] += n;
-    tag_reads_[static_cast<size_t>(st.tag)].fetch_add(
-        n, std::memory_order_relaxed);
+    tag_reads_[static_cast<size_t>(st.tag)].Add(n);
   }
   /// Bumps the calling thread's and the volume's IoTag slot for one write.
   void AttributeWrite() {
     IoThreadState& st = CurrentIoThreadState();
     st.tag_writes[static_cast<size_t>(st.tag)] += 1;
-    tag_writes_[static_cast<size_t>(st.tag)].fetch_add(
-        1, std::memory_order_relaxed);
+    tag_writes_[static_cast<size_t>(st.tag)].Add(1);
   }
 
   /// The page `page_id`, or nullptr when it lies past the published end
@@ -203,12 +198,17 @@ class DiskManager {
   mutable std::mutex mu_;              // allocation, free list
   std::vector<PageId> free_list_;      // guarded by mu_
   std::vector<uint8_t> page_is_free_;  // guarded by mu_; double-free check
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> seq_reads_{0};
-  std::atomic<uint64_t> rand_reads_{0};
-  std::atomic<uint64_t> tag_reads_[kNumIoTags] = {};
-  std::atomic<uint64_t> tag_writes_[kNumIoTags] = {};
+  // The volume's I/O counts, children of the registry's disk.* counters
+  // (DESIGN.md §11): a read or write is counted once, in its IoTag slot.
+  std::array<Counter, kNumIoTags> tag_reads_ = ChildCounters<kNumIoTags>(
+      MetricsRegistry::Global().GetCounter("disk.reads"));
+  std::array<Counter, kNumIoTags> tag_writes_ = ChildCounters<kNumIoTags>(
+      MetricsRegistry::Global().GetCounter("disk.writes"));
+  Counter seq_reads_{MetricsRegistry::Global().GetCounter("disk.seq_reads")};
+  Counter rand_reads_{MetricsRegistry::Global().GetCounter("disk.rand_reads")};
+  /// Simulated device time, kept only process-wide.
+  Counter* const device_us_ =
+      MetricsRegistry::Global().GetCounter("disk.device_us");
   /// Identifies this volume in per-thread arm state (IoThreadState): each
   /// reading thread tracks its own last-read page, keyed by this serial, so
   /// interleaved sequential scanners don't turn each other's runs random

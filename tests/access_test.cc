@@ -182,7 +182,8 @@ TEST_F(AccessTest, HashRandomizedAgainstModel) {
   for (int i = 0; i < 2000; ++i) {
     uint64_t k = rng.Uniform(500);
     if (rng.Bernoulli(0.6)) {
-      std::string v = "v" + std::to_string(rng.Next() % 1000);
+      std::string v = "v";
+      v += std::to_string(rng.Next() % 1000);
       Status s = hash.Insert(k, v);
       if (model.count(k)) {
         EXPECT_TRUE(s.IsInvalidArgument());

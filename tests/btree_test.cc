@@ -14,7 +14,9 @@ namespace objrep {
 namespace {
 
 std::string ValFor(uint64_t key, size_t len = 20) {
-  std::string v = "v" + std::to_string(key) + "-";
+  std::string v = "v";
+  v += std::to_string(key);
+  v += '-';
   v.resize(len, 'p');
   return v;
 }

@@ -64,11 +64,9 @@ struct ServerFixture {
     if (server != nullptr) server->Stop();
   }
 
-  ObjClient Connect() {
-    ObjClient c;
-    Status s = c.Connect("127.0.0.1", server->port());
+  void Connect(ObjClient* c) {
+    Status s = c->Connect("127.0.0.1", server->port());
     EXPECT_TRUE(s.ok()) << s.ToString();
-    return c;
   }
 };
 
@@ -121,7 +119,8 @@ struct RawConn {
 
 TEST(NetServerTest, RetrieveOverTheWireMatchesEmbeddedExecution) {
   ServerFixture fix;
-  ObjClient client = fix.Connect();
+  ObjClient client;
+  fix.Connect(&client);
 
   Query q;
   q.kind = Query::Kind::kRetrieve;
@@ -145,7 +144,8 @@ TEST(NetServerTest, EveryStrategyOverrideReturnsEquivalentValues) {
   // duplicate fetches), so equivalence is the multiset of values — the
   // same contract strategy_test asserts for the embedded engine.
   ServerFixture fix;
-  ObjClient client = fix.Connect();
+  ObjClient client;
+  fix.Connect(&client);
   std::vector<int32_t> baseline;
   ASSERT_TRUE(client
                   .Retrieve(10, 30, 0, &baseline,
@@ -176,7 +176,8 @@ TEST(NetServerTest, EveryStrategyOverrideReturnsEquivalentValues) {
 
 TEST(NetServerTest, UpdateOverTheWireIsVisibleToLaterRetrieves) {
   ServerFixture fix;
-  ObjClient client = fix.Connect();
+  ObjClient client;
+  fix.Connect(&client);
 
   // Rewrite ret1 of every child in the database to one constant; a full
   // retrieve of attr 0 must then see only that constant.
@@ -202,7 +203,8 @@ TEST(NetServerTest, UpdateOverTheWireIsVisibleToLaterRetrieves) {
 
 TEST(NetServerTest, BadRequestsAreAnsweredWithoutKillingTheConnection) {
   ServerFixture fix;
-  ObjClient client = fix.Connect();
+  ObjClient client;
+  fix.Connect(&client);
 
   Response resp;
   // Parent range beyond |ParentRel|.
@@ -363,7 +365,8 @@ TEST(NetServerTest, PingAndStatsBypassAdmissionControl) {
   config.max_inflight = 1;
   ServerFixture fix(config);
   fix.server->set_max_inflight(1);
-  ObjClient client = fix.Connect();
+  ObjClient client;
+  fix.Connect(&client);
   // Even with the tiny budget, liveness and introspection always answer.
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(client.Ping().ok());
@@ -376,7 +379,8 @@ TEST(NetServerTest, PingAndStatsBypassAdmissionControl) {
 
 TEST(NetServerTest, ShutdownVerbDrainsAndExitsCleanly) {
   ServerFixture fix;
-  ObjClient client = fix.Connect();
+  ObjClient client;
+  fix.Connect(&client);
   std::vector<int32_t> values;
   ASSERT_TRUE(client.Retrieve(0, 10, 0, &values).ok());
   ASSERT_TRUE(client.Shutdown().ok());  // answered OK *before* the drain
@@ -395,7 +399,8 @@ TEST(NetServerTest, ShutdownVerbDrainsAndExitsCleanly) {
 
 TEST(NetServerTest, RequestStopDrainsFromAnotherThread) {
   ServerFixture fix;
-  ObjClient client = fix.Connect();
+  ObjClient client;
+  fix.Connect(&client);
   ASSERT_TRUE(client.Ping().ok());
   fix.server->RequestStop();
   fix.server->Wait();
@@ -410,7 +415,8 @@ TEST(NetServerTest, ManyConcurrentClientsSeeConsistentResults) {
   ServerFixture fix;
   std::vector<int32_t> expected_dfs, expected_bfs;
   {
-    ObjClient c = fix.Connect();
+    ObjClient c;
+    fix.Connect(&c);
     ASSERT_TRUE(c.Retrieve(50, 20, 2, &expected_dfs,
                            static_cast<uint8_t>(StrategyKind::kDfs))
                     .ok());

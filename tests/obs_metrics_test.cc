@@ -1,18 +1,100 @@
 // Metrics registry correctness (DESIGN.md §11): counter monotonicity under
-// threads, histogram bucket boundaries, percentile estimation on skewed
-// data, shard merging, and registry lookup hammered from 8 threads (the
-// TSan job runs this binary).
+// threads, child counters folding into their parent, histogram bucket
+// boundaries, percentile estimation on skewed data, shard merging, registry
+// lookup hammered from 8 threads (the TSan job runs this binary), and the
+// registry's pool and disk counters summing every instance's own counts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_manager.h"
 
 namespace objrep {
 namespace {
+
+TEST(CounterTest, ParentIsOwnCountPlusLiveChildren) {
+  Counter parent;
+  parent.Add(5);
+  Counter a(&parent);
+  Counter b(&parent);
+  a.Add(3);
+  b.Add(4);
+  EXPECT_EQ(a.value(), 3u);
+  EXPECT_EQ(b.value(), 4u);
+  EXPECT_EQ(parent.value(), 12u);
+  parent.Add(1);
+  EXPECT_EQ(parent.value(), 13u);
+}
+
+TEST(CounterTest, ResetAndDestructionFoldIntoParent) {
+  Counter parent;
+  Counter a(&parent);
+  a.Add(7);
+  {
+    Counter b(&parent);
+    b.Add(2);
+    EXPECT_EQ(parent.value(), 9u);
+  }
+  // b's count outlives b.
+  EXPECT_EQ(parent.value(), 9u);
+  a.Reset();
+  EXPECT_EQ(a.value(), 0u);
+  EXPECT_EQ(parent.value(), 9u);
+  a.Add(1);
+  EXPECT_EQ(a.value(), 1u);
+  EXPECT_EQ(parent.value(), 10u);
+}
+
+TEST(CounterTest, ConcurrentChildAddsSumExactly) {
+  // 8 writers spread over 4 children while one thread keeps resetting them
+  // and another reads the parent: no add is lost or counted twice, and the
+  // parent never decreases.
+  Counter parent;
+  constexpr int kThreads = 8;
+  constexpr int kChildren = 4;
+  constexpr uint64_t kPerThread = 20000;
+  std::vector<std::unique_ptr<Counter>> children;
+  for (int i = 0; i < kChildren; ++i) {
+    children.push_back(std::make_unique<Counter>(&parent));
+  }
+  std::atomic<bool> done{false};
+  std::atomic<bool> decreased{false};
+  std::thread resetter([&] {
+    while (!done.load()) {
+      for (auto& c : children) c->Reset();
+    }
+  });
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load()) {
+      uint64_t v = parent.value();
+      if (v < last) decreased.store(true);
+      last = v;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&children, t] {
+      Counter* c = children[t % kChildren].get();
+      for (uint64_t i = 0; i < kPerThread; ++i) c->Add(1);
+    });
+  }
+  for (auto& t : writers) t.join();
+  done.store(true);
+  resetter.join();
+  reader.join();
+  EXPECT_FALSE(decreased.load());
+  EXPECT_EQ(parent.value(), kThreads * kPerThread);
+  children.clear();
+  EXPECT_EQ(parent.value(), kThreads * kPerThread);
+}
 
 TEST(CounterTest, ConcurrentAddsAreExact) {
   Counter c;
@@ -209,8 +291,88 @@ TEST(MetricsRegistryTest, ToJsonShape) {
 
 TEST(MetricsRegistryTest, GlobalIsSingleton) {
   EXPECT_EQ(&MetricsRegistry::Global(), &MetricsRegistry::Global());
-  // Process-wide names used by the instrumented subsystems resolve.
-  EXPECT_NE(MetricsRegistry::Global().GetCounter("disk.reads"), nullptr);
+}
+
+TEST(MetricsRegistryTest, GlobalSumsEveryPoolAndVolume) {
+  // The registry's pool and disk counters sum the instances' own counts:
+  // its delta is the per-instance deltas' sum, through ResetStats /
+  // ResetCounters and the destruction of one pool and volume, and it never
+  // decreases.
+  const char* kNames[] = {"disk.reads", "disk.writes", "pool.hits",
+                          "pool.misses"};
+  auto registry = [&] {
+    std::vector<uint64_t> v;
+    for (const char* n : kNames) {
+      v.push_back(MetricsRegistry::Global().GetCounter(n)->value());
+    }
+    return v;
+  };
+  struct Volume {
+    DiskManager disk;
+    BufferPool pool{&disk, 4};
+    std::vector<uint64_t> counts() const {
+      IoCounters io = disk.counters();
+      return {io.reads, io.writes, pool.hits(), pool.misses()};
+    }
+  };
+  // Writes 6 pages, re-reads them from disk, then hits each once.
+  auto work = [](Volume* v) {
+    std::vector<PageId> pids;
+    for (int i = 0; i < 6; ++i) {
+      PageGuard g;
+      ASSERT_TRUE(v->pool.NewPage(&g).ok());
+      pids.push_back(g.page_id());
+    }
+    ASSERT_TRUE(v->pool.FlushAll().ok());
+    v->pool.InvalidateAllClean();
+    for (PageId pid : pids) {
+      PageGuard g;
+      ASSERT_TRUE(v->pool.FetchPage(pid, &g).ok());
+      ASSERT_TRUE(v->pool.FetchPage(pid, &g).ok());
+    }
+  };
+
+  const std::vector<uint64_t> base = registry();
+  std::vector<uint64_t> last = base;
+  // Expects registry - base == `folded` + the live volumes' counts.
+  auto check = [&](const std::vector<uint64_t>& folded,
+                   std::initializer_list<const Volume*> live) {
+    std::vector<uint64_t> now = registry();
+    for (size_t i = 0; i < now.size(); ++i) {
+      uint64_t want = folded[i];
+      for (const Volume* v : live) want += v->counts()[i];
+      EXPECT_EQ(now[i] - base[i], want) << kNames[i];
+      EXPECT_GE(now[i], last[i]) << kNames[i];
+    }
+    last = now;
+  };
+
+  Volume a;
+  auto b = std::make_unique<Volume>();
+  std::vector<uint64_t> folded(4, 0);
+  work(&a);
+  work(b.get());
+  work(b.get());
+  EXPECT_GT(a.counts()[0], 0u);
+  EXPECT_GT(a.counts()[1], 0u);
+  EXPECT_GT(a.counts()[2], 0u);
+  check(folded, {&a, b.get()});
+
+  // Resetting a's stats moves its counts into the registry's own total.
+  for (size_t i = 0; i < 4; ++i) folded[i] += a.counts()[i];
+  a.pool.ResetStats();
+  a.disk.ResetCounters();
+  EXPECT_EQ(a.counts(), std::vector<uint64_t>(4, 0));
+  check(folded, {&a, b.get()});
+  work(&a);
+  check(folded, {&a, b.get()});
+
+  // So does destroying b.
+  for (size_t i = 0; i < 4; ++i) folded[i] += b->counts()[i];
+  b.reset();
+  check(folded, {&a});
+  work(&a);
+  check(folded, {&a});
 }
 
 }  // namespace

@@ -17,19 +17,21 @@ Schema RandomSchema(Rng* rng) {
   size_t n = 1 + rng->Uniform(8);
   std::vector<FieldDef> fields;
   for (size_t i = 0; i < n; ++i) {
+    std::string name = "f";
+    name += std::to_string(i);
     switch (rng->Uniform(4)) {
       case 0:
-        fields.push_back({"f" + std::to_string(i), FieldType::kInt32, 0});
+        fields.push_back({name, FieldType::kInt32, 0});
         break;
       case 1:
-        fields.push_back({"f" + std::to_string(i), FieldType::kInt64, 0});
+        fields.push_back({name, FieldType::kInt64, 0});
         break;
       case 2:
-        fields.push_back({"f" + std::to_string(i), FieldType::kChar,
+        fields.push_back({name, FieldType::kChar,
                           1 + static_cast<uint32_t>(rng->Uniform(64))});
         break;
       default:
-        fields.push_back({"f" + std::to_string(i), FieldType::kBytes, 0});
+        fields.push_back({name, FieldType::kBytes, 0});
         break;
     }
   }
@@ -42,11 +44,10 @@ std::vector<Value> RandomValues(const Schema& schema, Rng* rng) {
     const FieldDef& def = schema.field(i);
     switch (def.type) {
       case FieldType::kInt32:
-        values.push_back(
-            Value(static_cast<int32_t>(rng->Next() & 0xffffffffu)));
+        values.emplace_back(static_cast<int32_t>(rng->Next() & 0xffffffffu));
         break;
       case FieldType::kInt64:
-        values.push_back(Value(static_cast<int64_t>(rng->Next())));
+        values.emplace_back(static_cast<int64_t>(rng->Next()));
         break;
       case FieldType::kChar: {
         // Random prefix of printable chars, padded with blanks.

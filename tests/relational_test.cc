@@ -124,7 +124,11 @@ TEST_F(RelationalTest, ExternalSortChargesIo) {
 
 TEST_F(RelationalTest, MergeJoinMatchesAndSkips) {
   std::vector<BPlusTree::Entry> entries;
-  for (uint64_t k = 0; k < 100; k += 2) entries.push_back({k, "v" + std::to_string(k)});
+  for (uint64_t k = 0; k < 100; k += 2) {
+    std::string v = "v";
+    v += std::to_string(k);
+    entries.push_back({k, v});
+  }
   BPlusTree tree;
   ASSERT_TRUE(BPlusTree::BulkLoad(&pool_, entries, &tree).ok());
   // Stream with hits, misses, and duplicates.
