@@ -1,7 +1,7 @@
 // Micro-benchmarks of the storage substrate (google-benchmark): B-tree
 // probes and scans, hash-file probes, external sort, buffer-pool hit and
-// miss paths, the simulated device's seek sleep, and a WAL page-image
-// commit.
+// miss paths, the simulated device's seek sleep, a WAL page-image commit,
+// and whole database builds (generation plus volume loads).
 // These are engineering benchmarks (M1 in DESIGN.md), not paper figures.
 #include <benchmark/benchmark.h>
 
@@ -10,8 +10,10 @@
 
 #include "access/btree.h"
 #include "access/hash_file.h"
+#include "objstore/database.h"
 #include "relational/external_sort.h"
 #include "relational/temp_file.h"
+#include "shard/sharded_db.h"
 #include "storage/wal.h"
 #include "util/random.h"
 
@@ -246,6 +248,42 @@ void BM_WalCommitPageImage(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WalCommitPageImage);
+
+// Database builds, the set-up every experiment point and every served
+// deployment pays: GenerateDatabase plus the bulk loads of each volume,
+// ending flushed. Not gated. BM_BuildDatabase uses objbench update's spec
+// (10,000 parents, cache and WAL on); BM_BuildShardedDatabase uses
+// cold_scan's (20,000 parents on 2 shards).
+void BM_BuildDatabase(benchmark::State& state) {
+  DatabaseSpec spec;
+  spec.num_parents = 10000;
+  spec.use_factor = 5;
+  spec.buffer_pages = 100;
+  spec.build_cache = true;
+  spec.size_cache = 1000;
+  spec.enable_wal = true;
+  for (auto _ : state) {
+    std::unique_ptr<ComplexDatabase> db;
+    OBJREP_CHECK(BuildDatabase(spec, &db).ok());
+    benchmark::DoNotOptimize(db->TotalPages());
+  }
+}
+BENCHMARK(BM_BuildDatabase)->Unit(benchmark::kMillisecond);
+
+void BM_BuildShardedDatabase(benchmark::State& state) {
+  DatabaseSpec spec;
+  spec.num_parents = 20000;
+  spec.use_factor = 5;
+  spec.buffer_pages = 100;
+  spec.io_latency_us = 50;
+  spec.reclaim_temp_pages = true;
+  for (auto _ : state) {
+    std::unique_ptr<shard::ShardedDatabase> sdb;
+    OBJREP_CHECK(shard::BuildShardedDatabase(spec, 2, &sdb).ok());
+    benchmark::DoNotOptimize(sdb->shards[0]->TotalPages());
+  }
+}
+BENCHMARK(BM_BuildShardedDatabase)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace objrep

@@ -123,13 +123,24 @@ Status BPlusTree::Create(BufferPool* pool, BPlusTree* out) {
 Status BPlusTree::BulkLoad(BufferPool* pool,
                            const std::vector<Entry>& entries,
                            BPlusTree* out) {
-  if (entries.empty()) {
+  size_t i = 0;
+  return BulkLoad(
+      pool,
+      [&](uint64_t* key, std::string_view* value) {
+        if (i == entries.size()) return false;
+        *key = entries[i].key;
+        *value = entries[i++].value;
+        return true;
+      },
+      out);
+}
+
+Status BPlusTree::BulkLoad(BufferPool* pool, const EntrySource& next,
+                           BPlusTree* out) {
+  uint64_t key;
+  std::string_view value;
+  if (!next(&key, &value)) {
     return Create(pool, out);
-  }
-  for (size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i - 1].key >= entries[i].key) {
-      return Status::InvalidArgument("bulk load input not strictly sorted");
-    }
   }
 
   out->pool_ = pool;
@@ -148,33 +159,35 @@ Status BPlusTree::BulkLoad(BufferPool* pool,
   leaf.MarkDirty();
   out->first_leaf_ = leaf.page_id();
   uint32_t used = 0;
-  uint64_t page_first_key = entries[0].key;
+  uint64_t page_first_key = key;
   bool page_empty = true;
   ++out->stats_.leaf_pages;
 
-  for (const Entry& e : entries) {
-    std::string cell = MakeLeafCell(e.key, e.value);
+  // MakeLeafCell's layout, assembled in one reused buffer.
+  std::string cell;
+  for (;;) {
+    cell.assign(reinterpret_cast<const char*>(&key), 8);
+    cell.append(value);
     uint32_t cost = static_cast<uint32_t>(cell.size()) + 4;
     if (!page_empty && (used + cost > budget ||
                         cell.size() > sp.FreeSpace())) {
       // Seal this leaf, start the next one.
       level.emplace_back(page_first_key, leaf.page_id());
-      PageGuard next;
-      OBJREP_RETURN_NOT_OK(pool->NewPage(&next));
-      SlottedPage nsp(next.page());
+      PageGuard next_leaf;
+      OBJREP_RETURN_NOT_OK(pool->NewPage(&next_leaf));
+      SlottedPage nsp(next_leaf.page());
       nsp.Init();
       nsp.set_aux(kLeafMarker);
-      next.MarkDirty();
-      sp = SlottedPage(leaf.page());
-      sp.set_next_page(next.page_id());
-      leaf = std::move(next);
+      next_leaf.MarkDirty();
+      sp.set_next_page(next_leaf.page_id());
+      leaf = std::move(next_leaf);
       sp = SlottedPage(leaf.page());
       used = 0;
       page_empty = true;
       ++out->stats_.leaf_pages;
     }
     if (page_empty) {
-      page_first_key = e.key;
+      page_first_key = key;
       page_empty = false;
     }
     uint16_t slot = sp.Insert(cell);
@@ -183,6 +196,11 @@ Status BPlusTree::BulkLoad(BufferPool* pool,
     }
     used += cost;
     ++out->stats_.num_entries;
+    const uint64_t prev_key = key;
+    if (!next(&key, &value)) break;
+    if (key <= prev_key) {
+      return Status::InvalidArgument("bulk load input not strictly sorted");
+    }
   }
   level.emplace_back(page_first_key, leaf.page_id());
   leaf.Release();

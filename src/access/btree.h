@@ -11,6 +11,7 @@
 #define OBJREP_ACCESS_BTREE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,13 +39,25 @@ class BPlusTree {
     uint64_t num_entries = 0;
   };
 
+  /// Bulk-load input: each call sets the next (key, value) pair and
+  /// returns true, or returns false once the input is exhausted. `*value`
+  /// must stay valid until the next call, so a source can reuse one buffer.
+  using EntrySource =
+      std::function<bool(uint64_t* key, std::string_view* value)>;
+
   BPlusTree() = default;
 
   /// Creates an empty tree (a single empty leaf).
   static Status Create(BufferPool* pool, BPlusTree* out);
 
-  /// Builds a tree from entries sorted by strictly increasing key, every
-  /// leaf and internal node packed full.
+  /// Builds a tree from the pairs `next` yields, which must come in strictly
+  /// increasing key order, every leaf and internal node packed full. Each
+  /// cell is copied straight into the open leaf, so the load allocates per
+  /// page, not per entry. A key out of order fails the load with
+  /// InvalidArgument; the pages written before it stay allocated.
+  static Status BulkLoad(BufferPool* pool, const EntrySource& next,
+                         BPlusTree* out);
+  /// BulkLoad over a vector of entries.
   static Status BulkLoad(BufferPool* pool, const std::vector<Entry>& entries,
                          BPlusTree* out);
 

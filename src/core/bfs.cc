@@ -20,7 +20,7 @@ namespace internal {
 
 Status BfsStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
   CostBreakdown& cost = out->cost;
-  IoCounters start = db_->disk->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
 
   // Phase 1: scan qualifying parents, route OIDs to per-relation temps.
   // (std::map so relations are processed in a deterministic order.)
@@ -28,7 +28,7 @@ Status BfsStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
   OBJREP_RETURN_NOT_OK(ScanParents(
       db_, q,
       [&](uint32_t /*parent_key*/, const std::vector<Oid>& unit) -> Status {
-        IoBracket temp_bracket(db_->disk.get(), &cost.temp_io);
+        IoBracket temp_bracket(&cost.temp_io);
         for (const Oid& oid : unit) {
           auto it = temps.find(oid.rel);
           if (it == temps.end()) {
@@ -43,7 +43,7 @@ Status BfsStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
         }
         return Status::OK();
       }));
-  uint64_t scan_total = (db_->disk->counters() - start).total();
+  uint64_t scan_total = (CurrentThreadIo() - start).total();
   cost.par_io = scan_total - cost.temp_io;
 
   // Phases 2+3 per relation: sort the temp, then merge join.
@@ -51,7 +51,7 @@ Status BfsStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
     temp.Seal();
     TempFile sorted;
     {
-      IoBracket temp_bracket(db_->disk.get(), &cost.temp_io);
+      IoBracket temp_bracket(&cost.temp_io);
       SortOptions opts;
       opts.dedup = dedup_;
       opts.reclaim_runs = db_->spec.reclaim_temp_pages;
@@ -66,7 +66,7 @@ Status BfsStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
     if (table == nullptr) {
       return Status::Corruption("temp references unknown relation");
     }
-    IoBracket child_bracket(db_->disk.get(), &cost.child_io);
+    IoBracket child_bracket(&cost.child_io);
     // Near-sequential child-leaf reads of the merge join — the BFS payoff
     // the paper trades the sort for (§5). Temp-stream reads of `sorted`
     // re-tag kTempSort inside TempFile::Reader.
@@ -82,7 +82,7 @@ Status BfsStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
           return Status::OK();
         }));
     if (db_->spec.reclaim_temp_pages) {
-      IoBracket temp_bracket(db_->disk.get(), &cost.temp_io);
+      IoBracket temp_bracket(&cost.temp_io);
       OBJREP_RETURN_NOT_OK(sorted.FreePages());
     }
   }

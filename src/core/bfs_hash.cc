@@ -20,14 +20,14 @@ namespace internal {
 
 Status BfsHashStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
   CostBreakdown& cost = out->cost;
-  IoCounters start = db_->disk->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
 
   // Phase 1: scan qualifying parents, route OIDs to per-relation temps.
   std::map<RelationId, TempFile> temps;
   OBJREP_RETURN_NOT_OK(ScanParents(
       db_, q,
       [&](uint32_t /*parent_key*/, const std::vector<Oid>& unit) -> Status {
-        IoBracket temp_bracket(db_->disk.get(), &cost.temp_io);
+        IoBracket temp_bracket(&cost.temp_io);
         for (const Oid& oid : unit) {
           auto it = temps.find(oid.rel);
           if (it == temps.end()) {
@@ -39,7 +39,7 @@ Status BfsHashStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
         }
         return Status::OK();
       }));
-  uint64_t scan_total = (db_->disk->counters() - start).total();
+  uint64_t scan_total = (CurrentThreadIo() - start).total();
   cost.par_io = scan_total - cost.temp_io;
 
   for (auto& [rel_id, temp] : temps) {
@@ -47,7 +47,7 @@ Status BfsHashStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
     // Phase 2: build the in-memory hash table (key -> multiplicity).
     std::unordered_map<uint64_t, uint32_t> build;
     {
-      IoBracket temp_bracket(db_->disk.get(), &cost.temp_io);
+      IoBracket temp_bracket(&cost.temp_io);
       build.reserve(static_cast<size_t>(temp.num_entries()));
       for (TempFile::Reader r = temp.Read(); r.valid();) {
         ++build[r.value()];
@@ -63,7 +63,7 @@ Status BfsHashStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
       return Status::Corruption("temp references unknown relation");
     }
     // Phase 3: one sequential probe scan over the whole relation.
-    IoBracket child_bracket(db_->disk.get(), &cost.child_io);
+    IoBracket child_bracket(&cost.child_io);
     ScopedIoTag heap_tag(IoTag::kHeapFetch);
     BPlusTree::Iterator it = table->tree().NewIterator();
     OBJREP_RETURN_NOT_OK(it.SeekToFirst());

@@ -24,7 +24,7 @@ Status BfsJoinIndexStrategy::ExecuteRetrieve(const Query& q,
         "BFS-JI requires spec.build_join_index");
   }
   CostBreakdown& cost = out->cost;
-  IoCounters start = db_->disk->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
 
   // Phase 1: contiguous join-index scan over the qualifying objects.
   std::map<RelationId, TempFile> temps;
@@ -44,7 +44,7 @@ Status BfsJoinIndexStrategy::ExecuteRetrieve(const Query& q,
       uint64_t packed;
       std::memcpy(&packed, v.data(), 8);
       Oid oid = Oid::FromPacked(packed);
-      IoBracket temp_bracket(db_->disk.get(), &cost.temp_io);
+      IoBracket temp_bracket(&cost.temp_io);
       auto t = temps.find(oid.rel);
       if (t == temps.end()) {
         TempFile fresh;
@@ -55,14 +55,14 @@ Status BfsJoinIndexStrategy::ExecuteRetrieve(const Query& q,
       OBJREP_RETURN_NOT_OK(it.Next());
     }
   }
-  cost.par_io = (db_->disk->counters() - start).total() - cost.temp_io;
+  cost.par_io = (CurrentThreadIo() - start).total() - cost.temp_io;
 
   // Phases 2+3: identical to BFS.
   for (auto& [rel_id, temp] : temps) {
     temp.Seal();
     TempFile sorted;
     {
-      IoBracket temp_bracket(db_->disk.get(), &cost.temp_io);
+      IoBracket temp_bracket(&cost.temp_io);
       SortOptions opts;
       opts.reclaim_runs = db_->spec.reclaim_temp_pages;
       OBJREP_RETURN_NOT_OK(
@@ -75,7 +75,7 @@ Status BfsJoinIndexStrategy::ExecuteRetrieve(const Query& q,
     if (table == nullptr) {
       return Status::Corruption("temp references unknown relation");
     }
-    IoBracket child_bracket(db_->disk.get(), &cost.child_io);
+    IoBracket child_bracket(&cost.child_io);
     ScopedIoTag heap_tag(IoTag::kHeapFetch);
     OBJREP_RETURN_NOT_OK(MergeJoinSortedKeys(
         sorted.Read(), table->tree(),
@@ -88,7 +88,7 @@ Status BfsJoinIndexStrategy::ExecuteRetrieve(const Query& q,
           return Status::OK();
         }));
     if (db_->spec.reclaim_temp_pages) {
-      IoBracket temp_bracket(db_->disk.get(), &cost.temp_io);
+      IoBracket temp_bracket(&cost.temp_io);
       OBJREP_RETURN_NOT_OK(sorted.FreePages());
     }
   }

@@ -10,7 +10,7 @@
 
 #include <cstdint>
 
-#include "storage/disk_manager.h"
+#include "obs/io_context.h"
 
 namespace objrep {
 
@@ -33,27 +33,29 @@ struct CostBreakdown {
   }
 };
 
-/// RAII bracket attributing physical I/O to one breakdown bucket.
+/// RAII bracket attributing physical I/O to one breakdown bucket. It
+/// counts the calling thread's own I/O (CurrentThreadIo), so a query run
+/// beside other workers is charged its own pages only, and a bracket reads
+/// a few thread-local slots instead of the volume's shared counters.
 class IoBracket {
  public:
-  IoBracket(DiskManager* disk, uint64_t* bucket)
-      : disk_(disk), bucket_(bucket), start_(disk->counters()) {}
+  explicit IoBracket(uint64_t* bucket)
+      : bucket_(bucket), start_(CurrentThreadIo()) {}
   ~IoBracket() { Stop(); }
 
   IoBracket(const IoBracket&) = delete;
   IoBracket& operator=(const IoBracket&) = delete;
 
   void Stop() {
-    if (disk_ != nullptr) {
-      *bucket_ += (disk_->counters() - start_).total();
-      disk_ = nullptr;
+    if (bucket_ != nullptr) {
+      *bucket_ += (CurrentThreadIo() - start_).total();
+      bucket_ = nullptr;
     }
   }
 
  private:
-  DiskManager* disk_;
   uint64_t* bucket_;
-  IoCounters start_;
+  ThreadIoSnapshot start_;
 };
 
 }  // namespace objrep

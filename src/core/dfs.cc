@@ -11,17 +11,17 @@ namespace internal {
 
 Status DfsStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
   CostBreakdown& cost = out->cost;
-  IoCounters start = db_->disk->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
   OBJREP_RETURN_NOT_OK(ScanParents(
       db_, q,
       [&](uint32_t /*parent_key*/, const std::vector<Oid>& unit) -> Status {
-        IoBracket child_bracket(db_->disk.get(), &cost.child_io);
+        IoBracket child_bracket(&cost.child_io);
         OBJREP_RETURN_NOT_OK(MaterializeUnit(
             db_, unit, q.attr_index, /*raw_records=*/nullptr, &out->values));
         out->oids.insert(out->oids.end(), unit.begin(), unit.end());
         return Status::OK();
       }));
-  uint64_t total = (db_->disk->counters() - start).total();
+  uint64_t total = (CurrentThreadIo() - start).total();
   cost.par_io = total - cost.child_io;
   return Status::OK();
 }

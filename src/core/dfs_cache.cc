@@ -15,7 +15,7 @@ namespace internal {
 Status CachedDepthFirstRetrieve(ComplexDatabase* db, const Query& q,
                                 RetrieveResult* out) {
   CostBreakdown& cost = out->cost;
-  IoCounters start = db->disk->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
   OBJREP_RETURN_NOT_OK(ScanParents(
       db, q,
       [&](uint32_t /*parent_key*/, const std::vector<Oid>& unit) -> Status {
@@ -25,7 +25,7 @@ Status CachedDepthFirstRetrieve(ComplexDatabase* db, const Query& q,
           // this unit between a residency check and the read, so the two
           // are one directory-lock hold and a miss is an answer, not an
           // error.
-          IoBracket cache_bracket(db->disk.get(), &cost.cache_io);
+          IoBracket cache_bracket(&cost.cache_io);
           bool found = false;
           std::string blob;
           OBJREP_RETURN_NOT_OK(db->cache->TryFetchUnit(hashkey, &blob,
@@ -40,15 +40,15 @@ Status CachedDepthFirstRetrieve(ComplexDatabase* db, const Query& q,
         // Miss: materialize the unit, then maintain the cache.
         std::vector<std::string> raws;
         {
-          IoBracket child_bracket(db->disk.get(), &cost.child_io);
+          IoBracket child_bracket(&cost.child_io);
           OBJREP_RETURN_NOT_OK(MaterializeUnit(db, unit, q.attr_index, &raws,
                                                &out->values));
           out->oids.insert(out->oids.end(), unit.begin(), unit.end());
         }
-        IoBracket cache_bracket(db->disk.get(), &cost.cache_io);
+        IoBracket cache_bracket(&cost.cache_io);
         return db->cache->InsertUnit(hashkey, unit, EncodeUnitBlob(raws));
       }));
-  uint64_t total = (db->disk->counters() - start).total();
+  uint64_t total = (CurrentThreadIo() - start).total();
   cost.par_io = total - cost.child_io - cost.cache_io;
   return Status::OK();
 }

@@ -34,7 +34,7 @@ Status ClusterRet(const Schema& schema, std::string_view raw, int attr_index,
 Status DfsClustStrategy::ExecuteRetrieve(const Query& q,
                                          RetrieveResult* out) {
   CostBreakdown& cost = out->cost;
-  IoCounters start = db_->disk->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
   const Schema& schema = db_->cluster_rel->schema();
   // Everything is ClusterRel traffic except the remote probes, which
   // re-tag kIndexProbe below.
@@ -57,7 +57,7 @@ Status DfsClustStrategy::ExecuteRetrieve(const Query& q,
         continue;
       }
       // Clustered elsewhere: ISAM probe, then random ClusterRel access.
-      IoBracket child_bracket(db_->disk.get(), &cost.child_io);
+      IoBracket child_bracket(&cost.child_io);
       ScopedIoTag probe_tag(IoTag::kIndexProbe);
       uint64_t cluster_key;
       Status s = db_->cluster_oid_index.Lookup(oid.Packed(), &cluster_key);
@@ -106,7 +106,7 @@ Status DfsClustStrategy::ExecuteRetrieve(const Query& q,
     OBJREP_RETURN_NOT_OK(it.Next());
   }
   OBJREP_RETURN_NOT_OK(finish_group());
-  uint64_t total = (db_->disk->counters() - start).total();
+  uint64_t total = (CurrentThreadIo() - start).total();
   cost.par_io = total - cost.child_io;
   return Status::OK();
 }
@@ -114,7 +114,7 @@ Status DfsClustStrategy::ExecuteRetrieve(const Query& q,
 Status DfsClustCacheStrategy::ExecuteRetrieve(const Query& q,
                                               RetrieveResult* out) {
   CostBreakdown& cost = out->cost;
-  IoCounters start = db_->disk->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
   const Schema& schema = db_->cluster_rel->schema();
   // Cache traffic self-tags inside CacheManager; remote probes re-tag
   // kIndexProbe below; the rest is the ClusterRel extent scan.
@@ -146,7 +146,7 @@ Status DfsClustCacheStrategy::ExecuteRetrieve(const Query& q,
       // read as a miss, not a NotFound error. On a hit the scan already
       // read the local rows for nothing — the structural redundancy of
       // combining the two approaches.
-      IoBracket cache_bracket(db_->disk.get(), &cost.cache_io);
+      IoBracket cache_bracket(&cost.cache_io);
       bool found = false;
       std::string blob;
       OBJREP_RETURN_NOT_OK(db_->cache->TryFetchUnit(hashkey, &blob,
@@ -173,7 +173,7 @@ Status DfsClustCacheStrategy::ExecuteRetrieve(const Query& q,
         raws.push_back(it->second);
         continue;
       }
-      IoBracket child_bracket(db_->disk.get(), &cost.child_io);
+      IoBracket child_bracket(&cost.child_io);
       ScopedIoTag probe_tag(IoTag::kIndexProbe);
       uint64_t cluster_key;
       Status s = db_->cluster_oid_index.Lookup(oid.Packed(), &cluster_key);
@@ -188,7 +188,7 @@ Status DfsClustCacheStrategy::ExecuteRetrieve(const Query& q,
       OBJREP_RETURN_NOT_OK(project(raw));
     }
     out->oids.insert(out->oids.end(), group.unit.begin(), group.unit.end());
-    IoBracket cache_bracket(db_->disk.get(), &cost.cache_io);
+    IoBracket cache_bracket(&cost.cache_io);
     OBJREP_RETURN_NOT_OK(
         db_->cache->InsertUnit(hashkey, group.unit, EncodeUnitBlob(raws)));
     group = Group{};
@@ -218,7 +218,7 @@ Status DfsClustCacheStrategy::ExecuteRetrieve(const Query& q,
     OBJREP_RETURN_NOT_OK(it.Next());
   }
   OBJREP_RETURN_NOT_OK(finish_group());
-  uint64_t total = (db_->disk->counters() - start).total();
+  uint64_t total = (CurrentThreadIo() - start).total();
   cost.par_io = total - cost.child_io - cost.cache_io;
   return Status::OK();
 }

@@ -82,7 +82,7 @@ Status DsmDatabase::Build(const ComplexDatabase& src,
 }
 
 Status DsmDatabase::RetrieveDfs(const Query& q, RetrieveResult* out) {
-  IoCounters start = disk_->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
   const BPlusTree& column = columns_[q.attr_index];
   BPlusTree::Iterator it = parent_rel_.tree().NewIterator();
   OBJREP_RETURN_NOT_OK(it.Seek(q.lo_parent));
@@ -91,7 +91,7 @@ Status DsmDatabase::RetrieveDfs(const Query& q, RetrieveResult* out) {
     Value children;
     OBJREP_RETURN_NOT_OK(DecodeField(parent_rel_.schema(), it.value(),
                                      kParentChildren, &children));
-    IoBracket child_bracket(disk_.get(), &out->cost.child_io);
+    IoBracket child_bracket(&out->cost.child_io);
     for (const Oid& oid : DecodeOidList(children.as_string())) {
       std::string raw;
       OBJREP_RETURN_NOT_OK(column.Get(oid.key, &raw));
@@ -100,13 +100,13 @@ Status DsmDatabase::RetrieveDfs(const Query& q, RetrieveResult* out) {
     OBJREP_RETURN_NOT_OK(it.Next());
   }
   out->cost.par_io =
-      (disk_->counters() - start).total() - out->cost.child_io;
+      (CurrentThreadIo() - start).total() - out->cost.child_io;
   return Status::OK();
 }
 
 Status DsmDatabase::RetrieveBfs(const Query& q, RetrieveResult* out) {
   CostBreakdown& cost = out->cost;
-  IoCounters start = disk_->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
   TempFile temp;
   OBJREP_RETURN_NOT_OK(TempFile::Create(pool_.get(), &temp));
   {
@@ -117,22 +117,22 @@ Status DsmDatabase::RetrieveBfs(const Query& q, RetrieveResult* out) {
       Value children;
       OBJREP_RETURN_NOT_OK(DecodeField(parent_rel_.schema(), it.value(),
                                        kParentChildren, &children));
-      IoBracket temp_bracket(disk_.get(), &cost.temp_io);
+      IoBracket temp_bracket(&cost.temp_io);
       for (const Oid& oid : DecodeOidList(children.as_string())) {
         OBJREP_RETURN_NOT_OK(temp.Append(oid.key));
       }
       OBJREP_RETURN_NOT_OK(it.Next());
     }
   }
-  cost.par_io = (disk_->counters() - start).total() - cost.temp_io;
+  cost.par_io = (CurrentThreadIo() - start).total() - cost.temp_io;
   temp.Seal();
   TempFile sorted;
   {
-    IoBracket temp_bracket(disk_.get(), &cost.temp_io);
+    IoBracket temp_bracket(&cost.temp_io);
     OBJREP_RETURN_NOT_OK(
         ExternalSort(pool_.get(), temp, SortOptions{}, &sorted));
   }
-  IoBracket child_bracket(disk_.get(), &cost.child_io);
+  IoBracket child_bracket(&cost.child_io);
   return MergeJoinSortedKeys(
       sorted.Read(), columns_[q.attr_index],
       [&](uint64_t /*key*/, std::string_view raw) -> Status {
@@ -142,7 +142,7 @@ Status DsmDatabase::RetrieveBfs(const Query& q, RetrieveResult* out) {
 }
 
 Status DsmDatabase::RetrieveReconstruct(const Query& q, RetrieveResult* out) {
-  IoCounters start = disk_->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
   BPlusTree::Iterator it = parent_rel_.tree().NewIterator();
   OBJREP_RETURN_NOT_OK(it.Seek(q.lo_parent));
   const uint64_t end = static_cast<uint64_t>(q.lo_parent) + q.num_top;
@@ -150,7 +150,7 @@ Status DsmDatabase::RetrieveReconstruct(const Query& q, RetrieveResult* out) {
     Value children;
     OBJREP_RETURN_NOT_OK(DecodeField(parent_rel_.schema(), it.value(),
                                      kParentChildren, &children));
-    IoBracket child_bracket(disk_.get(), &out->cost.child_io);
+    IoBracket child_bracket(&out->cost.child_io);
     for (const Oid& oid : DecodeOidList(children.as_string())) {
       // person.all: every column participates, including the pad bytes.
       for (auto& column : columns_) {
@@ -164,7 +164,7 @@ Status DsmDatabase::RetrieveReconstruct(const Query& q, RetrieveResult* out) {
     OBJREP_RETURN_NOT_OK(it.Next());
   }
   out->cost.par_io =
-      (disk_->counters() - start).total() - out->cost.child_io;
+      (CurrentThreadIo() - start).total() - out->cost.child_io;
   return Status::OK();
 }
 

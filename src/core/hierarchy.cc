@@ -145,7 +145,7 @@ Status HierarchyDatabase::ExpandDfs(uint32_t level, const Oid& oid,
 }
 
 Status HierarchyDatabase::RetrieveDfs(const Query& q, RetrieveResult* out) {
-  IoCounters start = disk_->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
   // Scan the qualifying roots, recursively expanding each.
   BPlusTree::Iterator it = levels_[0]->tree().NewIterator();
   OBJREP_RETURN_NOT_OK(it.Seek(q.lo_parent));
@@ -155,7 +155,7 @@ Status HierarchyDatabase::RetrieveDfs(const Query& q, RetrieveResult* out) {
     OBJREP_RETURN_NOT_OK(DecodeField(levels_[0]->schema(), it.value(),
                                      kParentChildren, &children));
     {
-      IoBracket child_bracket(disk_.get(), &out->cost.child_io);
+      IoBracket child_bracket(&out->cost.child_io);
       for (const Oid& child : DecodeOidList(children.as_string())) {
         OBJREP_RETURN_NOT_OK(ExpandDfs(1, child, q.attr_index, out));
       }
@@ -163,14 +163,14 @@ Status HierarchyDatabase::RetrieveDfs(const Query& q, RetrieveResult* out) {
     OBJREP_RETURN_NOT_OK(it.Next());
   }
   out->cost.par_io =
-      (disk_->counters() - start).total() - out->cost.child_io;
+      (CurrentThreadIo() - start).total() - out->cost.child_io;
   return Status::OK();
 }
 
 Status HierarchyDatabase::RetrieveBfs(const Query& q, bool dedup,
                                       RetrieveResult* out) {
   CostBreakdown& cost = out->cost;
-  IoCounters start = disk_->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
 
   // Level 0: scan qualifying roots, seeding the first temporary.
   TempFile frontier;
@@ -183,21 +183,21 @@ Status HierarchyDatabase::RetrieveBfs(const Query& q, bool dedup,
       Value children;
       OBJREP_RETURN_NOT_OK(DecodeField(levels_[0]->schema(), it.value(),
                                        kParentChildren, &children));
-      IoBracket temp_bracket(disk_.get(), &cost.temp_io);
+      IoBracket temp_bracket(&cost.temp_io);
       for (const Oid& child : DecodeOidList(children.as_string())) {
         OBJREP_RETURN_NOT_OK(frontier.Append(child.key));
       }
       OBJREP_RETURN_NOT_OK(it.Next());
     }
   }
-  cost.par_io = (disk_->counters() - start).total() - cost.temp_io;
+  cost.par_io = (CurrentThreadIo() - start).total() - cost.temp_io;
 
   // Levels 1..depth-1: sort the frontier, merge join, emit the next one.
   for (uint32_t level = 1; level < spec_.depth; ++level) {
     frontier.Seal();
     TempFile sorted;
     {
-      IoBracket temp_bracket(disk_.get(), &cost.temp_io);
+      IoBracket temp_bracket(&cost.temp_io);
       SortOptions opts;
       opts.dedup = dedup;
       OBJREP_RETURN_NOT_OK(
@@ -209,7 +209,7 @@ Status HierarchyDatabase::RetrieveBfs(const Query& q, bool dedup,
     if (!is_leaf) {
       OBJREP_RETURN_NOT_OK(TempFile::Create(pool_.get(), &next));
     }
-    IoBracket child_bracket(disk_.get(), &cost.child_io);
+    IoBracket child_bracket(&cost.child_io);
     OBJREP_RETURN_NOT_OK(MergeJoinSortedKeys(
         sorted.Read(), table->tree(),
         [&](uint64_t /*key*/, std::string_view raw) -> Status {

@@ -271,7 +271,7 @@ Status ProceduralDatabase::ExecuteRetrieve(const Query& q,
         "indexed execution requires spec.build_tag_index");
   }
   CostBreakdown& cost = out->cost;
-  IoCounters start = disk_->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
   const Schema& pschema = parent_rel_.schema();
   const Schema& cschema = child_rel_.schema();
 
@@ -320,13 +320,13 @@ Status ProceduralDatabase::ExecuteRetrieve(const Query& q,
       OBJREP_RETURN_NOT_OK(it.Next());
     }
   }
-  cost.par_io = (disk_->counters() - start).total();
+  cost.par_io = (CurrentThreadIo() - start).total();
 
   for (ParentWork& w : work) {
     switch (strategy) {
       case ProcStrategy::kExec:
       case ProcStrategy::kExecIndexed: {
-        IoBracket child_bracket(disk_.get(), &cost.child_io);
+        IoBracket child_bracket(&cost.child_io);
         std::vector<std::string> records;
         if (strategy == ProcStrategy::kExecIndexed) {
           OBJREP_RETURN_NOT_OK(RunStoredQueryIndexed(w.tag, &records));
@@ -340,7 +340,7 @@ Status ProceduralDatabase::ExecuteRetrieve(const Query& q,
       case ProcStrategy::kCacheOutside: {
         uint64_t hk = QueryHashKey(w.tag);
         if (outside_cache_->IsCached(hk)) {
-          IoBracket cache_bracket(disk_.get(), &cost.cache_io);
+          IoBracket cache_bracket(&cost.cache_io);
           std::string blob;
           OBJREP_RETURN_NOT_OK(outside_cache_->FetchUnit(hk, &blob));
           std::vector<std::string_view> records;
@@ -349,7 +349,7 @@ Status ProceduralDatabase::ExecuteRetrieve(const Query& q,
         } else {
           std::vector<std::string> records;
           {
-            IoBracket child_bracket(disk_.get(), &cost.child_io);
+            IoBracket child_bracket(&cost.child_io);
             OBJREP_RETURN_NOT_OK(RunStoredQuery(w.tag, &records));
           }
           std::vector<std::string_view> views(records.begin(),
@@ -364,7 +364,7 @@ Status ProceduralDatabase::ExecuteRetrieve(const Query& q,
             members.push_back(
                 Oid::FromPacked(static_cast<uint64_t>(oid_val.as_int64())));
           }
-          IoBracket cache_bracket(disk_.get(), &cost.cache_io);
+          IoBracket cache_bracket(&cost.cache_io);
           OBJREP_RETURN_NOT_OK(
               outside_cache_->InsertUnit(hk, members, EncodeUnitBlob(records)));
         }
@@ -379,10 +379,10 @@ Status ProceduralDatabase::ExecuteRetrieve(const Query& q,
           // contents").
           std::string blob;
           {
-            IoBracket cache_bracket(disk_.get(), &cost.cache_io);
+            IoBracket cache_bracket(&cost.cache_io);
             OBJREP_RETURN_NOT_OK(outside_cache_->FetchUnit(hk, &blob));
           }
-          IoBracket child_bracket(disk_.get(), &cost.child_io);
+          IoBracket child_bracket(&cost.child_io);
           for (uint32_t key : DecodeKeyList(blob)) {
             std::string raw;
             OBJREP_RETURN_NOT_OK(child_rel_.tree().Get(key, &raw));
@@ -396,7 +396,7 @@ Status ProceduralDatabase::ExecuteRetrieve(const Query& q,
         }
         std::vector<std::string> records;
         {
-          IoBracket child_bracket(disk_.get(), &cost.child_io);
+          IoBracket child_bracket(&cost.child_io);
           OBJREP_RETURN_NOT_OK(RunStoredQuery(w.tag, &records));
         }
         std::vector<std::string_view> views(records.begin(), records.end());
@@ -410,7 +410,7 @@ Status ProceduralDatabase::ExecuteRetrieve(const Query& q,
           keys.push_back(oid.key);
           members.push_back(oid);
         }
-        IoBracket cache_bracket(disk_.get(), &cost.cache_io);
+        IoBracket cache_bracket(&cost.cache_io);
         OBJREP_RETURN_NOT_OK(
             outside_cache_->InsertUnit(hk, members, EncodeKeyList(keys)));
         break;
@@ -424,14 +424,14 @@ Status ProceduralDatabase::ExecuteRetrieve(const Query& q,
         }
         std::vector<std::string> records;
         {
-          IoBracket child_bracket(disk_.get(), &cost.child_io);
+          IoBracket child_bracket(&cost.child_io);
           OBJREP_RETURN_NOT_OK(RunStoredQuery(w.tag, &records));
         }
         std::vector<std::string_view> views(records.begin(), records.end());
         OBJREP_RETURN_NOT_OK(project_records(views));
         // Cache inside the parent tuple: rewrite it with the blob. The
         // tuple grows, so this is a delete + insert, not an in-place write.
-        IoBracket cache_bracket(disk_.get(), &cost.cache_io);
+        IoBracket cache_bracket(&cost.cache_io);
         std::vector<Value> row;
         OBJREP_RETURN_NOT_OK(parent_rel_.Get(w.key, &row));
         row[kPpCached] = Value(EncodeUnitBlob(records));

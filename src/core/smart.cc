@@ -22,7 +22,7 @@ Status SmartStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
     return CachedDepthFirstRetrieve(db_, q, out);
   }
   CostBreakdown& cost = out->cost;
-  IoCounters start = db_->disk->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
 
   std::map<RelationId, TempFile> temps;
   OBJREP_RETURN_NOT_OK(ScanParents(
@@ -32,7 +32,7 @@ Status SmartStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
         {
           // Atomic probe+fetch (see dfs_cache.cc): concurrent eviction
           // must read as a miss, not a NotFound error.
-          IoBracket cache_bracket(db_->disk.get(), &cost.cache_io);
+          IoBracket cache_bracket(&cost.cache_io);
           bool found = false;
           std::string blob;
           OBJREP_RETURN_NOT_OK(db_->cache->TryFetchUnit(hashkey, &blob,
@@ -44,7 +44,7 @@ Status SmartStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
             return Status::OK();
           }
         }
-        IoBracket temp_bracket(db_->disk.get(), &cost.temp_io);
+        IoBracket temp_bracket(&cost.temp_io);
         for (const Oid& oid : unit) {
           auto it = temps.find(oid.rel);
           if (it == temps.end()) {
@@ -56,14 +56,14 @@ Status SmartStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
         }
         return Status::OK();
       }));
-  uint64_t scan_total = (db_->disk->counters() - start).total();
+  uint64_t scan_total = (CurrentThreadIo() - start).total();
   cost.par_io = scan_total - cost.temp_io - cost.cache_io;
 
   for (auto& [rel_id, temp] : temps) {
     temp.Seal();
     TempFile sorted;
     {
-      IoBracket temp_bracket(db_->disk.get(), &cost.temp_io);
+      IoBracket temp_bracket(&cost.temp_io);
       SortOptions opts;
       opts.reclaim_runs = db_->spec.reclaim_temp_pages;
       OBJREP_RETURN_NOT_OK(
@@ -76,7 +76,7 @@ Status SmartStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
     if (table == nullptr) {
       return Status::Corruption("temp references unknown relation");
     }
-    IoBracket child_bracket(db_->disk.get(), &cost.child_io);
+    IoBracket child_bracket(&cost.child_io);
     ScopedIoTag heap_tag(IoTag::kHeapFetch);
     OBJREP_RETURN_NOT_OK(MergeJoinSortedKeys(
         sorted.Read(), table->tree(),
@@ -89,7 +89,7 @@ Status SmartStrategy::ExecuteRetrieve(const Query& q, RetrieveResult* out) {
           return Status::OK();
         }));
     if (db_->spec.reclaim_temp_pages) {
-      IoBracket temp_bracket(db_->disk.get(), &cost.temp_io);
+      IoBracket temp_bracket(&cost.temp_io);
       OBJREP_RETURN_NOT_OK(sorted.FreePages());
     }
   }

@@ -115,7 +115,7 @@ Status ValueRepDatabase::Build(const ComplexDatabase& src,
 
 Status ValueRepDatabase::ExecuteRetrieve(const Query& q,
                                          RetrieveResult* out) {
-  IoCounters start = disk_->counters();
+  const ThreadIoSnapshot start = CurrentThreadIo();
   BPlusTree::Iterator it = value_rel_.tree().NewIterator();
   OBJREP_RETURN_NOT_OK(it.Seek(q.lo_parent));
   const uint64_t end = static_cast<uint64_t>(q.lo_parent) + q.num_top;
@@ -134,7 +134,7 @@ Status ValueRepDatabase::ExecuteRetrieve(const Query& q,
     OBJREP_RETURN_NOT_OK(it.Next());
   }
   // Value-based retrieval is one contiguous scan: all ParCost.
-  out->cost.par_io = (disk_->counters() - start).total();
+  out->cost.par_io = (CurrentThreadIo() - start).total();
   return Status::OK();
 }
 

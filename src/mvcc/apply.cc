@@ -83,12 +83,12 @@ Status FoldMvcc(ComplexDatabase* db) {
 
   // The fold's own pool transaction is durable and write-through, so
   // every MVCC commit it covers is now redundant in the log: appending
-  // their deferred kApplied records lets the WAL truncate. A crash before
-  // this point replays the kMvccUpdate records over the folded base —
-  // absolute values, so the replay converges.
+  // their deferred kApplied records lets the WAL's MVCC log truncate. A
+  // crash before this point replays the kMvccUpdate records over the
+  // folded base — absolute values, so the replay converges.
   if (db->wal != nullptr) {
     for (uint64_t t : folded.wal_txns) {
-      OBJREP_RETURN_NOT_OK(db->wal->AppendApplied(t));
+      OBJREP_RETURN_NOT_OK(db->wal->AppendMvccApplied(t));
     }
   }
   return Status::OK();

@@ -25,6 +25,7 @@
 // whole database; the shard loader loads one slice per shard.
 #include <algorithm>
 #include <numeric>
+#include <string_view>
 
 #include "objstore/database.h"
 #include "util/random.h"
@@ -43,70 +44,86 @@ Status LoadClusterRel(const ComplexDatabase& truth, const VolumeSlice& slice,
 
   // 1. Claim: a subobject is physically placed with the first unit that
   //    claims it, in its owner's cluster.
-  std::unordered_set<uint64_t> placed;
+  ChildSet placed(truth);
   std::vector<std::vector<Oid>> claimed(spec.num_parents);
   for (const auto& [u, owner] : slice.claims) {
     for (const Oid& oid : truth.units[u]) {
-      if (placed.insert(oid.Packed()).second) {
-        claimed[owner].push_back(oid);
-      }
+      if (placed.Insert(oid)) claimed[owner].push_back(oid);
     }
   }
 
-  // 2. Emit cluster rows in composite-key order:
-  //    (parent key, 0) = parent record, (parent key, 1..) = its claim.
-  std::vector<std::pair<uint64_t, std::vector<Value>>> rows;
-  rows.reserve(slice.parents.size() * (1 + spec.size_unit));
-  std::vector<IsamIndex::Entry> isam_entries;
-  for (uint32_t p : slice.parents) {
-    ParentRow prow = truth.ParentRowOf(p);
-    if (slice.whole) {
-      // The whole-database load reads ParentRel back through the pool and
-      // checks it against the generated row. The paper figures were
-      // measured from the pool state these reads leave behind.
-      std::vector<Value> vals;
+  // 2. The whole-database load reads ParentRel back through the pool and
+  //    checks it against the generated rows, all before ClusterRel's first
+  //    page. The paper figures were measured from the pool state these
+  //    reads leave behind.
+  if (slice.whole) {
+    std::vector<Value> vals;
+    for (uint32_t p : slice.parents) {
       OBJREP_RETURN_NOT_OK(db->parent_rel->Get(p, &vals));
-      if (vals[kParentRet1].as_int32() != prow.ret1 ||
-          vals[kParentRet2].as_int32() != prow.ret2 ||
-          vals[kParentRet3].as_int32() != prow.ret3) {
+      if (vals[kParentRet1].as_int32() != truth.parent_rets[p][0] ||
+          vals[kParentRet2].as_int32() != truth.parent_rets[p][1] ||
+          vals[kParentRet3].as_int32() != truth.parent_rets[p][2]) {
         return Status::Corruption("ParentRel row differs from generation");
       }
     }
-    rows.emplace_back(ClusterKey(p, 0),
-                      ClusterParentValues(prow, db->parent_dummy_width));
-    uint32_t seq = 1;
-    for (const Oid& oid : claimed[p]) {
-      std::vector<Value> cvals =
-          ClusterChildValues(truth.ChildRowOf(oid), db->child_dummy_width);
-      cvals[kClusterNo] = Value(static_cast<int64_t>(p));
-      uint64_t key = ClusterKey(p, seq++);
-      isam_entries.push_back(IsamIndex::Entry{oid.Packed(), key});
-      rows.emplace_back(key, std::move(cvals));
-    }
   }
 
-  // 3. Orphan subobjects (possible when OverlapFactor > 1 leaves a child
-  //    in no unit).
+  // 3. Stream cluster rows in composite-key order: (parent key, 0) is the
+  //    parent record, (parent key, 1..) its claim; then the orphan
+  //    subobjects (possible when OverlapFactor > 1 leaves a child in no
+  //    unit), spec.size_unit to a trailing cluster.
+  std::vector<Value> parent_row =
+      ClusterParentValues(ParentRow{}, db->parent_dummy_width);
+  std::vector<Value> child_row =
+      ClusterChildValues(ChildRow{}, db->child_dummy_width);
+  std::vector<IsamIndex::Entry> isam_entries;
+  size_t pi = 0;      // slice.parents index of the current cluster
+  uint32_t seq = 0;   // next sequence number within it
+  size_t rel = 0;     // orphan scan position: child relation, then key
+  size_t key = 0;
   uint64_t orphan_cluster = spec.num_parents;
   uint32_t orphan_seq = 0;
-  for (const std::vector<ChildRow>& child_rows : truth.child_rows) {
-    for (const ChildRow& crow : child_rows) {
-      uint64_t packed = crow.oid.Packed();
-      if (!slice.StoresChild(packed) || placed.count(packed) != 0) continue;
-      if (orphan_seq == spec.size_unit) {
-        ++orphan_cluster;
-        orphan_seq = 0;
+  auto next = [&](uint64_t* out_key) -> const std::vector<Value>* {
+    while (pi < slice.parents.size()) {
+      const uint32_t p = slice.parents[pi];
+      if (seq == 0) {
+        ++seq;
+        *out_key = ClusterKey(p, 0);
+        SetClusterParentValues(Oid{truth.parent_rel->rel_id(), p},
+                               truth.parent_rets[p],
+                               truth.units[truth.unit_of_parent[p]],
+                               &parent_row);
+        return &parent_row;
       }
-      std::vector<Value> cvals =
-          ClusterChildValues(crow, db->child_dummy_width);
-      cvals[kClusterNo] = Value(static_cast<int64_t>(orphan_cluster));
-      uint64_t key = ClusterKey(orphan_cluster, orphan_seq++);
-      isam_entries.push_back(IsamIndex::Entry{packed, key});
-      rows.emplace_back(key, std::move(cvals));
+      if (seq <= claimed[p].size()) {
+        const Oid& oid = claimed[p][seq - 1];
+        *out_key = ClusterKey(p, seq++);
+        isam_entries.push_back(IsamIndex::Entry{oid.Packed(), *out_key});
+        SetClusterChildValues(truth.ChildRowOf(oid), p, &child_row);
+        return &child_row;
+      }
+      ++pi;
+      seq = 0;
     }
-  }
-
-  OBJREP_RETURN_NOT_OK(db->cluster_rel->BulkLoad(db->pool.get(), rows));
+    for (; rel < truth.child_rows.size(); ++rel, key = 0) {
+      while (key < truth.child_rows[rel].size()) {
+        const ChildRow& crow = truth.child_rows[rel][key++];
+        if (!slice.StoresChild(crow.oid) || placed.Contains(crow.oid)) {
+          continue;
+        }
+        if (orphan_seq == spec.size_unit) {
+          ++orphan_cluster;
+          orphan_seq = 0;
+        }
+        *out_key = ClusterKey(orphan_cluster, orphan_seq++);
+        isam_entries.push_back(IsamIndex::Entry{crow.oid.Packed(), *out_key});
+        SetClusterChildValues(crow, orphan_cluster, &child_row);
+        return &child_row;
+      }
+    }
+    return nullptr;
+  };
+  OBJREP_RETURN_NOT_OK(db->cluster_rel->BulkLoad(db->pool.get(), next));
 
   std::sort(isam_entries.begin(), isam_entries.end(),
             [](const IsamIndex::Entry& a, const IsamIndex::Entry& b) {
@@ -116,6 +133,15 @@ Status LoadClusterRel(const ComplexDatabase& truth, const VolumeSlice& slice,
 }
 
 }  // namespace
+
+ChildSet::ChildSet(const ComplexDatabase& db)
+    : first_rel_(db.child_rels.front()->rel_id()) {
+  bits_.reserve(db.child_rows.size());
+  for (size_t r = 0; r < db.child_rows.size(); ++r) {
+    OBJREP_CHECK(db.child_rels[r]->rel_id() == first_rel_ + r);
+    bits_.emplace_back(db.child_rows[r].size(), false);
+  }
+}
 
 void RegisterRelations(ComplexDatabase* db) {
   const DatabaseSpec& spec = db->spec;
@@ -253,25 +279,38 @@ Status LoadVolume(const ComplexDatabase& truth, const VolumeSlice& slice,
 
   // --- Bulk load ParentRel. ---
   {
-    std::vector<std::pair<uint64_t, std::vector<Value>>> rows;
-    rows.reserve(slice.parents.size());
-    for (uint32_t p : slice.parents) {
-      rows.emplace_back(
-          p, ParentRowValues(truth.ParentRowOf(p), db->parent_dummy_width));
-    }
-    OBJREP_RETURN_NOT_OK(db->parent_rel->BulkLoad(db->pool.get(), rows));
+    std::vector<Value> row =
+        ParentRowValues(ParentRow{}, db->parent_dummy_width);
+    size_t i = 0;
+    OBJREP_RETURN_NOT_OK(db->parent_rel->BulkLoad(
+        db->pool.get(), [&](uint64_t* key) -> const std::vector<Value>* {
+          if (i == slice.parents.size()) return nullptr;
+          const uint32_t p = slice.parents[i++];
+          *key = p;
+          SetParentRowValues(Oid{truth.parent_rel->rel_id(), p},
+                             truth.parent_rets[p],
+                             truth.units[truth.unit_of_parent[p]], &row);
+          return &row;
+        }));
   }
 
   // --- Bulk load each ChildRel: the stored keys, ascending. ---
   for (uint32_t r = 0; r < spec.num_child_rels; ++r) {
-    std::vector<std::pair<uint64_t, std::vector<Value>>> rows;
-    rows.reserve(truth.child_rows[r].size());
-    for (const ChildRow& row : truth.child_rows[r]) {
-      if (!slice.StoresChild(row.oid.Packed())) continue;
-      rows.emplace_back(row.oid.key,
-                        ChildRowValues(row, db->child_dummy_width));
-    }
-    OBJREP_RETURN_NOT_OK(db->child_rels[r]->BulkLoad(db->pool.get(), rows));
+    const std::vector<ChildRow>& child_rows = truth.child_rows[r];
+    std::vector<Value> row =
+        ChildRowValues(ChildRow{}, db->child_dummy_width);
+    size_t i = 0;
+    OBJREP_RETURN_NOT_OK(db->child_rels[r]->BulkLoad(
+        db->pool.get(), [&](uint64_t* key) -> const std::vector<Value>* {
+          while (i < child_rows.size()) {
+            const ChildRow& crow = child_rows[i++];
+            if (!slice.StoresChild(crow.oid)) continue;
+            *key = crow.oid.key;
+            SetChildRowValues(crow, &row);
+            return &row;
+          }
+          return nullptr;
+        }));
   }
 
   if (spec.build_cluster) {
@@ -280,19 +319,26 @@ Status LoadVolume(const ComplexDatabase& truth, const VolumeSlice& slice,
 
   if (spec.build_join_index) {
     // Dense (object, position) -> subobject OID mapping, in object order.
-    std::vector<BPlusTree::Entry> entries;
-    entries.reserve(slice.parents.size() * spec.size_unit);
-    for (uint32_t p : slice.parents) {
-      const std::vector<Oid>& unit = truth.units[truth.unit_of_parent[p]];
-      for (uint32_t j = 0; j < unit.size(); ++j) {
-        uint64_t packed = unit[j].Packed();
-        entries.push_back(BPlusTree::Entry{
-            (static_cast<uint64_t>(p) << 12) | j,
-            std::string(reinterpret_cast<const char*>(&packed), 8)});
-      }
-    }
-    OBJREP_RETURN_NOT_OK(
-        BPlusTree::BulkLoad(db->pool.get(), entries, &db->join_index));
+    size_t i = 0;
+    uint32_t j = 0;
+    uint64_t packed = 0;
+    OBJREP_RETURN_NOT_OK(BPlusTree::BulkLoad(
+        db->pool.get(),
+        [&](uint64_t* key, std::string_view* value) {
+          for (; i < slice.parents.size(); ++i, j = 0) {
+            const uint32_t p = slice.parents[i];
+            const std::vector<Oid>& unit =
+                truth.units[truth.unit_of_parent[p]];
+            if (j == unit.size()) continue;
+            *key = (static_cast<uint64_t>(p) << 12) | j;
+            packed = unit[j++].Packed();
+            *value =
+                std::string_view(reinterpret_cast<const char*>(&packed), 8);
+            return true;
+          }
+          return false;
+        },
+        &db->join_index));
     db->has_join_index = true;
   }
 

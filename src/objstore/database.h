@@ -17,7 +17,6 @@
 
 #include <array>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -127,6 +126,31 @@ Status GenerateDatabase(const DatabaseSpec& spec,
 /// on packed OIDs.
 void RegisterRelations(ComplexDatabase* db);
 
+/// A set of the child rows of one generated database: a bitmap per child
+/// relation, indexed by key. Child keys are dense (0..children_per_rel-1)
+/// and child relation ids consecutive, so no hashing is needed.
+class ChildSet {
+ public:
+  ChildSet() = default;
+  /// An empty set sized for every child row of `db`.
+  explicit ChildSet(const ComplexDatabase& db);
+
+  /// Adds `oid`; returns false when it was already present.
+  bool Insert(const Oid& oid) {
+    std::vector<bool>::reference bit = bits_[oid.rel - first_rel_][oid.key];
+    if (bit) return false;
+    bit = true;
+    return true;
+  }
+  bool Contains(const Oid& oid) const {
+    return bits_[oid.rel - first_rel_][oid.key];
+  }
+
+ private:
+  RelationId first_rel_ = 0;
+  std::vector<std::vector<bool>> bits_;  // [rel - first_rel_][key]
+};
+
 /// The part of a generated database that one volume stores.
 struct VolumeSlice {
   /// Every row: the single-engine build. A whole load also reads each
@@ -134,23 +158,24 @@ struct VolumeSlice {
   bool whole = false;
   /// ParentRel keys stored, ascending.
   std::vector<uint32_t> parents;
-  /// Packed OIDs of the child rows stored, unless `whole`.
-  std::unordered_set<uint64_t> children;
+  /// The child rows stored, unless `whole`.
+  ChildSet children;
   /// Clustering only: (unit, owning parent) in claim order. Each unit
   /// places its members not yet placed in its owner's cluster.
   std::vector<std::pair<uint32_t, uint32_t>> claims;
 
-  bool StoresChild(uint64_t packed) const {
-    return whole || children.count(packed) != 0;
+  bool StoresChild(const Oid& oid) const {
+    return whole || children.Contains(oid);
   }
 };
 
 /// Loads `slice` of the generated database `truth` into `db`, whose spec
 /// and relations are already registered (`db` may be `truth` itself): a
 /// fresh disk and pool, the bulk-loaded relations and indexes, then cache,
-/// WAL and MVCC. It flushes before it applies the spec's device latency
-/// and read-ahead, so the build sleeps on no simulated device, and returns
-/// with the I/O counters reset.
+/// WAL and MVCC. Rows stream from the generated truth straight into the
+/// leaves, one reused row per relation. It flushes before it applies the
+/// spec's device latency and read-ahead, so the build sleeps on no
+/// simulated device, and returns with the I/O counters reset.
 Status LoadVolume(const ComplexDatabase& truth, const VolumeSlice& slice,
                   ComplexDatabase* db);
 

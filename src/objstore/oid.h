@@ -35,14 +35,21 @@ struct Oid {
   }
 };
 
+/// Serializes an OID list into `*out`, the `children` attribute payload,
+/// reusing its storage.
+inline void EncodeOidListTo(const std::vector<Oid>& oids, std::string* out) {
+  out->clear();
+  for (const Oid& oid : oids) {
+    uint64_t packed = oid.Packed();
+    out->append(reinterpret_cast<const char*>(&packed), 8);
+  }
+}
+
 /// Serializes an OID list into the `children` attribute payload.
 inline std::string EncodeOidList(const std::vector<Oid>& oids) {
   std::string out;
   out.reserve(oids.size() * 8);
-  for (const Oid& oid : oids) {
-    uint64_t packed = oid.Packed();
-    out.append(reinterpret_cast<const char*>(&packed), 8);
-  }
+  EncodeOidListTo(oids, &out);
   return out;
 }
 

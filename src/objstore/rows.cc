@@ -63,50 +63,80 @@ uint32_t ChildDummyWidth(uint32_t target_bytes) {
 
 std::vector<Value> ParentRowValues(const ParentRow& row,
                                    uint32_t dummy_width) {
-  return {
-      Value(static_cast<int64_t>(row.oid.Packed())),
-      Value(row.ret1),
-      Value(row.ret2),
-      Value(row.ret3),
-      Value(DummyPayload(dummy_width)),
-      Value(EncodeOidList(row.children)),
-  };
+  std::vector<Value> values(6);
+  values[kParentDummy] = Value(DummyPayload(dummy_width));
+  values[kParentChildren] = Value(std::string());
+  SetParentRowValues(row.oid, {row.ret1, row.ret2, row.ret3}, row.children,
+                     &values);
+  return values;
 }
 
 std::vector<Value> ChildRowValues(const ChildRow& row, uint32_t dummy_width) {
-  return {
-      Value(static_cast<int64_t>(row.oid.Packed())),
-      Value(row.ret1),
-      Value(row.ret2),
-      Value(row.ret3),
-      Value(DummyPayload(dummy_width)),
-  };
+  std::vector<Value> values(5);
+  values[kChildDummy] = Value(DummyPayload(dummy_width));
+  SetChildRowValues(row, &values);
+  return values;
 }
 
 std::vector<Value> ClusterParentValues(const ParentRow& row,
                                        uint32_t parent_dummy_width) {
-  return {
-      Value(static_cast<int64_t>(row.oid.key)),  // cluster# == parent key
-      Value(static_cast<int64_t>(row.oid.Packed())),
-      Value(row.ret1),
-      Value(row.ret2),
-      Value(row.ret3),
-      Value(DummyPayload(parent_dummy_width)),
-      Value(EncodeOidList(row.children)),
-  };
+  std::vector<Value> values(7);
+  values[kClusterDummy] = Value(DummyPayload(parent_dummy_width));
+  values[kClusterChildren] = Value(std::string());
+  SetClusterParentValues(row.oid, {row.ret1, row.ret2, row.ret3},
+                         row.children, &values);
+  return values;
 }
 
 std::vector<Value> ClusterChildValues(const ChildRow& row,
                                       uint32_t child_dummy_width) {
-  return {
-      Value(int64_t{0}),  // cluster# filled by the builder via the key
-      Value(static_cast<int64_t>(row.oid.Packed())),
-      Value(row.ret1),
-      Value(row.ret2),
-      Value(row.ret3),
-      Value(DummyPayload(child_dummy_width)),
-      Value(std::string()),
-  };
+  std::vector<Value> values(7);
+  values[kClusterDummy] = Value(DummyPayload(child_dummy_width));
+  values[kClusterChildren] = Value(std::string());
+  SetClusterChildValues(row, 0, &values);  // cluster# set by the builder
+  return values;
+}
+
+void SetParentRowValues(const Oid& oid, const std::array<int32_t, 3>& rets,
+                        const std::vector<Oid>& children,
+                        std::vector<Value>* values) {
+  std::vector<Value>& v = *values;
+  v[kParentOid] = Value(static_cast<int64_t>(oid.Packed()));
+  v[kParentRet1] = Value(rets[0]);
+  v[kParentRet2] = Value(rets[1]);
+  v[kParentRet3] = Value(rets[2]);
+  EncodeOidListTo(children, &v[kParentChildren].mutable_string());
+}
+
+void SetChildRowValues(const ChildRow& row, std::vector<Value>* values) {
+  std::vector<Value>& v = *values;
+  v[kChildOid] = Value(static_cast<int64_t>(row.oid.Packed()));
+  v[kChildRet1] = Value(row.ret1);
+  v[kChildRet2] = Value(row.ret2);
+  v[kChildRet3] = Value(row.ret3);
+}
+
+void SetClusterParentValues(const Oid& oid,
+                            const std::array<int32_t, 3>& rets,
+                            const std::vector<Oid>& children,
+                            std::vector<Value>* values) {
+  std::vector<Value>& v = *values;
+  v[kClusterNo] = Value(static_cast<int64_t>(oid.key));  // == parent key
+  v[kClusterOid] = Value(static_cast<int64_t>(oid.Packed()));
+  v[kClusterRet1] = Value(rets[0]);
+  v[kClusterRet2] = Value(rets[1]);
+  v[kClusterRet3] = Value(rets[2]);
+  EncodeOidListTo(children, &v[kClusterChildren].mutable_string());
+}
+
+void SetClusterChildValues(const ChildRow& row, uint64_t cluster_no,
+                           std::vector<Value>* values) {
+  std::vector<Value>& v = *values;
+  v[kClusterNo] = Value(static_cast<int64_t>(cluster_no));
+  v[kClusterOid] = Value(static_cast<int64_t>(row.oid.Packed()));
+  v[kClusterRet1] = Value(row.ret1);
+  v[kClusterRet2] = Value(row.ret2);
+  v[kClusterRet3] = Value(row.ret3);
 }
 
 Status DecodeChildRet(const Schema& schema, std::string_view raw,

@@ -11,6 +11,7 @@
 #ifndef OBJREP_OBJSTORE_ROWS_H_
 #define OBJREP_OBJSTORE_ROWS_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -87,6 +88,25 @@ std::vector<Value> ClusterParentValues(const ParentRow& row,
                                        uint32_t parent_dummy_width);
 std::vector<Value> ClusterChildValues(const ChildRow& row,
                                       uint32_t child_dummy_width);
+
+// In-place forms for bulk loads: each rewrites the per-row fields of
+// `values`, a vector the matching function above made. The dummy payload
+// (and a cluster child's empty children list) stays, so one vector and one
+// payload serve a whole relation.
+
+/// Parent `oid`'s row, whose unit is `children`.
+void SetParentRowValues(const Oid& oid, const std::array<int32_t, 3>& rets,
+                        const std::vector<Oid>& children,
+                        std::vector<Value>* values);
+void SetChildRowValues(const ChildRow& row, std::vector<Value>* values);
+/// The cluster record of parent `oid` (its cluster# is its key).
+void SetClusterParentValues(const Oid& oid,
+                            const std::array<int32_t, 3>& rets,
+                            const std::vector<Oid>& children,
+                            std::vector<Value>* values);
+/// Child `row` placed in cluster `cluster_no`.
+void SetClusterChildValues(const ChildRow& row, uint64_t cluster_no,
+                           std::vector<Value>* values);
 
 /// Composite ClusterRel key: cluster number in the high bits, sequence
 /// within the cluster in the low 12 bits. All records of one cluster are

@@ -26,6 +26,8 @@ class Value {
   int32_t as_int32() const { return std::get<int32_t>(v_); }
   int64_t as_int64() const { return std::get<int64_t>(v_); }
   const std::string& as_string() const { return std::get<std::string>(v_); }
+  /// The string payload, for a caller that rewrites it in place.
+  std::string& mutable_string() { return std::get<std::string>(v_); }
 
   bool operator==(const Value& other) const { return v_ == other.v_; }
 

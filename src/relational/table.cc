@@ -2,17 +2,33 @@
 
 namespace objrep {
 
+Status Table::BulkLoad(BufferPool* pool, const RowSource& next) {
+  std::string encoded;
+  Status encode_status;
+  Status s = BPlusTree::BulkLoad(
+      pool,
+      [&](uint64_t* key, std::string_view* value) {
+        const std::vector<Value>* values = next(key);
+        if (values == nullptr) return false;
+        encode_status = EncodeRecord(schema_, *values, &encoded);
+        if (!encode_status.ok()) return false;
+        *value = encoded;
+        return true;
+      },
+      &tree_);
+  OBJREP_RETURN_NOT_OK(encode_status);
+  return s;
+}
+
 Status Table::BulkLoad(
     BufferPool* pool,
     const std::vector<std::pair<uint64_t, std::vector<Value>>>& rows) {
-  std::vector<BPlusTree::Entry> entries;
-  entries.reserve(rows.size());
-  for (const auto& [key, values] : rows) {
-    std::string encoded;
-    OBJREP_RETURN_NOT_OK(EncodeRecord(schema_, values, &encoded));
-    entries.push_back(BPlusTree::Entry{key, std::move(encoded)});
-  }
-  return BPlusTree::BulkLoad(pool, entries, &tree_);
+  size_t i = 0;
+  return BulkLoad(pool, [&](uint64_t* key) -> const std::vector<Value>* {
+    if (i == rows.size()) return nullptr;
+    *key = rows[i].first;
+    return &rows[i++].second;
+  });
 }
 
 Status Table::Insert(uint64_t key, const std::vector<Value>& values) {

@@ -6,6 +6,7 @@
 #define OBJREP_RELATIONAL_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -21,11 +22,20 @@ using RelationId = uint32_t;
 
 class Table {
  public:
+  /// Bulk-load input: each call sets `*key` and returns the next row's
+  /// values, or returns nullptr once the input is exhausted. The values must
+  /// stay valid until the next call, so a source can keep one row and
+  /// rewrite only the fields that change.
+  using RowSource = std::function<const std::vector<Value>*(uint64_t* key)>;
+
   Table() = default;
   Table(std::string name, RelationId rel_id, Schema schema)
       : name_(std::move(name)), rel_id_(rel_id), schema_(std::move(schema)) {}
 
-  /// Bulk loads rows sorted by strictly increasing key.
+  /// Bulk loads the rows `next` yields, in strictly increasing key order,
+  /// encoding each into one reused buffer (BPlusTree::BulkLoad).
+  Status BulkLoad(BufferPool* pool, const RowSource& next);
+  /// BulkLoad over a vector of rows.
   Status BulkLoad(BufferPool* pool,
                   const std::vector<std::pair<uint64_t, std::vector<Value>>>&
                       rows);

@@ -4,14 +4,14 @@
 // follow their users — a child row is replicated onto every shard that
 // hosts a parent using a unit containing it, so each shard can answer
 // retrieves for its local parents without cross-shard probes. The router
-// records that placement as the *holder set* of each child OID; updates
-// fan out to every holder, which is what keeps the replicas (and each
-// shard's cache, via the per-shard I-lock path) coherent.
+// records that placement as the *holder set* of each child OID, a bitmask
+// of shards; updates fan out to every holder, which is what keeps the
+// replicas (and each shard's cache, via the per-shard I-lock path)
+// coherent.
 #ifndef OBJREP_SHARD_ROUTER_H_
 #define OBJREP_SHARD_ROUTER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "objstore/oid.h"
@@ -40,18 +40,22 @@ class ShardRouter {
                                  num_shards_);
   }
 
-  /// Records that `shard` holds a replica of the child OID. Idempotent;
-  /// the holder list stays sorted and unique.
-  void AddHolder(uint64_t packed_oid, uint32_t shard);
+  /// Records that `shard` holds a replica of child `oid`. Idempotent.
+  /// `shard` must be below kMaxShards, the width of a holder mask.
+  void AddHolder(const Oid& oid, uint32_t shard);
 
-  /// Shards holding a replica of the child OID (sorted). Empty only for
+  /// Shards holding a replica of the child OID, ascending. Empty only for
   /// OIDs the build never saw.
-  const std::vector<uint32_t>& HoldersOf(uint64_t packed_oid) const;
+  std::vector<uint32_t> HoldersOf(uint64_t packed_oid) const;
+
+  /// Shards a holder mask can name.
+  static constexpr uint32_t kMaxShards = 64;
 
  private:
   uint32_t num_shards_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> holders_;
-  std::vector<uint32_t> no_holders_;
+  /// One bit per holding shard, indexed by relation id, then child key
+  /// (both dense); grown as the build adds holders.
+  std::vector<std::vector<uint64_t>> holder_masks_;
 };
 
 }  // namespace shard

@@ -1,8 +1,7 @@
 #include "shard/sharded_db.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_set>
+#include <cstdint>
 #include <utility>
 
 namespace objrep {
@@ -15,24 +14,24 @@ namespace {
 /// children parked here.
 Status BuildOneShard(const ComplexDatabase& ref,
                      const std::vector<uint32_t>& local,
-                     const std::vector<uint64_t>& local_orphans,
+                     const std::vector<Oid>& local_orphans,
                      std::unique_ptr<ComplexDatabase>* out) {
   VolumeSlice slice;
   slice.parents = local;
+  slice.children = ChildSet(ref);
 
-  // Units my parents use, ascending, each with its smallest local user.
-  std::map<uint32_t, uint32_t> first_user;
+  // Units my parents use, each with its smallest local user.
+  constexpr uint32_t kNoUser = UINT32_MAX;
+  std::vector<uint32_t> first_user(ref.units.size(), kNoUser);
   for (uint32_t p : local) {
-    first_user.emplace(ref.unit_of_parent[p], p);
+    uint32_t& user = first_user[ref.unit_of_parent[p]];
+    if (user == kNoUser) user = p;
   }
-  for (const auto& [u, user] : first_user) {
-    for (const Oid& oid : ref.units[u]) {
-      slice.children.insert(oid.Packed());
-    }
+  for (uint32_t u = 0; u < first_user.size(); ++u) {
+    if (first_user[u] == kNoUser) continue;
+    for (const Oid& oid : ref.units[u]) slice.children.Insert(oid);
   }
-  for (uint64_t packed : local_orphans) {
-    slice.children.insert(packed);
-  }
+  for (const Oid& oid : local_orphans) slice.children.Insert(oid);
 
   // ClusterRel: claim locally. The generated claim order interleaves all
   // parents; a shard only sees its own, so it claims deterministically
@@ -43,10 +42,11 @@ Status BuildOneShard(const ComplexDatabase& ref,
   // record carries the same unit list, and the local ISAM index covers
   // every local child, so DFSCLUST answers are identical.
   if (ref.spec.build_cluster) {
-    for (const auto& [u, user] : first_user) {
+    for (uint32_t u = 0; u < first_user.size(); ++u) {
+      if (first_user[u] == kNoUser) continue;
       uint32_t owner = ref.unit_owner[u];
       bool owner_local = std::binary_search(local.begin(), local.end(), owner);
-      slice.claims.emplace_back(u, owner_local ? owner : user);
+      slice.claims.emplace_back(u, owner_local ? owner : first_user[u]);
     }
   }
 
@@ -62,8 +62,8 @@ Status BuildOneShard(const ComplexDatabase& ref,
 
 Status BuildShardedDatabase(const DatabaseSpec& spec, uint32_t num_shards,
                             std::unique_ptr<ShardedDatabase>* out) {
-  if (num_shards == 0) {
-    return Status::InvalidArgument("num_shards must be positive");
+  if (num_shards == 0 || num_shards > ShardRouter::kMaxShards) {
+    return Status::InvalidArgument("num_shards must be in 1..64");
   }
   auto sdb = std::make_unique<ShardedDatabase>();
   sdb->spec = spec;
@@ -78,18 +78,16 @@ Status BuildShardedDatabase(const DatabaseSpec& spec, uint32_t num_shards,
 
   // Children referenced by no unit (possible when OverlapFactor > 1) park
   // on a hash-chosen shard so every child row lives somewhere.
-  std::unordered_set<uint64_t> in_some_unit;
+  ChildSet in_some_unit(ref);
   for (const std::vector<Oid>& unit : ref.units) {
-    for (const Oid& oid : unit) {
-      in_some_unit.insert(oid.Packed());
-    }
+    for (const Oid& oid : unit) in_some_unit.Insert(oid);
   }
-  std::vector<std::vector<uint64_t>> orphans_of(num_shards);
+  std::vector<std::vector<Oid>> orphans_of(num_shards);
   for (const std::vector<ChildRow>& rows : ref.child_rows) {
     for (const ChildRow& row : rows) {
-      uint64_t packed = row.oid.Packed();
-      if (in_some_unit.find(packed) == in_some_unit.end()) {
-        orphans_of[sdb->router.OrphanShardOf(packed)].push_back(packed);
+      if (!in_some_unit.Contains(row.oid)) {
+        orphans_of[sdb->router.OrphanShardOf(row.oid.Packed())].push_back(
+            row.oid);
       }
     }
   }
@@ -105,12 +103,10 @@ Status BuildShardedDatabase(const DatabaseSpec& spec, uint32_t num_shards,
   for (uint32_t k = 0; k < num_shards; ++k) {
     for (uint32_t p : sdb->local_parents[k]) {
       for (const Oid& oid : ref.units[ref.unit_of_parent[p]]) {
-        sdb->router.AddHolder(oid.Packed(), k);
+        sdb->router.AddHolder(oid, k);
       }
     }
-    for (uint64_t packed : orphans_of[k]) {
-      sdb->router.AddHolder(packed, k);
-    }
+    for (const Oid& oid : orphans_of[k]) sdb->router.AddHolder(oid, k);
   }
   *out = std::move(sdb);
   return Status::OK();

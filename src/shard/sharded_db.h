@@ -50,7 +50,8 @@ struct ShardedDatabase {
 };
 
 /// Generates `spec`'s ground truth, then loads its rows into `num_shards`
-/// independent engines. Deterministic in `spec.seed`.
+/// independent engines. Deterministic in `spec.seed`. InvalidArgument
+/// unless 1 <= num_shards <= ShardRouter::kMaxShards.
 /// Each shard returns flushed with zeroed I/O counters, like BuildDatabase.
 Status BuildShardedDatabase(const DatabaseSpec& spec, uint32_t num_shards,
                             std::unique_ptr<ShardedDatabase>* out);

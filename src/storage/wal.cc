@@ -60,33 +60,35 @@ uint64_t Wal::Begin() {
   return next_txn_++;
 }
 
-void Wal::AppendRecord(RecordType type, uint64_t txn, const void* head,
-                       uint32_t head_len, const void* body,
+void Wal::AppendRecord(Log* log, RecordType type, uint64_t txn,
+                       const void* head, uint32_t head_len, const void* body,
                        uint32_t body_len) {
+  std::vector<uint8_t>& bytes = log->bytes;
   const uint32_t payload_len = head_len + body_len;
-  size_t start = log_.size();
-  log_.push_back(static_cast<uint8_t>(type));
-  StoreLE<uint64_t>(&log_, txn);
-  StoreLE<uint32_t>(&log_, payload_len);
+  size_t start = bytes.size();
+  bytes.push_back(static_cast<uint8_t>(type));
+  StoreLE<uint64_t>(&bytes, txn);
+  StoreLE<uint32_t>(&bytes, payload_len);
   const auto* h = static_cast<const uint8_t*>(head);
   const auto* b = static_cast<const uint8_t*>(body);
-  log_.insert(log_.end(), h, h + head_len);
-  log_.insert(log_.end(), b, b + body_len);
-  uint64_t crc = Checksum64(log_.data() + start, kHeaderBytes + payload_len);
-  StoreLE<uint64_t>(&log_, crc);
+  bytes.insert(bytes.end(), h, h + head_len);
+  bytes.insert(bytes.end(), b, b + body_len);
+  uint64_t crc = Checksum64(bytes.data() + start, kHeaderBytes + payload_len);
+  StoreLE<uint64_t>(&bytes, crc);
   Metrics().records->Add(1);
-  Metrics().bytes->Add(log_.size() - start);
+  Metrics().bytes->Add(bytes.size() - start);
 }
 
 void Wal::AppendPageImage(uint64_t txn, PageId pid, const Page& image) {
   // The image goes straight from the frame into the log: one copy.
   std::lock_guard<std::mutex> guard(mu_);
-  AppendRecord(kPageImage, txn, &pid, sizeof(pid), image.data, kPageSize);
+  AppendRecord(&pages_, kPageImage, txn, &pid, sizeof(pid), image.data,
+               kPageSize);
 }
 
 void Wal::AppendFreePage(uint64_t txn, PageId pid) {
   std::lock_guard<std::mutex> guard(mu_);
-  AppendRecord(kFreePage, txn, &pid, sizeof(pid));
+  AppendRecord(&pages_, kFreePage, txn, &pid, sizeof(pid));
 }
 
 Status Wal::CommitMvccUpdate(uint64_t txn, uint64_t commit_ts,
@@ -103,26 +105,26 @@ Status Wal::CommitMvccUpdate(uint64_t txn, uint64_t commit_ts,
   }
   TraceSpan span("wal_commit", "wal");
   span.SetArg("txn", txn);
-  // Record and commit in one hold: a page transaction's AppendApplied may
-  // truncate the log between two holds, which would drop the record and
-  // leave a durable commit that redoes nothing.
+  // Record and commit in one hold: a fold's AppendMvccApplied may truncate
+  // the MVCC log between two holds, which would drop the record and leave
+  // a durable commit that redoes nothing.
   std::lock_guard<std::mutex> guard(mu_);
-  AppendRecord(kMvccUpdate, txn, payload.data(),
+  AppendRecord(&mvcc_, kMvccUpdate, txn, payload.data(),
                static_cast<uint32_t>(payload.size()));
-  return CommitLocked(txn);
+  return CommitLocked(&mvcc_, txn);
 }
 
-Status Wal::Sync() {
+Status Wal::Sync(Log* log) {
   FaultInjector* fi = disk_->fault_injector();
   Status torn = fi->MaybeCrash("wal.sync.torn");
   if (!torn.ok()) {
     // The device persisted part of the tail before dying. Cut roughly in
     // half — always making progress, and for multi-record tails always
     // landing inside a record so recovery must checksum-reject it.
-    durable_ += (log_.size() - durable_ + 1) / 2;
+    log->durable += (log->bytes.size() - log->durable + 1) / 2;
     return torn;
   }
-  durable_ = log_.size();
+  log->durable = log->bytes.size();
   Metrics().syncs->Add(1);
   return Status::OK();
 }
@@ -134,16 +136,16 @@ Status Wal::Commit(uint64_t txn) {
   TraceSpan span("wal_commit", "wal");
   span.SetArg("txn", txn);
   std::lock_guard<std::mutex> guard(mu_);
-  return CommitLocked(txn);
+  return CommitLocked(&pages_, txn);
 }
 
-Status Wal::CommitLocked(uint64_t txn) {
+Status Wal::CommitLocked(Log* log, uint64_t txn) {
   FaultInjector* fi = disk_->fault_injector();
-  AppendRecord(kCommit, txn, nullptr, 0);
+  AppendRecord(log, kCommit, txn, nullptr, 0);
   OBJREP_RETURN_NOT_OK(fi->MaybeCrash("wal.commit.before_sync"));
-  OBJREP_RETURN_NOT_OK(Sync());  // <- the commit point
+  OBJREP_RETURN_NOT_OK(Sync(log));  // <- the commit point
   ++committed_txns_;
-  ++open_applies_;
+  ++log->open_applies;
   Metrics().commits->Add(1);
   return fi->MaybeCrash("wal.commit.after_sync");
 }
@@ -152,16 +154,28 @@ Status Wal::AppendApplied(uint64_t txn) {
   TraceSpan span("wal_applied", "wal");
   span.SetArg("txn", txn);
   std::lock_guard<std::mutex> guard(mu_);
+  return AppliedLocked(&pages_, txn);
+}
+
+Status Wal::AppendMvccApplied(uint64_t txn) {
+  TraceSpan span("wal_applied", "wal");
+  span.SetArg("txn", txn);
+  std::lock_guard<std::mutex> guard(mu_);
+  return AppliedLocked(&mvcc_, txn);
+}
+
+Status Wal::AppliedLocked(Log* log, uint64_t txn) {
   FaultInjector* fi = disk_->fault_injector();
-  AppendRecord(kApplied, txn, nullptr, 0);
+  AppendRecord(log, kApplied, txn, nullptr, 0);
   OBJREP_RETURN_NOT_OK(fi->MaybeCrash("wal.applied.before_sync"));
-  OBJREP_RETURN_NOT_OK(Sync());
-  OBJREP_CHECK_MSG(open_applies_ > 0, "applied record without open commit");
-  if (--open_applies_ == 0) {
-    // Every committed transaction is written through: the entire log is
-    // redo-dead. Truncating here is the (free) checkpoint.
-    log_.clear();
-    durable_ = 0;
+  OBJREP_RETURN_NOT_OK(Sync(log));
+  OBJREP_CHECK_MSG(log->open_applies > 0,
+                   "applied record without open commit");
+  if (--log->open_applies == 0) {
+    // Every committed transaction of this log is written through: the
+    // whole log is redo-dead. Truncating here is the (free) checkpoint.
+    log->bytes.clear();
+    log->durable = 0;
   }
   return Status::OK();
 }
@@ -175,14 +189,15 @@ Status Wal::Recover(WalRecoveryStats* stats,
   if (mvcc_redo != nullptr) mvcc_redo->clear();
 
   struct TxnRecords {
-    std::vector<std::pair<PageId, size_t>> images;  // pid, payload offset
+    std::vector<std::pair<PageId, const uint8_t*>> images;  // pid, image
     std::vector<PageId> frees;
-    std::vector<size_t> mvcc;  // payload offsets of kMvccUpdate records
+    std::vector<const uint8_t*> mvcc;  // payloads of kMvccUpdate records
     bool committed = false;
     bool applied = false;
   };
-  // Commit order == log order (the pool serializes transactions), so an
-  // insertion-ordered vector with an id index is enough.
+  // Commit order == log order within each log (the pool serializes page
+  // transactions; MVCC commits are serialized), so an insertion-ordered
+  // vector with an id index is enough.
   std::vector<std::pair<uint64_t, TxnRecords>> txns;
   std::unordered_map<uint64_t, size_t> index;
   auto txn_of = [&](uint64_t id) -> TxnRecords& {
@@ -195,47 +210,53 @@ Status Wal::Recover(WalRecoveryStats* stats,
     return txns[it->second].second;
   };
 
-  // Parse the durable prefix, stopping at the first torn/corrupt record.
-  size_t pos = 0;
-  while (pos + kHeaderBytes + kTrailerBytes <= durable_) {
-    uint8_t type = log_[pos];
-    uint64_t txn = LoadLE<uint64_t>(log_.data() + pos + 1);
-    uint32_t len = LoadLE<uint32_t>(log_.data() + pos + 9);
-    if (type < kPageImage || type > kMvccUpdate) break;
-    size_t rec_end = pos + kHeaderBytes + len + kTrailerBytes;
-    if (rec_end > durable_) break;  // framing runs past the watermark: torn
-    uint64_t crc = LoadLE<uint64_t>(log_.data() + pos + kHeaderBytes + len);
-    if (Checksum64(log_.data() + pos, kHeaderBytes + len) != crc) break;
-    const uint8_t* payload = log_.data() + pos + kHeaderBytes;
-    switch (static_cast<RecordType>(type)) {
-      case kPageImage: {
-        OBJREP_CHECK_MSG(len == 4 + kPageSize, "bad page-image record");
-        PageId pid = LoadLE<PageId>(payload);
-        txn_of(txn).images.emplace_back(pid, pos + kHeaderBytes + 4);
-        break;
+  // Parse each log's durable prefix, stopping at its first torn/corrupt
+  // record: the page log first, so page transactions come first in `txns`,
+  // then the MVCC log, whose records keep their commit order.
+  for (const Log* log : {&pages_, &mvcc_}) {
+    const uint8_t* bytes = log->bytes.data();
+    size_t pos = 0;
+    while (pos + kHeaderBytes + kTrailerBytes <= log->durable) {
+      uint8_t type = bytes[pos];
+      uint64_t txn = LoadLE<uint64_t>(bytes + pos + 1);
+      uint32_t len = LoadLE<uint32_t>(bytes + pos + 9);
+      if (type < kPageImage || type > kMvccUpdate) break;
+      size_t rec_end = pos + kHeaderBytes + len + kTrailerBytes;
+      if (rec_end > log->durable) break;  // runs past the watermark: torn
+      uint64_t crc = LoadLE<uint64_t>(bytes + pos + kHeaderBytes + len);
+      if (Checksum64(bytes + pos, kHeaderBytes + len) != crc) break;
+      const uint8_t* payload = bytes + pos + kHeaderBytes;
+      switch (static_cast<RecordType>(type)) {
+        case kPageImage: {
+          OBJREP_CHECK_MSG(len == 4 + kPageSize, "bad page-image record");
+          PageId pid = LoadLE<PageId>(payload);
+          txn_of(txn).images.emplace_back(pid, payload + 4);
+          break;
+        }
+        case kFreePage: {
+          OBJREP_CHECK_MSG(len == 4, "bad free-page record");
+          txn_of(txn).frees.push_back(LoadLE<PageId>(payload));
+          break;
+        }
+        case kCommit:
+          txn_of(txn).committed = true;
+          break;
+        case kApplied:
+          txn_of(txn).applied = true;
+          break;
+        case kMvccUpdate: {
+          OBJREP_CHECK_MSG(len >= 12, "bad mvcc-update record");
+          uint32_t count = LoadLE<uint32_t>(payload + 8);
+          OBJREP_CHECK_MSG(len == 12 + count * 12ull,
+                           "bad mvcc-update record");
+          txn_of(txn).mvcc.push_back(payload);
+          break;
+        }
       }
-      case kFreePage: {
-        OBJREP_CHECK_MSG(len == 4, "bad free-page record");
-        txn_of(txn).frees.push_back(LoadLE<PageId>(payload));
-        break;
-      }
-      case kCommit:
-        txn_of(txn).committed = true;
-        break;
-      case kApplied:
-        txn_of(txn).applied = true;
-        break;
-      case kMvccUpdate: {
-        OBJREP_CHECK_MSG(len >= 12, "bad mvcc-update record");
-        uint32_t count = LoadLE<uint32_t>(payload + 8);
-        OBJREP_CHECK_MSG(len == 12 + count * 12ull, "bad mvcc-update record");
-        txn_of(txn).mvcc.push_back(pos + kHeaderBytes);
-        break;
-      }
+      pos = rec_end;
     }
-    pos = rec_end;
+    st->torn_bytes += log->durable - pos;
   }
-  st->torn_bytes = durable_ - pos;
 
   // Redo committed-but-unapplied transactions in log order. Page image
   // rewrites are idempotent; frees are re-applied idempotently because a
@@ -246,9 +267,9 @@ Status Wal::Recover(WalRecoveryStats* stats,
     ++st->txns_seen;
     if (recs.applied) continue;
     ++st->txns_redone;
-    for (const auto& [pid, off] : recs.images) {
+    for (const auto& [pid, image] : recs.images) {
       Page img;
-      std::memcpy(img.data, log_.data() + off, kPageSize);
+      std::memcpy(img.data, image, kPageSize);
       disk_->WritePageRaw(pid, img);
       ++st->pages_redone;
     }
@@ -258,15 +279,15 @@ Status Wal::Recover(WalRecoveryStats* stats,
     // Logical MVCC records are not page images; hand them back for the
     // objstore layer to replay through the table layer (absolute values,
     // so the replay is idempotent).
-    for (size_t off : recs.mvcc) {
+    for (const uint8_t* payload : recs.mvcc) {
       if (mvcc_redo == nullptr) break;
       WalMvccRedo redo;
       redo.txn = id;
-      redo.commit_ts = LoadLE<uint64_t>(log_.data() + off);
-      uint32_t count = LoadLE<uint32_t>(log_.data() + off + 8);
+      redo.commit_ts = LoadLE<uint64_t>(payload);
+      uint32_t count = LoadLE<uint32_t>(payload + 8);
       redo.updates.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
-        const uint8_t* p = log_.data() + off + 12 + i * 12ull;
+        const uint8_t* p = payload + 12 + i * 12ull;
         redo.updates.emplace_back(LoadLE<uint64_t>(p),
                                   LoadLE<int32_t>(p + 8));
       }
@@ -281,10 +302,9 @@ Status Wal::Recover(WalRecoveryStats* stats,
 
 void Wal::Reset() {
   std::lock_guard<std::mutex> guard(mu_);
-  log_.clear();
-  durable_ = 0;
+  pages_ = Log{};
+  mvcc_ = Log{};
   committed_txns_ = 0;
-  open_applies_ = 0;
 }
 
 }  // namespace objrep

@@ -23,26 +23,32 @@
 // rewritten (idempotent) and frees re-applied (idempotently — a crash can
 // land between individual frees). Transactions without a durable commit
 // record are ignored; the no-steal pool guarantees none of their pages hit
-// the volume. Once every committed transaction is applied the whole log is
-// dead weight, so AppendApplied truncates it — the checkpoint is free
+// the volume. Once every committed page transaction is applied the page log
+// is dead weight, so AppendApplied truncates it — the checkpoint is free
 // because apply is write-through.
 //
 // MVCC commits (DESIGN.md §15) ride the same framing with a *logical*
 // record, kMvccUpdate: absolute (oid, ret1) pairs plus the commit
 // timestamp. Unlike page transactions, an MVCC commit does not write base
 // pages through — the version only lands on base pages at the next fold —
-// so its kApplied is deferred until FoldMvcc. Recover() hands the
-// committed-but-unapplied MVCC records back to the caller in log order
-// (== commit-timestamp order; commits are serialized) and the objstore
-// layer replays them through the table layer, which is idempotent because
-// the values are absolute.
+// so its kApplied is deferred until FoldMvcc (AppendMvccApplied). MVCC
+// records therefore go to a second byte log with its own durable watermark
+// and open-apply count: nothing folds while serving, and one shared log
+// would hold every page image logged after the oldest unfolded commit
+// (each DFSCACHE install's included). Each log truncates when its own
+// committed transactions are all applied. A sync makes one log durable,
+// and a torn sync cuts only that log. Recover() parses both, redoes the
+// page log's transactions, and hands the committed-but-unapplied MVCC
+// records back to the caller in log order (== commit-timestamp order;
+// commits are serialized); the objstore layer replays them through the
+// table layer, which is idempotent because the values are absolute.
 //
-// Thread safety: all public methods lock an internal mutex. The BufferPool
-// still serializes *page* transactions on wal_mu_, but MVCC commits (and
-// the cache-install pool transactions that run during lock-free snapshot
-// retrieves) interleave with them on this log. Records of different
-// transactions may interleave; framing is per-record and recovery groups
-// by transaction id, so interleaving is harmless.
+// Thread safety: all public methods lock one internal mutex. The
+// BufferPool serializes *page* transactions on wal_mu_, but MVCC commits
+// (and the cache-install pool transactions that run during lock-free
+// snapshot retrieves) interleave with them. Records of different
+// transactions of one log may interleave; framing is per-record and
+// recovery groups by transaction id, so interleaving is harmless.
 #ifndef OBJREP_STORAGE_WAL_H_
 #define OBJREP_STORAGE_WAL_H_
 
@@ -106,10 +112,16 @@ class Wal {
   /// wal.commit.after_sync.
   Status Commit(uint64_t txn);
 
-  /// Appends the applied record (txn fully written through) and syncs.
-  /// When no committed transaction remains unapplied, truncates the log.
-  /// Crash point: wal.applied.before_sync.
+  /// Appends the applied record of page transaction `txn` (fully written
+  /// through) and syncs the page log. When no committed page transaction
+  /// remains unapplied, truncates the page log, whatever MVCC commits are
+  /// still open. Crash point: wal.applied.before_sync.
   Status AppendApplied(uint64_t txn);
+
+  /// AppendApplied for an MVCC commit, once a fold has written it onto
+  /// base pages: truncates the MVCC log when no MVCC commit remains
+  /// unapplied. Same crash point.
+  Status AppendMvccApplied(uint64_t txn);
 
   /// Redo pass over the durable prefix: validates record framing +
   /// checksums (stopping at the first torn/corrupt record), then replays
@@ -124,14 +136,14 @@ class Wal {
   /// Drops all log state (post-recovery, or tests). Txn ids keep rising.
   void Reset();
 
-  /// Bytes currently held by the log (durable or not).
+  /// Bytes currently held by both logs (durable or not).
   uint64_t size_bytes() const {
     std::lock_guard<std::mutex> guard(mu_);
-    return log_.size();
+    return pages_.bytes.size() + mvcc_.bytes.size();
   }
   uint64_t durable_bytes() const {
     std::lock_guard<std::mutex> guard(mu_);
-    return durable_;
+    return pages_.durable + mvcc_.durable;
   }
   uint64_t committed_txns() const {
     std::lock_guard<std::mutex> guard(mu_);
@@ -147,23 +159,32 @@ class Wal {
     kMvccUpdate = 5,
   };
 
-  /// Commit with mu_ held: appends the commit record and syncs.
-  Status CommitLocked(uint64_t txn);
+  /// One append-only byte log with its own durable watermark.
+  struct Log {
+    std::vector<uint8_t> bytes;
+    uint64_t durable = 0;       ///< bytes[0, durable) survives a crash
+    uint64_t open_applies = 0;  ///< committed txns whose kApplied isn't logged
+  };
+
+  /// Commit with mu_ held: appends the commit record to `log` and syncs it.
+  Status CommitLocked(Log* log, uint64_t txn);
+  /// Appends the applied record to `log`, syncs it, and truncates it once
+  /// none of its committed transactions is left unapplied.
+  Status AppliedLocked(Log* log, uint64_t txn);
   /// Appends one framed record whose payload is `head` then `body` (either
-  /// may be empty), each copied once, straight into log_.
-  void AppendRecord(RecordType type, uint64_t txn, const void* head,
+  /// may be empty), each copied once, straight into `log`.
+  void AppendRecord(Log* log, RecordType type, uint64_t txn, const void* head,
                     uint32_t head_len, const void* body = nullptr,
                     uint32_t body_len = 0);
-  /// Advances the durable watermark to the log end (crash points apply).
-  Status Sync();
+  /// Advances `log`'s durable watermark to its end (crash points apply).
+  Status Sync(Log* log);
 
   mutable std::mutex mu_;
   DiskManager* disk_;
-  std::vector<uint8_t> log_;
-  uint64_t durable_ = 0;  ///< log_[0, durable_) survives a crash
+  Log pages_;  ///< page transactions: images, frees, commits, applies
+  Log mvcc_;   ///< MVCC commits and their fold-time applies
   uint64_t next_txn_ = 1;
   uint64_t committed_txns_ = 0;
-  uint64_t open_applies_ = 0;  ///< committed txns whose kApplied isn't logged
 };
 
 }  // namespace objrep

@@ -63,6 +63,30 @@ TEST_F(BTreeTest, BulkLoadRejectsUnsorted) {
   EXPECT_TRUE(BPlusTree::BulkLoad(&pool_, entries, &tree).IsInvalidArgument());
 }
 
+// A streaming source is checked as it is pulled: a key that goes backwards
+// after several leaves' worth of entries fails the load, and so does a
+// repeated key.
+TEST_F(BTreeTest, StreamingBulkLoadRejectsAKeyOutOfOrderMidStream) {
+  for (uint64_t bad : {uint64_t{1500}, uint64_t{2999}}) {
+    uint64_t k = 0;
+    std::string value;
+    BPlusTree tree;
+    Status s = BPlusTree::BulkLoad(
+        &pool_,
+        [&](uint64_t* key, std::string_view* v) {
+          if (k == 4000) return false;
+          *key = k == 3000 ? bad : k;
+          ++k;
+          value = ValFor(*key);
+          *v = value;
+          return true;
+        },
+        &tree);
+    EXPECT_TRUE(s.IsInvalidArgument()) << "key " << bad << ": " << s.ToString();
+    EXPECT_EQ(k, 3001u) << "the load read past the bad key";
+  }
+}
+
 TEST_F(BTreeTest, IteratorScansInOrder) {
   std::vector<BPlusTree::Entry> entries;
   for (uint64_t k = 10; k <= 2000; k += 10) {

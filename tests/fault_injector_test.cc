@@ -1,12 +1,14 @@
 // Unit tests for the deterministic fault injector and the WAL's record
 // mechanics: seeded rate faults replay identically, crash points poison
 // all subsequent I/O until cleared, and the log's commit/durable/applied
-// bookkeeping behaves as DESIGN.md §10 specifies.
+// bookkeeping behaves as DESIGN.md §10 specifies, including the split
+// between page-transaction records and MVCC records.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "storage/disk_manager.h"
@@ -175,6 +177,127 @@ TEST(WalTest, TornSyncCutsTheDurablePrefixMidRecord) {
   Page on_disk;
   ASSERT_TRUE(disk.ReadPageRaw(pid, &on_disk).ok());
   EXPECT_NE(on_disk.data[0], img.data[0]);
+}
+
+/// Bytes one MVCC commit of `updates` leaves in a log: its kMvccUpdate
+/// and kCommit records.
+uint64_t MvccCommitBytes(
+    const std::vector<std::pair<uint64_t, int32_t>>& updates) {
+  DiskManager disk;
+  Wal wal(&disk);
+  uint64_t txn = wal.Begin();
+  EXPECT_TRUE(wal.CommitMvccUpdate(txn, 1, updates).ok());
+  return wal.size_bytes();
+}
+
+TEST(WalTest, PageRecordsTruncateWhileAnMvccCommitIsOpen) {
+  DiskManager disk;
+  Wal wal(&disk);
+  PageId pid = disk.AllocatePage();
+  Page img;
+  std::memset(img.data, 0x42, kPageSize);
+
+  // An MVCC commit stays unapplied until a fold, which never runs here.
+  const std::vector<std::pair<uint64_t, int32_t>> updates = {{7, 1007},
+                                                             {9, 1009}};
+  const uint64_t mvcc_txn = wal.Begin();
+  ASSERT_TRUE(wal.CommitMvccUpdate(mvcc_txn, 5, updates).ok());
+  const uint64_t mvcc_bytes = wal.size_bytes();
+  EXPECT_EQ(mvcc_bytes, MvccCommitBytes(updates));
+
+  for (int i = 0; i < 8; ++i) {
+    uint64_t txn = wal.Begin();
+    wal.AppendPageImage(txn, pid, img);
+    ASSERT_TRUE(wal.Commit(txn).ok());
+    EXPECT_GT(wal.size_bytes(), mvcc_bytes + kPageSize);
+    ASSERT_TRUE(wal.AppendApplied(txn).ok());
+    EXPECT_EQ(wal.size_bytes(), mvcc_bytes)
+        << "page records outlived their transaction's apply";
+  }
+  EXPECT_EQ(wal.durable_bytes(), mvcc_bytes);
+
+  // The MVCC commit is still redoable...
+  WalRecoveryStats stats;
+  std::vector<WalMvccRedo> redo;
+  ASSERT_TRUE(wal.Recover(&stats, &redo).ok());
+  EXPECT_EQ(stats.txns_seen, 1u);
+  EXPECT_EQ(stats.txns_redone, 1u);
+  EXPECT_EQ(stats.pages_redone, 0u);
+  ASSERT_EQ(redo.size(), 1u);
+  EXPECT_EQ(redo[0].txn, mvcc_txn);
+  EXPECT_EQ(redo[0].commit_ts, 5u);
+  EXPECT_EQ(redo[0].updates, updates);
+
+  // ...until the fold's applied record empties the MVCC log too.
+  ASSERT_TRUE(wal.AppendMvccApplied(mvcc_txn).ok());
+  EXPECT_EQ(wal.size_bytes(), 0u);
+}
+
+TEST(WalTest, TornPageSyncLeavesTheMvccLogWhole) {
+  DiskManager disk;
+  FaultInjector* fi = disk.fault_injector();
+  Wal wal(&disk);
+  PageId pid = disk.AllocatePage();
+  Page img;
+  std::memset(img.data, 0x24, kPageSize);
+
+  const uint64_t mvcc_txn = wal.Begin();
+  ASSERT_TRUE(wal.CommitMvccUpdate(mvcc_txn, 3, {{11, 2011}}).ok());
+  uint64_t txn = wal.Begin();
+  wal.AppendPageImage(txn, pid, img);
+  fi->ArmCrash("wal.sync.torn");
+  ASSERT_FALSE(wal.Commit(txn).ok());
+
+  fi->ClearCrash();
+  WalRecoveryStats stats;
+  std::vector<WalMvccRedo> redo;
+  ASSERT_TRUE(wal.Recover(&stats, &redo).ok());
+  EXPECT_GT(stats.torn_bytes, 0u);
+  EXPECT_EQ(stats.txns_redone, 1u) << "only the MVCC commit is redone";
+  EXPECT_EQ(stats.pages_redone, 0u);
+  ASSERT_EQ(redo.size(), 1u);
+  EXPECT_EQ(redo[0].txn, mvcc_txn);
+}
+
+// MVCC committers and page transactions share the WAL's mutex and txn ids
+// but not a log. With every page transaction applied and no fold, the log
+// ends holding exactly the MVCC commits.
+TEST(WalTest, ConcurrentMvccAndPageCommitsLeaveOnlyMvccRecords) {
+  DiskManager disk;
+  Wal wal(&disk);
+  constexpr int kPerThread = 200;
+  const PageId pids[2] = {disk.AllocatePage(), disk.AllocatePage()};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&wal, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const uint64_t txn = wal.Begin();
+        const uint64_t oid = static_cast<uint64_t>(t) << 32 | i;
+        EXPECT_TRUE(wal.CommitMvccUpdate(txn, txn, {{oid, i}}).ok());
+      }
+    });
+    threads.emplace_back([&wal, pid = pids[t]] {
+      Page img;
+      std::memset(img.data, static_cast<int>(pid), kPageSize);
+      for (int i = 0; i < kPerThread; ++i) {
+        const uint64_t txn = wal.Begin();
+        wal.AppendPageImage(txn, pid, img);
+        EXPECT_TRUE(wal.Commit(txn).ok());
+        EXPECT_TRUE(wal.AppendApplied(txn).ok());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(wal.committed_txns(), 4u * kPerThread);
+  EXPECT_EQ(wal.size_bytes(), 2u * kPerThread * MvccCommitBytes({{1, 1}}));
+  EXPECT_EQ(wal.durable_bytes(), wal.size_bytes());
+  WalRecoveryStats stats;
+  std::vector<WalMvccRedo> redo;
+  ASSERT_TRUE(wal.Recover(&stats, &redo).ok());
+  EXPECT_EQ(stats.txns_redone, 2u * kPerThread);
+  EXPECT_EQ(stats.pages_redone, 0u);
+  EXPECT_EQ(redo.size(), 2u * kPerThread);
 }
 
 }  // namespace

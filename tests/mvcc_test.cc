@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mvcc/apply.h"
@@ -271,6 +272,69 @@ TEST(MvccRecoveryTest, CrashBeforeSyncLosesTheInFlightCommit) {
     if (r.oids[i].Packed() == t0.Packed()) {
       EXPECT_EQ(r.values[i], db->child_rows[0][t0.key].ret1);
     }
+  }
+}
+
+// Under served MVCC a DFSCACHE install is a page transaction that runs
+// while earlier MVCC commits wait for a fold; their records sit in
+// different WAL logs. A crash inside the install's commit — after its
+// commit record is durable, or with that sync torn — must still redo the
+// open MVCC commit, and redo the install only when its commit survived.
+TEST(MvccRecoveryTest, CrashInCacheInstallAfterAnOpenMvccCommit) {
+  for (const char* point : {"wal.applied.before_sync", "wal.sync.torn"}) {
+    SCOPED_TRACE(point);
+    DatabaseSpec spec = SmallSpec();
+    spec.build_cache = true;
+    spec.size_cache = 8;
+    spec.cache_buckets = 8;
+    std::unique_ptr<ComplexDatabase> db;
+    ASSERT_TRUE(BuildDatabase(spec, &db).ok());
+    const Oid t0 = db->units[db->unit_of_parent[0]][0];
+
+    Query up;
+    up.kind = Query::Kind::kUpdate;
+    up.update_targets = {t0};
+    up.new_ret1 = 888101;
+    ASSERT_TRUE(mvcc::MvccUpdate(db.get(), up).ok());
+
+    std::unique_ptr<Strategy> cache_strategy;
+    ASSERT_TRUE(MakeStrategy(StrategyKind::kDfsCache, db.get(),
+                             StrategyOptions{}, &cache_strategy)
+                    .ok());
+    Query q;
+    q.kind = Query::Kind::kRetrieve;
+    q.lo_parent = 0;
+    q.num_top = 1;
+    q.attr_index = 0;
+    db->disk->fault_injector()->ArmCrash(point);
+    RetrieveResult installing;
+    (void)mvcc::SnapshotRetrieve(cache_strategy.get(), db.get(), q,
+                                 &installing);
+    ASSERT_TRUE(db->disk->fault_injector()->crashed())
+        << "the retrieve installed no cache unit";
+
+    RecoveryReport rep;
+    ASSERT_TRUE(RecoverDatabase(db.get(), &rep).ok());
+    EXPECT_EQ(rep.mvcc_txns_redone, 1u);
+    const bool install_durable =
+        std::string(point) == "wal.applied.before_sync";
+    EXPECT_EQ(rep.wal.txns_redone, install_durable ? 2u : 1u);
+    EXPECT_EQ(rep.wal.pages_redone > 0, install_durable);
+
+    std::unique_ptr<Strategy> strategy;
+    ASSERT_TRUE(MakeStrategy(StrategyKind::kDfs, db.get(), StrategyOptions{},
+                             &strategy)
+                    .ok());
+    RetrieveResult r;
+    ASSERT_TRUE(strategy->ExecuteRetrieve(q, &r).ok());
+    bool saw = false;
+    for (size_t i = 0; i < r.oids.size(); ++i) {
+      if (r.oids[i].Packed() == t0.Packed()) {
+        EXPECT_EQ(r.values[i], 888101);
+        saw = true;
+      }
+    }
+    EXPECT_TRUE(saw);
   }
 }
 

@@ -7,7 +7,12 @@
 // whole single-engine volume before it carved the shards, so they move only
 // when the on-disk layout does. The test then decodes every local ParentRel
 // row and every replicated ChildRel row against the generator's ground
-// truth. A last test checks that building sleeps on no simulated device.
+// truth. It also pins the buffer pool each build leaves behind: which pages
+// are resident and in what LRU order, since the first queries' I/O counts
+// start from that state. The pool constants come from the row-by-row
+// loader that materialised every row before its bulk load. Two last tests
+// check that the shard count stays within the holder mask and that
+// building sleeps on no simulated device.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +28,8 @@
 namespace objrep {
 namespace {
 
-/// Page count and content fingerprint of one volume.
+/// Page count and content fingerprint of one volume; for a pool, the
+/// resident page count and a fingerprint of their ids in eviction order.
 struct VolumePin {
   uint64_t pages = 0;
   uint64_t fold = 0;
@@ -53,11 +59,48 @@ VolumePin PinOf(const DiskManager& disk) {
   return pin;
 }
 
+/// The resident pages of `db`'s pool, least recently used first. Probes
+/// with TryFetchResident (no hit, no restamp), then fetches the volume's
+/// other pages one by one and records the order in which the resident ones
+/// are evicted, so it consumes the pool state it reads.
+VolumePin PoolPinOf(ComplexDatabase* db) {
+  db->disk->set_io_latency_us(0);
+  db->disk->set_transfer_us(0);
+  const PageId num_pages = static_cast<PageId>(db->disk->num_pages());
+  std::vector<PageId> resident;
+  std::vector<PageId> absent;
+  for (PageId pid = 0; pid < num_pages; ++pid) {
+    PageGuard g;
+    (db->pool->TryFetchResident(pid, &g) ? resident : absent).push_back(pid);
+  }
+  std::vector<PageId> order;
+  for (PageId pid : absent) {
+    if (order.size() == resident.size()) break;
+    {
+      PageGuard g;
+      EXPECT_TRUE(db->pool->FetchPage(pid, &g).ok());
+    }
+    for (PageId r : resident) {
+      if (std::find(order.begin(), order.end(), r) != order.end()) continue;
+      PageGuard g;
+      if (!db->pool->TryFetchResident(r, &g)) order.push_back(r);
+    }
+  }
+  EXPECT_EQ(order.size(), resident.size()) << "volume too small to drain";
+  VolumePin pin;
+  pin.pages = resident.size();
+  pin.fold = Checksum64(order.data(), order.size() * sizeof(PageId));
+  return pin;
+}
+
 struct LayoutCase {
   std::string name;
   DatabaseSpec spec;
   std::vector<VolumePin> shards;
   VolumePin single;
+  /// PoolPinOf each shard's pool, and of the single-engine pool.
+  std::vector<VolumePin> shard_pools;
+  VolumePin single_pool;
 };
 
 std::vector<LayoutCase> Cases() {
@@ -74,6 +117,9 @@ std::vector<LayoutCase> Cases() {
     c.spec.seed = 23;
     c.shards = {{2263, 0xa4a2e5721f602c9aULL}, {2266, 0xa8df3b10069aede2ULL}};
     c.single = {3423, 0xd36b24baf1580af2ULL};
+    c.shard_pools = {{100, 0xfb46ea4412a03dc6ULL},
+                     {100, 0xf9424616bebe4cb4ULL}};
+    c.single_pool = {100, 0xb4322a96fa8fead8ULL};
     cases.push_back(c);
   }
   {
@@ -94,6 +140,10 @@ std::vector<LayoutCase> Cases() {
                 {133, 0x9689a67656e76f45ULL},
                 {134, 0x23117bbf714fd652ULL}};
     c.single = {249, 0x453497d92a9eaf72ULL};
+    c.shard_pools = {{64, 0xd7f8327bd0c8d84fULL},
+                     {64, 0x750623faa9bf2e43ULL},
+                     {64, 0xed8a4659c59e2024ULL}};
+    c.single_pool = {64, 0xe9b552c85e56d5b8ULL};
     cases.push_back(c);
   }
   {
@@ -109,6 +159,9 @@ std::vector<LayoutCase> Cases() {
     c.spec.seed = 5;
     c.shards = {{180, 0x521a930123a2bb5aULL}, {180, 0xc4cb608d5362d188ULL}};
     c.single = {237, 0xeb366beea5ed5981ULL};
+    c.shard_pools = {{64, 0xd4794c363f19f9afULL},
+                     {64, 0xd4794c363f19f9afULL}};
+    c.single_pool = {64, 0xb7f6fe6cfdcc7b20ULL};
     cases.push_back(c);
   }
   return cases;
@@ -131,6 +184,21 @@ TEST_P(ShardLayoutTest, VolumesMatchPinnedLayout) {
   std::unique_ptr<ComplexDatabase> db;
   ASSERT_TRUE(BuildDatabase(c.spec, &db).ok());
   EXPECT_EQ(PinOf(*db->disk), c.single) << "single-engine volume";
+}
+
+TEST_P(ShardLayoutTest, PoolsMatchPinnedState) {
+  const LayoutCase& c = GetParam();
+  std::unique_ptr<shard::ShardedDatabase> sdb;
+  ASSERT_TRUE(shard::BuildShardedDatabase(
+                  c.spec, static_cast<uint32_t>(c.shards.size()), &sdb)
+                  .ok());
+  for (size_t k = 0; k < c.shards.size(); ++k) {
+    EXPECT_EQ(PoolPinOf(sdb->shards[k].get()), c.shard_pools[k])
+        << "shard " << k;
+  }
+  std::unique_ptr<ComplexDatabase> db;
+  ASSERT_TRUE(BuildDatabase(c.spec, &db).ok());
+  EXPECT_EQ(PoolPinOf(db.get()), c.single_pool) << "single-engine pool";
 }
 
 TEST_P(ShardLayoutTest, ShardRowsDecodeToGroundTruth) {
@@ -196,6 +264,35 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<LayoutCase>& info) {
       return info.param.name;
     });
+
+// A child's holders are a bitmask, one bit per shard: the build rejects a
+// shard count the mask cannot name and uses its top bit at the limit.
+TEST(ShardBuildTest, ShardCountIsBoundedByTheHolderMask) {
+  DatabaseSpec spec;
+  spec.num_parents = 320;
+  spec.buffer_pages = 8;
+  spec.seed = 9;
+  const uint32_t n = shard::ShardRouter::kMaxShards;
+  std::unique_ptr<shard::ShardedDatabase> sdb;
+  EXPECT_TRUE(
+      shard::BuildShardedDatabase(spec, n + 1, &sdb).IsInvalidArgument());
+  EXPECT_EQ(sdb, nullptr);
+
+  ASSERT_TRUE(shard::BuildShardedDatabase(spec, n, &sdb).ok());
+  ASSERT_EQ(sdb->num_shards(), n);
+  const ComplexDatabase& truth = *sdb->reference;
+  for (uint32_t k = 0; k < n; ++k) {
+    for (uint32_t p : sdb->local_parents[k]) {
+      for (const Oid& oid : truth.units[truth.unit_of_parent[p]]) {
+        const std::vector<uint32_t> holders =
+            sdb->router.HoldersOf(oid.Packed());
+        EXPECT_TRUE(std::binary_search(holders.begin(), holders.end(), k))
+            << "child " << oid.Packed() << " shard " << k;
+      }
+    }
+  }
+  EXPECT_FALSE(sdb->local_parents[n - 1].empty());
+}
 
 // The device model applies to serving, not to building: every build write,
 // the final flush included, is free. Counts simulated µs; reads no clock.
